@@ -6,7 +6,8 @@ embed in a unitary only inside a bounded region of the (x^2, y^2) plane:
 four normalization caps plus a Schwarz bound on the orthogonality of the two
 constrained rows.  The success probability x^2 * y^2 / 2, maximized along the
 region's boundary curve, peaks at 0.25 for x^2 = y^2 = 1/sqrt(2).  A
-derivative-free search over parameterized unitaries provides an independent
+constrained search over the two unitary columns the gate depends on, with
+the sign-shift conditions imposed as equalities, provides an independent
 numerical check that no circuit beats that value, for rank-1 and rank-s
 post-selection alike.
 """
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .fock import LopCircuit, fock_amplitude
+from .conditional import ConditionalScheme
+from .fock import LopCircuit
+from .gate import PartialMatrix, complete_to_unitary, verify_ns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,34 +165,31 @@ def sample_region(grid_n: int) -> list[tuple[float, float, bool, float]]:
     return rows
 
 
-def _build_unitary(params: np.ndarray, n: int) -> np.ndarray:
-    # Triangular product of two-mode rotations with phases, then output
-    # phases: covers the full unitary group on n modes.
-    u = np.eye(n, dtype=complex)
-    t = 0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            theta = params[t]
-            phi = params[t + 1]
-            t += 2
-            cth = math.cos(theta)
-            sth = math.sin(theta)
-            e = complex(math.cos(phi), math.sin(phi))
-            row_p = u[p, :].copy()
-            row_q = u[q, :].copy()
-            u[p, :] = cth * row_p - e * sth * row_q
-            u[q, :] = e.conjugate() * sth * row_p + cth * row_q
-    return np.exp(1j * params[t:])[:, None] * u
+def _columns(x: np.ndarray, n: int) -> np.ndarray:
+    # Orthonormal pair [a b], the first two columns of a mode unitary, from
+    # 4n reals by Gram-Schmidt.
+    z = x[: 2 * n] + 1j * x[2 * n :]
+    a = z[:n] / np.linalg.norm(z[:n])
+    b = z[n:] - np.vdot(a, z[n:]) * a
+    return np.column_stack((a, b / np.linalg.norm(b)))
 
 
-def _param_count(n: int) -> int:
-    return n * n
+def _complete_pair(cols: np.ndarray) -> LopCircuit:
+    # Mode unitary whose first two columns are exactly the given orthonormal
+    # pair: fix rows 0 and 1 of its transpose, complete, transpose back.
+    n = cols.shape[0]
+    fixed = np.zeros((n, n), dtype=bool)
+    fixed[:2] = True
+    values = np.zeros((n, n), dtype=complex)
+    values[:2] = cols.T
+    return LopCircuit(complete_to_unitary(PartialMatrix(values, fixed)).matrix.T)
 
 
 def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
     # Probability proxy and sign-shift residual for input mode 1, accepted
     # modes 1..rank_s, from the closed diagonal Kraus entries (checked
-    # against the permanent machinery in gate_figures_reference).
+    # against the permanent machinery of verify_ns).  Reads only the first
+    # two columns of u.
     u00 = u[0, 0]
     prob = 0.0
     residual = 0.0
@@ -203,40 +203,15 @@ def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
     return prob, residual
 
 
-def gate_figures_reference(lop: LopCircuit, rank_s: int) -> tuple[float, float]:
-    """Probability and sign-shift residual via the full amplitude machinery.
-
-    Same figures as the search objective but computed from Fock amplitudes of
-    the lifted circuit; used to report final results and to cross-check the
-    closed forms the hot loop uses.
-    """
-    n = lop.dim
-    one_in = tuple(1 if m == 1 else 0 for m in range(n))
-    prob = 0.0
-    residual = 0.0
-    for j in range(1, rank_s + 1):
-        one_out = tuple(1 if m == j else 0 for m in range(n))
-        m0 = fock_amplitude(lop, one_in, one_out)
-        m1 = fock_amplitude(
-            lop,
-            tuple(1 if m in (0, 1) else 0 for m in range(n)),
-            tuple(1 if m in (0, j) else 0 for m in range(n)),
-        )
-        m2 = fock_amplitude(
-            lop,
-            tuple(2 if m == 0 else c for m, c in enumerate(one_in)),
-            tuple(2 if m == 0 else c for m, c in enumerate(one_out)),
-        )
-        prob += abs(m0) ** 2
-        residual = max(residual, abs(m1 - m0), abs(m2 + m0))
-    return float(prob), float(residual)
-
-
-def _simplex_at(x: np.ndarray, radius: float) -> np.ndarray:
-    s = np.tile(x, (x.size + 1, 1))
-    for i in range(x.size):
-        s[i + 1, i] += radius
-    return s
+def _design_constraints(u: np.ndarray, rank_s: int) -> np.ndarray:
+    # Real and imaginary parts of U00 - (1 - sqrt 2) and of
+    # U01 Uj0 - sqrt 2 Uj1 for j = 1..rank_s, all zero exactly when
+    # m1 = m0 = -m2 on every accepted mode.  The literal conditions
+    # m1 - m0 = 0 and m2 + m0 = 0 would repeat the U00 equation once per
+    # accepted mode and leave the constraint Jacobian rank-deficient.
+    a, b = u[: rank_s + 1, 0], u[: rank_s + 1, 1]
+    c = np.concatenate(([a[0] - (1 - SQRT2)], b[0] * a[1:] - SQRT2 * b[1:]))
+    return np.concatenate((c.real, c.imag))
 
 
 def numeric_search(
@@ -244,19 +219,19 @@ def numeric_search(
     rank_s: int,
     restarts: int,
     seed: int,
-    penalty_weight: float = 100.0,
 ) -> OptimizationResult:
-    """Derivative-free search for the best sign-shift success probability.
+    """Constrained search for the best sign-shift success probability.
 
-    Simplex (Nelder-Mead) search over the full unitary group, maximizing the
-    post-selected probability minus penalty_weight times the sign-shift
-    residual.  One fixed deterministic start plus ``restarts`` random starts,
-    each seeded independently from the master seed so the outcome does not
-    depend on evaluation order.  Every start is explored with a ramped
-    penalty; the most promising endpoints are then driven along the
-    penalty valley by repeated simplex restarts, and the overall best point
-    gets a final pass at the full weight.  This is a falsification oracle
-    for the 0.25 bound, not an optimality prover.
+    The success probability and the sign-shift conditions read only the
+    first two columns of the mode unitary, so the search runs over that
+    orthonormal pair (4n reals, made orthonormal by Gram-Schmidt) and
+    maximizes the post-selected probability by SLSQP, subject to the
+    equalities that make the gate work.  One fixed deterministic start plus
+    ``restarts`` random starts, each seeded independently from the master
+    seed so the outcome does not depend on evaluation order.  The best
+    working endpoint is completed to a full unitary and its figures are
+    recomputed from Fock amplitudes.  This is a falsification oracle for the
+    0.25 bound, not an optimality prover.
     """
     if total_modes < 3:
         raise ValueError("the search needs at least three modes")
@@ -264,81 +239,51 @@ def numeric_search(
         raise ValueError(f"rank must lie in 1..{total_modes - 1}, got {rank_s}")
     if restarts < 0:
         raise ValueError("restart count cannot be negative")
-    if penalty_weight <= 0:
-        raise ValueError("penalty weight must be positive")
 
     n = total_modes
-    nparams = _param_count(n)
     tracker = {"max_feasible": 0.0, "evals": 0}
 
-    def figures(params: np.ndarray) -> tuple[float, float]:
-        prob, residual = _gate_figures(_build_unitary(params, n), rank_s)
+    def figures(x: np.ndarray) -> tuple[float, float]:
+        prob, residual = _gate_figures(_columns(x, n), rank_s)
         tracker["evals"] += 1
         if residual <= FEASIBLE_RESIDUAL:
             tracker["max_feasible"] = max(tracker["max_feasible"], prob)
         return prob, residual
 
-    def nm(x0, weight, budget, xatol, fatol, radius=None):
-        def neg(params):
-            prob, residual = figures(params)
-            return -(prob - weight * residual)
+    def neg_prob(x: np.ndarray) -> float:
+        return -figures(x)[0]
 
-        options = {
-            "xatol": xatol,
-            "fatol": fatol,
-            "maxiter": budget * nparams,
-            "maxfev": budget * nparams,
-            "adaptive": True,
-        }
-        if radius is not None:
-            options["initial_simplex"] = _simplex_at(np.asarray(x0, float), radius)
-        return minimize(neg, x0, method="Nelder-Mead", options=options)
+    constraint = {
+        "type": "eq",
+        "fun": lambda x: _design_constraints(_columns(x, n), rank_s),
+    }
+    starts = [0.4 + 0.03 * np.arange(4 * n)]
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        starts.append(np.random.default_rng(child).standard_normal(4 * n))
 
-    starts = [0.4 + 0.03 * np.arange(nparams)]
-    seq = np.random.SeedSequence(seed)
-    for child in seq.spawn(restarts):
-        rng = np.random.default_rng(child)
-        starts.append(rng.uniform(0.0, 2 * math.pi, nparams))
-
-    exploit_weight = penalty_weight / 10
-
-    # Exploration: ramp the penalty so starts are not trapped by it early.
-    explored = []
-    for i, x0 in enumerate(starts):
-        x = x0
-        for weight in (penalty_weight / 50, exploit_weight):
-            x = nm(x, weight, budget=80, xatol=1e-8, fatol=1e-10).x
+    # Highest probability among working endpoints; failing that, the
+    # endpoint nearest to working.
+    best_key, best_x = None, None
+    for x0 in starts:
+        x = minimize(
+            neg_prob,
+            x0,
+            method="SLSQP",
+            constraints=constraint,
+            options={"maxiter": 200, "ftol": 1e-12},
+        ).x
         prob, residual = figures(x)
-        explored.append((-(prob - exploit_weight * residual), i, x))
-    explored.sort(key=lambda t: (t[0], t[1]))
+        working = residual <= FEASIBLE_RESIDUAL
+        key = (working, prob if working else -residual)
+        if best_key is None or key > best_key:
+            best_key, best_x = key, x
 
-    # Exploitation: follow the penalty valley by re-inflating the simplex.
-    candidates = []
-    for value, i, x in explored[: min(5, len(explored))]:
-        for _ in range(30):
-            r = nm(x, exploit_weight, budget=200, xatol=1e-11, fatol=1e-13,
-                   radius=0.3)
-            improved = value - r.fun
-            if r.fun < value:
-                value, x = r.fun, r.x
-            if improved < 1e-10:
-                break
-        prob, residual = figures(x)
-        candidates.append((-(prob - penalty_weight * residual), i, x))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-
-    # Final pass at the full weight pins the residual down.
-    value, _, x = candidates[0]
-    r = nm(x, penalty_weight, budget=300, xatol=1e-12, fatol=1e-14)
-    if r.fun < value:
-        x = r.x
-
-    circuit = LopCircuit(_build_unitary(np.asarray(x, dtype=float), n))
-    prob, residual = gate_figures_reference(circuit, rank_s)
+    circuit = _complete_pair(_columns(best_x, n))
+    report = verify_ns(circuit, ConditionalScheme.one_photon(n - 1, 0, range(rank_s)))
     return OptimizationResult(
-        best_probability=prob,
+        best_probability=report.success_probability,
         best_matrix=circuit,
-        residual=residual,
+        residual=report.condition_residual,
         restarts=restarts,
         seed=seed,
         evaluations=int(tracker["evals"]),

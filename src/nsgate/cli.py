@@ -98,7 +98,6 @@ def _cmd_optimize(args) -> int:
         rank_s=args.rank,
         restarts=args.restarts,
         seed=args.seed,
-        penalty_weight=args.penalty,
     )
     payload = {
         "best_probability": result.best_probability,
@@ -106,36 +105,40 @@ def _cmd_optimize(args) -> int:
         "restarts": result.restarts,
         "seed": result.seed,
         "evaluations": result.evaluations,
-        "matrix": [
-            [z.real, z.imag] for z in result.best_matrix.matrix.reshape(-1)
-        ],
+        "matrix": _encode_matrix(result.best_matrix),
     }
     return _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
 
 
+def _encode_matrix(lop: LopCircuit) -> list:
+    """Mode matrix as JSON rows of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in lop.matrix.tolist()]
+
+
 def _load_matrix(path: str) -> LopCircuit:
+    """Read a matrix written by _encode_matrix, bare or under a "matrix" key."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return LopCircuit(np.array([[complex(re, im) for re, im in row] for row in raw]))
+    if isinstance(raw, dict):
+        raw = raw.get("matrix")
+    pairs = np.array(raw, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(
+            f"matrix must be rows of [re, im] pairs, got shape {pairs.shape}"
+        )
+    return LopCircuit(pairs[..., 0] + 1j * pairs[..., 1])
 
 
 def _cmd_kraus_check(args) -> int:
     if args.matrix_file is not None:
         try:
             lop = _load_matrix(args.matrix_file)
-        except (OSError, ValueError) as err:
+        except (OSError, OverflowError, TypeError, ValueError) as err:
             print(f"cannot read {args.matrix_file}: {err}", file=sys.stderr)
             return EXIT_IO
     else:
         lop = haar_unitary(args.modes, np.random.default_rng(args.seed))
-    ancilla = lop.dim - 1
-    scheme = ConditionalScheme(
-        system_modes=1,
-        ancilla_modes=ancilla,
-        ancilla_input=tuple(1 if m == 0 else 0 for m in range(ancilla)),
-        outcomes=(tuple(1 if m == 0 else 0 for m in range(ancilla)),),
-        system_photons=(0, 1, 2),
-    ).all_outcomes()
+    scheme = ConditionalScheme.one_photon(lop.dim - 1, 0, (0,)).all_outcomes()
     defect = completeness_defect(scheme, lop)
     print(f"modes: {lop.dim}")
     print(f"outcomes enumerated: {scheme.rank}")
@@ -151,31 +154,16 @@ def _cmd_reduce_demo(args) -> int:
     chi = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     chi /= np.linalg.norm(chi)
     upstream = haar_unitary(args.modes, rng)
-    scheme = ConditionalScheme(
-        system_modes=1,
-        ancilla_modes=k,
-        ancilla_input=tuple(1 if m == 0 else 0 for m in range(k)),
-        outcomes=(tuple(1 if m == 0 else 0 for m in range(k)),),
-        system_photons=(0, 1, 2),
-    )
+    scheme = ConditionalScheme.one_photon(k, 0, (0,))
     rho = DensityMatrix.pure(
         scheme.system_basis, np.full(scheme.system_basis.dim, 1.0)
     )
 
     # Route 1: superposed one-photon input, Kraus operator by linearity.
-    basis_inputs = [tuple(1 if m == a else 0 for m in range(k)) for a in range(k)]
     m_chi = sum(
         chi[a]
         * kraus_operator(
-            ConditionalScheme(
-                system_modes=1,
-                ancilla_modes=k,
-                ancilla_input=basis_inputs[a],
-                outcomes=scheme.outcomes,
-                system_photons=scheme.system_photons,
-            ),
-            upstream,
-            scheme.outcomes[0],
+            ConditionalScheme.one_photon(k, a, (0,)), upstream, scheme.outcomes[0]
         ).entries
         for a in range(k)
     )
@@ -221,7 +209,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--penalty", type=float, default=100.0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
 

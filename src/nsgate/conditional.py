@@ -118,6 +118,36 @@ class ConditionalScheme:
         if not self.system_photons or any(n < 0 for n in self.system_photons):
             raise ValueError("system photon sectors must be non-negative")
 
+    @classmethod
+    def one_photon(
+        cls,
+        ancilla_modes: int,
+        input_mode: int,
+        accept_modes: Iterable[int],
+        system_photons: Iterable[int] = (0, 1, 2),
+    ) -> "ConditionalScheme":
+        """Scheme with one system mode and a single ancilla photon.
+
+        The photon enters ancilla mode ``input_mode`` and the run is accepted
+        when it exits in any of ``accept_modes``; indices are zero-based over
+        the ancilla modes only.
+        """
+        accept_modes = tuple(accept_modes)
+        for m in (input_mode, *accept_modes):
+            if not 0 <= m < ancilla_modes:
+                raise ValueError(f"ancilla mode {m} outside 0..{ancilla_modes - 1}")
+
+        def one_hot(mode: int) -> Occupation:
+            return tuple(1 if m == mode else 0 for m in range(ancilla_modes))
+
+        return cls(
+            system_modes=1,
+            ancilla_modes=ancilla_modes,
+            ancilla_input=one_hot(input_mode),
+            outcomes=tuple(one_hot(j) for j in accept_modes),
+            system_photons=tuple(system_photons),
+        )
+
     @property
     def rank(self) -> int:
         return len(self.outcomes)
@@ -159,12 +189,14 @@ class DensityMatrix:
         d = self.basis.dim
         if e.shape != (d, d):
             raise ValueError(f"entries shape {e.shape} does not match basis dim {d}")
-        if np.abs(e - e.conj().T).max(initial=0.0) > _HERM_TOL:
+        if not np.isfinite(e).all():
+            raise ValueError("density matrix has non-finite entries")
+        if not np.abs(e - e.conj().T).max(initial=0.0) <= _HERM_TOL:
             raise ValueError("density matrix must be Hermitian")
-        if np.linalg.eigvalsh(e).min(initial=0.0) < -_PSD_TOL:
+        if not np.linalg.eigvalsh(e).min(initial=0.0) >= -_PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")
         tr = e.trace().real
-        if tr < -_HERM_TOL or tr > 1 + _HERM_TOL:
+        if not -_HERM_TOL <= tr <= 1 + _HERM_TOL:
             raise ValueError(f"trace {tr} outside [0, 1]")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)

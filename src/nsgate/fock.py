@@ -128,12 +128,14 @@ class LopCircuit:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"mode matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("mode matrix has non-finite entries")
         eye = np.eye(m.shape[0])
         defect = max(
             np.abs(m.conj().T @ m - eye).max(initial=0.0),
             np.abs(m @ m.conj().T - eye).max(initial=0.0),
         )
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -61,6 +61,8 @@ class PartialMatrix:
             raise ValueError(f"partial matrix must be square, got shape {v.shape}")
         if f.shape != v.shape:
             raise ValueError("fixed-entry mask must match the matrix shape")
+        if not np.isfinite(v).all():
+            raise ValueError("partial matrix has non-finite entries")
         v.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -119,20 +121,11 @@ class NsDesign:
 
     def scheme(self, system_photons=(0, 1, 2)) -> ConditionalScheme:
         """Post-selection scheme matching this design's input and outcomes."""
-        k = self.total_modes - 1
-        ancilla_input = tuple(
-            1 if m == self.photon_in_mode - 1 else 0 for m in range(k)
-        )
-        outcomes = tuple(
-            tuple(1 if m == j - 1 else 0 for m in range(k))
-            for j in self.accept_modes
-        )
-        return ConditionalScheme(
-            system_modes=1,
-            ancilla_modes=k,
-            ancilla_input=ancilla_input,
-            outcomes=outcomes,
-            system_photons=tuple(system_photons),
+        return ConditionalScheme.one_photon(
+            self.total_modes - 1,
+            self.photon_in_mode - 1,
+            [j - 1 for j in self.accept_modes],
+            system_photons,
         )
 
 

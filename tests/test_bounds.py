@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from nsgate import (
+    FEASIBLE_RESIDUAL,
     BoundCurveSample,
+    ConditionalScheme,
     InfeasibleDesignError,
     X2_MAX,
     boundary_y2,
@@ -20,7 +22,7 @@ from nsgate import (
     scan_curve,
     verify_ns,
 )
-from nsgate.bounds import _build_unitary, _gate_figures, gate_figures_reference
+from nsgate.bounds import _columns, _complete_pair, _gate_figures
 from nsgate.fock import LopCircuit
 
 SQRT2 = math.sqrt(2.0)
@@ -177,23 +179,37 @@ class TestCurveCompletionAgreement:
                 complete_to_unitary(bad.partial)
 
 
+def search_scheme(n, rank):
+    return ConditionalScheme.one_photon(n - 1, 0, range(rank))
+
+
 class TestGateFigures:
     def test_closed_forms_match_amplitude_machinery(self, rng):
         for n, rank in [(3, 1), (4, 2), (5, 3)]:
             for _ in range(10):
                 u = haar_unitary(n, rng)
                 fast = _gate_figures(u.matrix, rank)
-                slow = gate_figures_reference(u, rank)
-                assert fast[0] == pytest.approx(slow[0], abs=1e-12)
-                assert fast[1] == pytest.approx(slow[1], abs=1e-12)
+                report = verify_ns(u, search_scheme(n, rank))
+                assert fast[0] == pytest.approx(report.success_probability, abs=1e-12)
+                assert fast[1] == pytest.approx(report.condition_residual, abs=1e-12)
+                # the objective reads only the first two columns
+                assert _gate_figures(u.matrix[:, :2], rank) == fast
 
     def test_parameterization_produces_unitaries(self, rng):
-        for n in (3, 4):
-            params = rng.uniform(0, 2 * math.pi, n * n)
-            u = _build_unitary(params, n)
-            defect = np.abs(u.conj().T @ u - np.eye(n)).max()
-            assert defect < 1e-12
-            LopCircuit(u)
+        for n in (3, 4, 5):
+            cols = _columns(rng.standard_normal(4 * n), n)
+            assert np.abs(cols.conj().T @ cols - np.eye(2)).max() < 1e-12
+            lop = _complete_pair(cols)
+            assert isinstance(lop, LopCircuit)
+            assert np.array_equal(lop.matrix[:, :2], cols)
+
+    def test_search_result_completes_a_working_pair(self):
+        for n, rank in [(3, 1), (4, 2)]:
+            r = numeric_search(n, rank, restarts=1, seed=n)
+            assert isinstance(r.best_matrix, LopCircuit)
+            prob, residual = _gate_figures(r.best_matrix.matrix[:, :2], rank)
+            assert residual <= FEASIBLE_RESIDUAL
+            assert prob == pytest.approx(r.best_probability, abs=1e-12)
 
 
 class TestNumericSearch:
@@ -218,12 +234,11 @@ class TestNumericSearch:
             numeric_search(3, 3, restarts=0, seed=0)
         with pytest.raises(ValueError):
             numeric_search(3, 1, restarts=-1, seed=0)
-        with pytest.raises(ValueError):
-            numeric_search(3, 1, restarts=0, seed=0, penalty_weight=0.0)
 
     def test_best_matrix_matches_reported_figures(self):
         r = numeric_search(3, 1, restarts=2, seed=5)
-        prob, residual = gate_figures_reference(r.best_matrix, 1)
+        report = verify_ns(r.best_matrix, search_scheme(3, 1))
+        prob, residual = report.success_probability, report.condition_residual
         assert prob == pytest.approx(r.best_probability, abs=1e-14)
         assert residual == pytest.approx(r.residual, abs=1e-14)
 
@@ -231,7 +246,8 @@ class TestNumericSearch:
         # a converged search result is itself a working gate, so it must
         # carry the same entry structure the analytic designs do
         r = numeric_search(3, 1, restarts=4, seed=9)
-        if r.residual <= 1e-10 and r.best_probability > 0.1:
-            u = r.best_matrix.matrix
-            assert abs(u[0, 0] - (1 - SQRT2)) <= 1e-8
-            assert abs(u[1, 1] - u[0, 1] * u[1, 0] / SQRT2) <= 1e-8
+        assert r.residual <= 1e-10
+        assert r.best_probability > 0.1
+        u = r.best_matrix.matrix
+        assert abs(u[0, 0] - (1 - SQRT2)) <= 1e-8
+        assert abs(u[1, 1] - u[0, 1] * u[1, 0] / SQRT2) <= 1e-8

@@ -97,8 +97,20 @@ class TestOptimize:
         assert payload["best_probability"] <= 0.250001
         assert payload["restarts"] == 0
         assert payload["seed"] == 7
-        assert len(payload["matrix"]) == 9
-        assert all(len(pair) == 2 for pair in payload["matrix"])
+        assert len(payload["matrix"]) == 3
+        assert all(len(row) == 3 for row in payload["matrix"])
+        assert all(len(pair) == 2 for row in payload["matrix"] for pair in row)
+
+    def test_output_feeds_kraus_check(self, capsys, tmp_path):
+        path = tmp_path / "best.json"
+        code, _ = run_cli(
+            capsys, "optimize", "--restarts", "0", "--output", str(path)
+        )
+        assert code == 0
+        code, out = run_cli(capsys, "kraus-check", "--matrix-file", str(path))
+        assert code == 0
+        assert "modes: 3" in out
+        assert "PASS" in out
 
 
 class TestKrausCheck:
@@ -119,6 +131,28 @@ class TestKrausCheck:
     def test_missing_matrix_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "kraus-check", "--matrix-file", "/no/such/file")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[[1, 2], [3, 4]]",
+            "[[[1, 0], [0]], [[0, 0], [1, 0]]]",
+            '{"matrix": [1, 2]}',
+            '{"other": 1}',
+            '[[["a", "b"]]]',
+            "[[[NaN, 0]]]",
+            "[[[2, 0]]]",
+            "[[[1" + "0" * 400 + ", 0]]]",
+            "not json",
+        ],
+    )
+    def test_malformed_matrix_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code = main(["kraus-check", "--matrix-file", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot read {path}")
 
 
 class TestReduceDemo:

@@ -70,6 +70,19 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             ConditionalScheme(1, 2, (1, 0), ())
 
+    def test_one_photon_matches_hand_built_scheme(self):
+        scheme = ConditionalScheme.one_photon(3, 1, (0, 2))
+        assert scheme == one_system_scheme(3, input_mode=1, outcome_modes=(0, 2))
+        assert ConditionalScheme.one_photon(2, 0, (0,), system_photons=(0, 1)) == (
+            ConditionalScheme(1, 2, (1, 0), ((1, 0),), (0, 1))
+        )
+
+    def test_one_photon_mode_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            ConditionalScheme.one_photon(2, 2, (0,))
+        with pytest.raises(ValueError):
+            ConditionalScheme.one_photon(2, 0, (-1,))
+
     def test_all_outcomes_enumeration(self):
         scheme = one_system_scheme(2).all_outcomes()
         # totals 0..3 on two ancilla modes: 1 + 2 + 3 + 4 occupations
@@ -231,6 +244,12 @@ class TestDensityMatrix:
         basis = SystemBasis(1, (0, 1))
         with pytest.raises(ValueError):
             DensityMatrix(basis, np.diag([0.8, -0.3]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        basis = SystemBasis(1, (0, 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(basis, np.array([[0.5, 0.0], [0.0, bad]]))
 
     def test_pure_normalizes(self):
         basis = SystemBasis(1, (0, 1, 2))

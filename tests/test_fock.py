@@ -134,6 +134,15 @@ class TestLopCircuit:
         with pytest.raises(ValueError):
             LopCircuit(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            LopCircuit(np.full((2, 2), bad))
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LopCircuit(m)
+
     def test_haar_unitary_is_unitary_and_seeded(self):
         u1 = haar_unitary(4, np.random.default_rng(3))
         u2 = haar_unitary(4, np.random.default_rng(3))

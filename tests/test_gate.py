@@ -85,6 +85,15 @@ class TestCompleteToUnitary:
         circuit = complete_to_unitary(PartialMatrix(values, mask))
         assert np.allclose(circuit.matrix[0], row)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_partial_matrix_rejected(self, bad):
+        values = np.zeros((3, 3), dtype=complex)
+        values[0, :2] = (1 - math.sqrt(2.0), bad)
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[0, :2] = True
+        with pytest.raises(ValueError, match="non-finite"):
+            PartialMatrix(values, mask)
+
     def test_fully_fixed_unitary_accepted(self, rng):
         u = haar_unitary(3, rng)
         mask = np.ones((3, 3), dtype=bool)
