@@ -188,7 +188,7 @@ def _complete_pair(cols: np.ndarray) -> LopCircuit:
 def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
     # Probability proxy and sign-shift residual for input mode 1, accepted
     # modes 1..rank_s, from the closed diagonal Kraus entries (checked
-    # against the permanent machinery of verify_ns).  Reads only the first
+    # against the lifted amplitudes of verify_ns).  Reads only the first
     # two columns of u.
     u00 = u[0, 0]
     prob = 0.0

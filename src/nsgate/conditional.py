@@ -11,19 +11,12 @@ the unnormalized conditional state and its success probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fock import (
-    FockSector,
-    LopCircuit,
-    Occupation,
-    as_occupation,
-    enumerate_sector,
-    fock_amplitude,
-)
+from .fock import FockSector, LopCircuit, Occupation, _lift_levels, as_occupation
 
 #: Probabilities below this are treated as zero when normalizing states.
 NORM_EPS = 1e-14
@@ -47,10 +40,7 @@ class SystemBasis:
             raise ValueError(f"photon sectors must be non-negative, got {sectors}")
         self.modes = int(modes)
         self.sectors = sectors
-        states: list[Occupation] = []
-        for n in sectors:
-            states.extend(enumerate_sector(modes, n).basis)
-        self.states = tuple(states)
+        self.states = tuple(occ for n in sectors for occ in FockSector(modes, n).basis)
         self._index = {occ: i for i, occ in enumerate(self.states)}
 
     @property
@@ -58,7 +48,10 @@ class SystemBasis:
         return len(self.states)
 
     def index(self, occ: Iterable[int]) -> int:
-        return self._index[as_occupation(occ)]
+        occ = as_occupation(occ)
+        if occ not in self._index:
+            raise ValueError(f"occupation {occ} is not a state of {self!r}")
+        return self._index[occ]
 
     def __eq__(self, other) -> bool:
         return (
@@ -163,7 +156,7 @@ class ConditionalScheme:
         max_total = max(self.system_photons) + sum(self.ancilla_input)
         outcomes: list[Occupation] = []
         for total in range(max_total + 1):
-            outcomes.extend(enumerate_sector(self.ancilla_modes, total).basis)
+            outcomes.extend(FockSector(self.ancilla_modes, total).basis)
         return ConditionalScheme(
             system_modes=self.system_modes,
             ancilla_modes=self.ancilla_modes,
@@ -254,43 +247,65 @@ class ConditionalResult:
     normalized: Optional[DensityMatrix]
 
 
+@lru_cache(maxsize=None)
+def _joint_positions(system_modes: int, photons: int, ancilla: Occupation):
+    # Global sector positions of alpha + ancilla, alpha over the system sector.
+    joint = FockSector(system_modes + len(ancilla), photons + sum(ancilla))
+    system = FockSector(system_modes, photons)
+    return np.array([joint.index(alpha + ancilla) for alpha in system.basis])
+
+
+def _kraus_stack(
+    scheme: ConditionalScheme, lop: LopCircuit, outcomes: Sequence[Occupation]
+) -> list[MeasurementOperator]:
+    """Measurement operators for the given outcomes, all read off one lift.
+
+    Each block of each operator is an index slice of one lifted sector, so
+    entries that would break photon conservation stay exact zeros.
+    """
+    if lop.dim != scheme.system_modes + scheme.ancilla_modes:
+        raise ValueError(
+            f"mode unitary has {lop.dim} modes, scheme needs "
+            f"{scheme.system_modes + scheme.ancilla_modes}"
+        )
+    n_in = sum(scheme.ancilla_input)
+    levels = _lift_levels(lop, max(scheme.system_photons) + n_in)
+    in_basis = scheme.system_basis
+    ops = []
+    for outcome in outcomes:
+        shift = n_in - sum(outcome)
+        out_sectors = [n + shift for n in in_basis.sectors if n + shift >= 0]
+        out_basis = SystemBasis(scheme.system_modes, out_sectors or (0,))
+        entries = np.zeros((out_basis.dim, in_basis.dim), dtype=complex)
+        row = col = 0
+        for n in in_basis.sectors:
+            cols = _joint_positions(scheme.system_modes, n, scheme.ancilla_input)
+            if n + shift >= 0:
+                rows = _joint_positions(scheme.system_modes, n + shift, outcome)
+                block = levels[n + n_in][rows][:, cols]
+                entries[row : row + len(rows), col : col + len(cols)] = block
+                row += len(rows)
+            col += len(cols)
+        ops.append(MeasurementOperator(scheme, outcome, in_basis, out_basis, entries))
+    return ops
+
+
 def kraus_operator(
     scheme: ConditionalScheme, lop: LopCircuit, outcome
 ) -> MeasurementOperator:
     """Extract the measurement operator for one ancilla outcome.
 
     Entry (out_state, in_state) is the global Fock amplitude from
-    in_state + ancilla_input to out_state + outcome.  Each block is computed
-    inside its exact total-photon sector, so conservation zeros are exact.
+    in_state + ancilla_input to out_state + outcome, read as an index slice
+    of the mode unitary lifted to that total-photon sector; entries that
+    would break photon conservation are exact zeros.
     """
     outcome = as_occupation(outcome)
-    if lop.dim != scheme.system_modes + scheme.ancilla_modes:
-        raise ValueError(
-            f"mode unitary has {lop.dim} modes, scheme needs "
-            f"{scheme.system_modes + scheme.ancilla_modes}"
-        )
     if len(outcome) != scheme.ancilla_modes:
         raise ValueError(
             f"outcome {outcome} does not cover {scheme.ancilla_modes} ancilla modes"
         )
-    in_basis = scheme.system_basis
-    shift = sum(scheme.ancilla_input) - sum(outcome)
-    out_sectors = sorted(
-        {n + shift for n in scheme.system_photons if n + shift >= 0}
-    )
-    out_basis = SystemBasis(scheme.system_modes, out_sectors or (0,))
-    entries = np.zeros((out_basis.dim, in_basis.dim), dtype=complex)
-    if out_sectors:
-        for b, alpha in enumerate(in_basis.states):
-            target = sum(alpha) + shift
-            if target < 0:
-                continue
-            for gamma in enumerate_sector(scheme.system_modes, target).basis:
-                a = out_basis.index(gamma)
-                entries[a, b] = fock_amplitude(
-                    lop, alpha + scheme.ancilla_input, gamma + outcome
-                )
-    return MeasurementOperator(scheme, outcome, in_basis, out_basis, entries)
+    return _kraus_stack(scheme, lop, [outcome])[0]
 
 
 def apply_conditional(
@@ -301,15 +316,13 @@ def apply_conditional(
         raise ValueError("input state is not defined on the scheme's system basis")
     if rho.trace <= NORM_EPS:
         raise ValueError("input state must have positive trace")
-    ops = [kraus_operator(scheme, lop, mu) for mu in scheme.outcomes]
+    ops = _kraus_stack(scheme, lop, scheme.outcomes)
     union_sectors = sorted({n for op in ops for n in op.out_basis.sectors})
     out_basis = SystemBasis(scheme.system_modes, union_sectors)
     acc = np.zeros((out_basis.dim, out_basis.dim), dtype=complex)
     for op in ops:
         rows = [out_basis.index(occ) for occ in op.out_basis.states]
-        m = np.zeros((out_basis.dim, rho.basis.dim), dtype=complex)
-        m[rows, :] = op.entries
-        acc += m @ rho.entries @ m.conj().T
+        acc[np.ix_(rows, rows)] += op.entries @ rho.entries @ op.entries.conj().T
     probability = float(acc.trace().real)
     probability = min(max(probability, 0.0), 1.0)
     rho_bar = DensityMatrix(out_basis, acc)
@@ -326,12 +339,9 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
     photon conservation allows (see ConditionalScheme.all_outcomes); then the
     defect is numerically zero for any unitary circuit.
     """
-    dim = scheme.system_basis.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for mu in scheme.outcomes:
-        m = kraus_operator(scheme, lop, mu).entries
-        acc += m.conj().T @ m
-    return float(np.abs(acc - np.eye(dim)).max(initial=0.0))
+    ops = _kraus_stack(scheme, lop, scheme.outcomes)
+    acc = sum(op.entries.conj().T @ op.entries for op in ops)
+    return float(np.abs(acc - np.eye(scheme.system_basis.dim)).max(initial=0.0))
 
 
 def decompose_by_ancilla_count(

@@ -3,9 +3,10 @@
 A passive linear-optical (LOP) circuit on N modes is an N x N unitary acting
 on the mode operators.  Because it conserves total photon number, its action
 on Fock space splits into finite blocks, one per photon-number sector.  This
-module enumerates those sectors, evaluates transition amplitudes through
-matrix permanents, and lifts a mode unitary to the unitary it induces on any
-fixed-photon-number sector.
+module enumerates those sectors, evaluates single transition amplitudes
+through matrix permanents (one Ryser sum), and lifts a mode unitary to every
+sector up to a given photon number by the creation-operator recursion behind
+SLOS (Heurtel et al., arXiv:2206.10549), each sector built from the one below.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ UNITARITY_TOL = 1e-10
 #: Max-norm unitarity tolerance for lifted sector matrices.
 LIFT_TOL = 1e-9
 
-#: Largest total photon number accepted by amplitude computations.  Permanent
-#: cost grows as 2^n, so desk-scale work stays below this cap.
+#: Largest total photon number (and permanent size) accepted by amplitude
+#: computations and sector lifts.  Both grow steeply with the photon number,
+#: so desk-scale work stays below this cap.
 PHOTON_CAP = 8
 
 Occupation = tuple[int, ...]
-
-_FACTORIALS = tuple(math.factorial(n) for n in range(PHOTON_CAP + 1))
 
 
 class CapacityError(ValueError):
@@ -58,6 +58,11 @@ def _sector_basis(modes: int, photons: int) -> tuple[Occupation, ...]:
     return tuple(gen(modes, photons))
 
 
+@lru_cache(maxsize=None)
+def _sector_lookup(modes: int, photons: int) -> dict[Occupation, int]:
+    return {occ: i for i, occ in enumerate(_sector_basis(modes, photons))}
+
+
 class FockSector:
     """Basis of all occupation vectors of a fixed total photon number.
 
@@ -73,7 +78,7 @@ class FockSector:
         self.modes = int(modes)
         self.photons = int(photons)
         self.basis = _sector_basis(self.modes, self.photons)
-        self._index = {occ: i for i, occ in enumerate(self.basis)}
+        self._index = _sector_lookup(self.modes, self.photons)
 
     @property
     def dim(self) -> int:
@@ -81,14 +86,8 @@ class FockSector:
 
     def index(self, occ: Iterable[int]) -> int:
         occ = as_occupation(occ)
-        if len(occ) != self.modes:
-            raise ValueError(
-                f"occupation has {len(occ)} modes, sector has {self.modes}"
-            )
-        if sum(occ) != self.photons:
-            raise ValueError(
-                f"occupation holds {sum(occ)} photons, sector holds {self.photons}"
-            )
+        if occ not in self._index:
+            raise ValueError(f"occupation {occ} is not a state of {self!r}")
         return self._index[occ]
 
     def __len__(self) -> int:
@@ -106,16 +105,6 @@ class FockSector:
 
     def __repr__(self) -> str:
         return f"FockSector(modes={self.modes}, photons={self.photons})"
-
-
-def enumerate_sector(modes: int, photons: int) -> FockSector:
-    """Build the canonical photon-number sector for the given mode count."""
-    return FockSector(modes, photons)
-
-
-def sector_index(sector: FockSector, occ: Iterable[int]) -> int:
-    """Position of an occupation vector in the sector's canonical order."""
-    return sector.index(occ)
 
 
 @dataclass(frozen=True)
@@ -161,11 +150,21 @@ class SectorMatrix:
         object.__setattr__(self, "entries", e)
 
 
+@lru_cache(maxsize=None)
+def _ryser_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Row k is the indicator of column subset k; its sign is (-1)^(n - |S|).
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = 1.0 - 2.0 * ((n - subsets.sum(axis=1)) & 1)
+    return subsets.astype(float), signs
+
+
 def permanent(m) -> complex:
     """Permanent of a square complex matrix.
 
-    The empty 0 x 0 matrix has permanent 1.  Sizes above 3 use a Gray-coded
-    inclusion-exclusion sum, O(2^n * n), instead of the factorial expansion.
+    The empty 0 x 0 matrix has permanent 1.  Every other size is one Ryser
+    inclusion-exclusion sum (Ryser 1963), sum over column subsets S of
+    (-1)^(n - |S|) prod_i sum_{j in S} m_ij, evaluated for all 2^n subsets at
+    once; sizes above PHOTON_CAP raise CapacityError.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -173,43 +172,10 @@ def permanent(m) -> complex:
     n = a.shape[0]
     if n == 0:
         return 1 + 0j
-    if n == 1:
-        return complex(a[0, 0])
-    if n == 2:
-        return complex(a[0, 0] * a[1, 1] + a[0, 1] * a[1, 0])
-    if n == 3:
-        return complex(
-            a[0, 0] * (a[1, 1] * a[2, 2] + a[1, 2] * a[2, 1])
-            + a[0, 1] * (a[1, 0] * a[2, 2] + a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] + a[1, 1] * a[2, 0])
-        )
-    return _permanent_ryser(a)
-
-
-def _permanent_ryser(a: np.ndarray) -> complex:
-    # Inclusion-exclusion over column subsets; the Gray code flips one column
-    # per step so each row-sum update costs O(n).
-    n = a.shape[0]
-    rowsums = np.zeros(n, dtype=complex)
-    total = 0j
-    gray = 0
-    size = 0
-    for k in range(1, 1 << n):
-        bit = k & -k
-        j = bit.bit_length() - 1
-        if gray & bit:
-            rowsums -= a[:, j]
-            size -= 1
-        else:
-            rowsums += a[:, j]
-            size += 1
-        gray ^= bit
-        term = np.prod(rowsums)
-        if (n - size) & 1:
-            total -= term
-        else:
-            total += term
-    return complex(total)
+    if n > PHOTON_CAP:
+        raise CapacityError(f"permanent of size {n} exceeds the cap of {PHOTON_CAP}")
+    subsets, signs = _ryser_table(n)
+    return complex(signs @ np.prod(subsets @ a.T, axis=1))
 
 
 def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
@@ -218,7 +184,7 @@ def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
     Equals the permanent of the submatrix of the mode unitary with column j
     repeated in_occ[j] times and row i repeated out_occ[i] times, divided by
     sqrt of the product of factorials of all occupations.  Exactly 0 when the
-    photon totals differ.
+    photon totals differ; CapacityError above PHOTON_CAP photons.
     """
     in_occ = as_occupation(in_occ)
     out_occ = as_occupation(out_occ)
@@ -227,43 +193,66 @@ def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
             f"occupations must have {lop.dim} modes, "
             f"got {len(in_occ)} and {len(out_occ)}"
         )
-    total = sum(in_occ)
-    if total != sum(out_occ):
+    if sum(in_occ) != sum(out_occ):
         return 0j
-    if total > PHOTON_CAP:
-        raise CapacityError(
-            f"total of {total} photons exceeds the cap of {PHOTON_CAP}"
-        )
-    if total == 0:
-        return 1 + 0j
     cols = np.repeat(np.arange(lop.dim), in_occ)
     rows = np.repeat(np.arange(lop.dim), out_occ)
-    sub = lop.matrix[np.ix_(rows, cols)]
-    norm = 1.0
-    for c in in_occ:
-        norm *= _FACTORIALS[c]
-    for c in out_occ:
-        norm *= _FACTORIALS[c]
-    return permanent(sub) / math.sqrt(norm)
+    norm = math.prod(math.factorial(c) for c in in_occ + out_occ)
+    return permanent(lop.matrix[np.ix_(rows, cols)]) / math.sqrt(norm)
+
+
+@lru_cache(maxsize=None)
+def _ladder(modes: int, photons: int):
+    # Tables that build sector n = photons from sector n - 1 (see _lift_levels):
+    # state b is a_j^dagger |occ_b - e_j> / sqrt(occ_b[j]) with j = first[b],
+    # and a_i^dagger sends state p of sector n - 1 to up[i, p] times sqrt(p_i + 1).
+    sector, lower = FockSector(modes, photons), FockSector(modes, photons - 1)
+    basis, below = np.array(sector.basis), np.array(lower.basis)
+    eye = np.eye(modes, dtype=int)
+    first = (basis > 0).argmax(axis=1)
+    prev = np.array([lower.index(occ) for occ in basis - eye[first]])
+    scale = 1.0 / np.sqrt(basis[np.arange(len(basis)), first])
+    up = np.array([[sector.index(p) for p in below + e] for e in eye])
+    root = np.sqrt(below.T + 1.0)[:, :, None]
+    return first, prev, scale, up, root
+
+
+def _lift_levels(lop: LopCircuit, photons: int) -> list[np.ndarray]:
+    """Lifted matrices of sectors 0..photons, each in canonical basis order.
+
+    Column b of sector n is sum_i U[i, j] a_i^dagger applied to column prev[b]
+    of sector n - 1, over sqrt(occ_b[j]), with j the first occupied mode of
+    basis state b (see _ladder).  Each sector costs one pass over the modes;
+    sector 0 is the 1 x 1 identity and sector 1 the mode matrix itself.
+    """
+    if photons < 0:
+        raise ValueError(f"photon number must be non-negative, got {photons}")
+    if photons > PHOTON_CAP:
+        raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
+    u = lop.matrix
+    levels = [np.ones((1, 1), dtype=complex), u][: photons + 1]
+    for n in range(2, photons + 1):
+        first, prev, scale, up, root = _ladder(lop.dim, n)
+        below = levels[-1][:, prev] * scale
+        coeff = u[:, first]
+        level = np.zeros((len(first), len(first)), dtype=complex)
+        for i in range(lop.dim):
+            level[up[i]] += root[i] * below * coeff[i]
+        levels.append(level)
+    return levels
 
 
 def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     """Unitary induced by a mode unitary on the n-photon sector.
 
-    Entry (out, in) is fock_amplitude(lop, in, out) in the sector's canonical
-    basis order; the zero-photon sector lifts to the 1 x 1 identity and the
-    one-photon sector reproduces the mode matrix itself.
+    Entry (out, in) is the amplitude <out|U|in> in the sector's canonical
+    basis order, built from the sectors below by the creation-operator
+    recursion of _lift_levels.  Raises CapacityError above PHOTON_CAP photons.
     """
-    if photons < 0:
-        raise ValueError(f"photon number must be non-negative, got {photons}")
-    sector = enumerate_sector(lop.dim, photons)
-    d = sector.dim
-    entries = np.empty((d, d), dtype=complex)
-    for b, in_occ in enumerate(sector.basis):
-        for a, out_occ in enumerate(sector.basis):
-            entries[a, b] = fock_amplitude(lop, in_occ, out_occ)
-    defect = np.abs(entries.conj().T @ entries - np.eye(d)).max(initial=0.0)
-    if defect > LIFT_TOL:
+    entries = _lift_levels(lop, photons)[-1]
+    sector = FockSector(lop.dim, photons)
+    defect = np.abs(entries.conj().T @ entries - np.eye(sector.dim)).max(initial=0.0)
+    if not defect <= LIFT_TOL:
         raise ArithmeticError(
             f"lifted sector matrix failed unitarity (defect {defect:.3e})"
         )

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import null_space
 
-from .conditional import ConditionalScheme, kraus_operator
+from .conditional import ConditionalScheme, _kraus_stack
 from .fock import LopCircuit, Occupation
 
 SQRT2 = math.sqrt(2.0)
@@ -344,29 +344,29 @@ def klm_design(u12: complex, u21: complex) -> NsDesign:
 def verify_ns(lop: LopCircuit, scheme: ConditionalScheme) -> NsReport:
     """Check whether a circuit implements the sign shift under a scheme.
 
-    Extracts the Kraus diagonal (m0, m1, m2) for every accepted outcome and
-    reports the worst deviation from m0 = m1 = -m2 together with per-outcome
-    and total success probabilities.  A failing gate yields a large residual,
-    not an error.
+    Reads the Kraus diagonal (m0, m1, m2) of every accepted outcome off one
+    lift of the circuit and reports the worst deviation from m0 = m1 = -m2
+    together with per-outcome and total success probabilities.  A failing
+    gate yields a large residual, not an error.
     """
     if scheme.system_modes != 1:
         raise ValueError("sign-shift verification needs a single system mode")
     if set(scheme.system_photons) != {0, 1, 2}:
         raise ValueError("sign-shift verification needs photon sectors {0, 1, 2}")
     n_in = sum(scheme.ancilla_input)
-    reports = []
     for mu in scheme.outcomes:
         if sum(mu) != n_in:
             raise ValueError(
                 f"outcome {mu} changes the ancilla photon count; the Kraus "
                 "operator is not diagonal on the sign-shift sectors"
             )
-        m = kraus_operator(scheme, lop, mu).entries
-        m0, m1, m2 = m[0, 0], m[1, 1], m[2, 2]
+    reports = []
+    for op in _kraus_stack(scheme, lop, scheme.outcomes):
+        m0, m1, m2 = np.diagonal(op.entries)
         residual = max(abs(m1 - m0), abs(m2 + m0))
         reports.append(
             OutcomeReport(
-                outcome=mu,
+                outcome=op.outcome,
                 m0=m0,
                 m1=m1,
                 m2=m2,

@@ -14,6 +14,7 @@ import pytest
 from nsgate import (
     ConditionalScheme,
     DensityMatrix,
+    FockSector,
     InfeasibleDesignError,
     LopCircuit,
     X2_MAX,
@@ -24,7 +25,6 @@ from nsgate import (
     complete_to_unitary,
     completeness_defect,
     decompose_by_ancilla_count,
-    enumerate_sector,
     feasible,
     fock_amplitude,
     generalized_design,
@@ -223,7 +223,7 @@ def test_criterion_9_sector_invariance():
         for case in range(20):
             n = 3 + case % 2
             photons = 3
-            sector = enumerate_sector(n, photons)
+            sector = FockSector(n, photons)
             vec = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(
                 sector.dim
             )

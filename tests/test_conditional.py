@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsgate import (
     ConditionalScheme,
     DensityMatrix,
+    FockSector,
     LopCircuit,
     SystemBasis,
     apply_conditional,
     completeness_defect,
     decompose_by_ancilla_count,
-    enumerate_sector,
+    fock_amplitude,
     haar_unitary,
     kraus_operator,
     lift_to_sector,
@@ -37,14 +40,16 @@ def global_probability_oracle(scheme, lop, psi):
 
     Builds the global input vector in each total-photon sector, applies the
     lifted unitary, and adds up the squared projections onto every accepted
-    (system x ancilla) output state.  Independent of the Kraus extraction.
+    (system x ancilla) output state.  It shares the sector lift with the Kraus
+    extraction but none of its index slicing; the per-entry fock_amplitude
+    tests below check the lift itself.
     """
     total_prob = 0.0
     for amp, n_sys in zip(psi, scheme.system_basis.sectors):
         if amp == 0:
             continue
         n_tot = n_sys + sum(scheme.ancilla_input)
-        sector = enumerate_sector(lop.dim, n_tot)
+        sector = FockSector(lop.dim, n_tot)
         vec = np.zeros(sector.dim, dtype=complex)
         sys_occ = (n_sys,)  # single system mode
         vec[sector.index(sys_occ + scheme.ancilla_input)] = 1.0
@@ -55,6 +60,30 @@ def global_probability_oracle(scheme, lop, psi):
             gamma = (n_tot - sum(mu),)
             total_prob += abs(amp) ** 2 * abs(out[sector.index(gamma + mu)]) ** 2
     return total_prob
+
+
+@st.composite
+def random_schemes(draw):
+    """Small schemes, multi-photon ancilla inputs included, with a circuit seed.
+
+    The global photon number stays at or below 4, so per-entry amplitudes
+    remain cheap enough to serve as the reference.
+    """
+    system_modes = draw(st.integers(1, 2))
+    ancilla_modes = draw(st.integers(1, 3))
+    counts = st.lists(st.integers(0, 2), min_size=ancilla_modes, max_size=ancilla_modes)
+    ancilla_input = tuple(draw(counts))
+    top = 4 - sum(ancilla_input)
+    assume(top >= 0)
+    photons = draw(st.sets(st.integers(0, top), min_size=1))
+    scheme = ConditionalScheme(
+        system_modes=system_modes,
+        ancilla_modes=ancilla_modes,
+        ancilla_input=ancilla_input,
+        outcomes=(ancilla_input,),
+        system_photons=tuple(photons),
+    ).all_outcomes()
+    return scheme, draw(st.integers(0, 2**32 - 1))
 
 
 class TestSchemeValidation:
@@ -122,6 +151,25 @@ class TestKrausOperator:
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             kraus_operator(one_system_scheme(2), haar_unitary(4, rng), (1, 0))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=random_schemes(), data=st.data())
+    def test_entries_match_per_entry_amplitudes(self, case, data):
+        scheme, seed = case
+        modes = scheme.system_modes + scheme.ancilla_modes
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        mu = data.draw(st.sampled_from(scheme.outcomes))
+        op = kraus_operator(scheme, lop, mu)
+        expected = np.array(
+            [
+                [
+                    fock_amplitude(lop, alpha + scheme.ancilla_input, gamma + mu)
+                    for alpha in op.in_basis.states
+                ]
+                for gamma in op.out_basis.states
+            ]
+        )
+        assert np.abs(op.entries - expected).max() <= 1e-12
 
     def test_diagonal_when_outcome_conserves_ancilla_photons(self, rng):
         # single system mode and outcome total equal to the input total force
@@ -228,6 +276,22 @@ class TestCompleteness:
         ).all_outcomes()
         assert completeness_defect(scheme, haar_unitary(4, rng)) <= 1e-10
 
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=random_schemes())
+    def test_random_schemes(self, case):
+        scheme, seed = case
+        modes = scheme.system_modes + scheme.ancilla_modes
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        assert completeness_defect(scheme, lop) <= 1e-10
+
+
+class TestSystemBasis:
+    def test_foreign_occupation_rejected(self):
+        basis = SystemBasis(1, (0, 1))
+        for occ in [(5,), (1, 0)]:
+            with pytest.raises(ValueError, match="not a state"):
+                basis.index(occ)
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
@@ -260,7 +324,7 @@ class TestDensityMatrix:
 class TestDecomposeByAncillaCount:
     def test_product_state_single_component(self):
         # |1>_S (x) |10>_A inside the two-photon sector on three modes
-        sector = enumerate_sector(3, 2)
+        sector = FockSector(3, 2)
         vec = np.zeros(sector.dim, dtype=complex)
         vec[sector.index((1, 1, 0))] = 1.0
         parts = decompose_by_ancilla_count(vec, sector, system_modes=1)
@@ -270,7 +334,7 @@ class TestDecomposeByAncillaCount:
 
     def test_klm_output_components(self, klm_optimum):
         design, _ = klm_optimum
-        sector = enumerate_sector(3, 3)
+        sector = FockSector(3, 3)
         vec = np.zeros(sector.dim, dtype=complex)
         vec[sector.index((2, 1, 0))] = 1.0
         out = lift_to_sector(design.matrix, 3).entries @ vec
@@ -282,7 +346,7 @@ class TestDecomposeByAncillaCount:
         assert np.abs(recombined - out).max() < 1e-15
 
     def test_ancilla_only_circuit_preserves_component_norms(self, rng):
-        sector = enumerate_sector(3, 3)
+        sector = FockSector(3, 3)
         vec = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
         vec /= np.linalg.norm(vec)
         v_anc = haar_unitary(2, rng)
@@ -297,6 +361,6 @@ class TestDecomposeByAncillaCount:
             )
 
     def test_wrong_length_rejected(self):
-        sector = enumerate_sector(3, 2)
+        sector = FockSector(3, 2)
         with pytest.raises(ValueError):
             decompose_by_ancilla_count(np.zeros(3), sector, system_modes=1)

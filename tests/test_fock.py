@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgate import (
     CapacityError,
+    FockSector,
     LopCircuit,
     PHOTON_CAP,
-    enumerate_sector,
     fock_amplitude,
     haar_unitary,
     lift_to_sector,
     permanent,
-    sector_index,
 )
 
 
@@ -41,60 +42,60 @@ def brute_force_basis(modes, photons):
 
 class TestEnumerateSector:
     def test_vacuum_only(self):
-        assert enumerate_sector(2, 0).basis == ((0, 0),)
+        assert FockSector(2, 0).basis == ((0, 0),)
 
     def test_single_photon_basis(self):
-        assert enumerate_sector(3, 1).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert FockSector(3, 1).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_two_photons_three_modes_count(self):
-        sector = enumerate_sector(3, 2)
+        sector = FockSector(3, 2)
         assert sector.dim == 6
         assert sorted(sector.basis) == sorted(brute_force_basis(3, 2))
 
     @pytest.mark.parametrize("modes,photons", [(2, 3), (4, 2), (5, 4), (1, 6)])
     def test_counts_and_uniqueness(self, modes, photons):
-        sector = enumerate_sector(modes, photons)
+        sector = FockSector(modes, photons)
         assert sector.dim == math.comb(photons + modes - 1, modes - 1)
         assert len(set(sector.basis)) == sector.dim
         assert all(sum(occ) == photons for occ in sector.basis)
 
     def test_canonical_order_is_decreasing_lex(self):
-        basis = enumerate_sector(4, 3).basis
+        basis = FockSector(4, 3).basis
         assert basis[0] == (3, 0, 0, 0)
         assert list(basis) == sorted(basis, reverse=True)
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_sector(0, 1)
+            FockSector(0, 1)
 
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_sector(2, -1)
+            FockSector(2, -1)
 
 
 class TestSectorIndex:
     def test_first_element(self):
-        sector = enumerate_sector(3, 2)
-        assert sector_index(sector, sector.basis[0]) == 0
+        sector = FockSector(3, 2)
+        assert sector.index(sector.basis[0]) == 0
 
     def test_second_single_photon_state(self):
-        sector = enumerate_sector(3, 1)
-        assert sector_index(sector, (0, 1, 0)) == 1
+        sector = FockSector(3, 1)
+        assert sector.index((0, 1, 0)) == 1
 
     def test_round_trip_against_linear_scan(self, rng):
-        sector = enumerate_sector(4, 3)
+        sector = FockSector(4, 3)
         for _ in range(20):
             occ = sector.basis[rng.integers(sector.dim)]
             scan = next(i for i, b in enumerate(sector.basis) if b == occ)
-            assert sector_index(sector, occ) == scan
+            assert sector.index(occ) == scan
 
     def test_wrong_total_rejected(self):
         with pytest.raises(ValueError):
-            sector_index(enumerate_sector(3, 2), (1, 0, 0))
+            FockSector(3, 2).index((1, 0, 0))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            sector_index(enumerate_sector(3, 2), (1, 1))
+            FockSector(3, 2).index((1, 1))
 
 
 class TestPermanent:
@@ -123,6 +124,10 @@ class TestPermanent:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             permanent(np.ones((2, 3)))
+
+    def test_size_above_cap_rejected(self):
+        with pytest.raises(CapacityError):
+            permanent(np.eye(PHOTON_CAP + 1))
 
 
 class TestLopCircuit:
@@ -253,3 +258,25 @@ class TestLiftToSector:
                 @ lift_to_sector(b, photons).entries
             )
             assert np.abs(lifted - product).max() <= 1e-8
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 4),
+        photons=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_match_per_entry_amplitudes(self, modes, photons, seed):
+        # The recursive lift against one permanent per entry.
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        lifted = lift_to_sector(lop, photons)
+        expected = np.array(
+            [
+                [fock_amplitude(lop, in_occ, out_occ) for in_occ in lifted.sector.basis]
+                for out_occ in lifted.sector.basis
+            ]
+        )
+        assert np.abs(lifted.entries - expected).max() <= 1e-12
+
+    def test_photons_above_cap_rejected(self, rng):
+        with pytest.raises(CapacityError):
+            lift_to_sector(haar_unitary(2, rng), PHOTON_CAP + 1)
