@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .conditional import ConditionalScheme
 from .fock import LopCircuit
@@ -30,6 +29,9 @@ SQRT2 = math.sqrt(2.0)
 X2_MAX = 2 * (SQRT2 - 1)
 
 _GOLDEN = (math.sqrt(5.0) - 1) / 2
+
+# Default slack of the feasibility inequalities.
+_REGION_TOL = 1e-12
 
 #: Sign-shift residual under which a search point counts as a working gate.
 FEASIBLE_RESIDUAL = 1e-6
@@ -75,7 +77,20 @@ def _abc(x2: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def feasible(x2: float, y2: float, tol: float = 1e-12) -> bool:
+def _feasible(x2, y2, tol: float):
+    # The four normalization caps and the Schwarz bound on the constrained-row
+    # orthogonality, elementwise over scalars or arrays of squared couplings.
+    a, b, c = _abc(x2)
+    return (
+        (x2 <= X2_MAX + tol)
+        & (y2 <= X2_MAX + tol)
+        & (y2 * (1 + x2 / 2) <= 1 + tol)
+        & (x2 * (1 + y2 / 2) <= 1 + tol)
+        & (y2 * a * a <= b * (1 - y2 * c) + tol)
+    )
+
+
+def feasible(x2: float, y2: float, tol: float = _REGION_TOL) -> bool:
     """Whether (x^2, y^2) admits a unitary completion of the design entries.
 
     True iff both squared couplings satisfy the four normalization caps and
@@ -83,14 +98,7 @@ def feasible(x2: float, y2: float, tol: float = 1e-12) -> bool:
     """
     if x2 < 0 or y2 < 0:
         raise ValueError("squared couplings cannot be negative")
-    if x2 > X2_MAX + tol or y2 > X2_MAX + tol:
-        return False
-    if y2 * (1 + x2 / 2) > 1 + tol or x2 * (1 + y2 / 2) > 1 + tol:
-        return False
-    a, b, c = _abc(x2)
-    num_sq = y2 * a * a
-    den_sq = b * (1 - y2 * c)
-    return bool(num_sq <= den_sq + tol)
+    return bool(_feasible(x2, y2, tol))
 
 
 def boundary_y2(x2: float) -> float:
@@ -158,11 +166,9 @@ def sample_region(grid_n: int) -> list[tuple[float, float, bool, float]]:
     if grid_n < 2:
         raise ValueError("grid needs at least two points")
     axis = np.linspace(0.0, X2_MAX, grid_n)
-    rows = []
-    for x2 in axis:
-        for y2 in axis:
-            rows.append((float(x2), float(y2), feasible(x2, y2), x2 * y2 / 2))
-    return rows
+    x2, y2 = np.meshgrid(axis, axis, indexing="ij")
+    columns = (x2, y2, _feasible(x2, y2, _REGION_TOL), x2 * y2 / 2)
+    return list(zip(*(col.ravel().tolist() for col in columns)))
 
 
 def _columns(x: np.ndarray, n: int) -> np.ndarray:
@@ -239,6 +245,8 @@ def numeric_search(
         raise ValueError(f"rank must lie in 1..{total_modes - 1}, got {rank_s}")
     if restarts < 0:
         raise ValueError("restart count cannot be negative")
+    # Imported here: keeps scipy's 0.6 s import off every path that does not search.
+    from scipy.optimize import minimize
 
     n = total_modes
     tracker = {"max_feasible": 0.0, "evals": 0}

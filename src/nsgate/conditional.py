@@ -271,11 +271,15 @@ def _kraus_stack(
     n_in = sum(scheme.ancilla_input)
     levels = _lift_levels(lop, max(scheme.system_photons) + n_in)
     in_basis = scheme.system_basis
+    out_bases: dict[int, SystemBasis] = {}
     ops = []
     for outcome in outcomes:
         shift = n_in - sum(outcome)
-        out_sectors = [n + shift for n in in_basis.sectors if n + shift >= 0]
-        out_basis = SystemBasis(scheme.system_modes, out_sectors or (0,))
+        out_basis = out_bases.get(shift)
+        if out_basis is None:
+            out_sectors = [n + shift for n in in_basis.sectors if n + shift >= 0]
+            out_basis = SystemBasis(scheme.system_modes, out_sectors or (0,))
+            out_bases[shift] = out_basis
         entries = np.zeros((out_basis.dim, in_basis.dim), dtype=complex)
         row = col = 0
         for n in in_basis.sectors:

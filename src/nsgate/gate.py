@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .conditional import ConditionalScheme, _kraus_stack
 from .fock import LopCircuit, Occupation
@@ -35,11 +34,12 @@ CONDITION_TOL = 1e-10
 _FEAS_EPS = 1e-11
 
 
-class InfeasibleDesignError(Exception):
+class InfeasibleDesignError(ValueError):
     """No unitary extends the requested fixed entries.
 
     ``violations`` names every constraint found violated (row or column
     normalization, the Schwarz orthogonality bound, or missing free columns).
+    A ValueError, since the requested entries are bad input.
     """
 
     def __init__(self, violations: Sequence[str]):
@@ -162,6 +162,15 @@ class NsReport:
         return self.per_outcome[0].m2
 
 
+def _complement_rows(a: np.ndarray) -> np.ndarray:
+    # Orthonormal rows r spanning the orthogonal complement of a's rows, so
+    # that a @ r.conj().T == 0, from the SVD of conj(a) with the usual rank
+    # cut s > max(a.shape) * eps * max(s).
+    _, s, vh = np.linalg.svd(a.conj(), full_matrices=True)
+    tol = max(a.shape) * np.finfo(s.dtype).eps * s.max(initial=0.0)
+    return vh[np.count_nonzero(s > tol) :].conj()
+
+
 def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
     """Extend fixed rows/columns to a full unitary, or prove none exists.
 
@@ -230,14 +239,9 @@ def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
     body = np.zeros((len(rows_idx), n), dtype=complex)
     body[:, cols_idx] = f
     body[:, free_cols[:rank]] = w.T
-    if len(rows_idx) < n:
-        complement = null_space(body.conj())
-        rest = complement.T
-        out = np.zeros((n, n), dtype=complex)
-        out[rows_idx, :] = body
-        out[[r for r in range(n) if r not in rows_idx], :] = rest
-    else:
-        out = body
+    out = np.zeros((n, n), dtype=complex)
+    out[rows_idx, :] = body
+    out[[r for r in range(n) if r not in rows_idx], :] = _complement_rows(body)
     return LopCircuit(out)
 
 
@@ -398,8 +402,7 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     k = v.size
     out = np.zeros((k, k), dtype=complex)
     out[:, 0] = v
-    if k > 1:
-        out[:, 1:] = null_space(v.conj()[None, :])
+    out[:, 1:] = _complement_rows(v[None, :]).T
     return LopCircuit(out)
 
 

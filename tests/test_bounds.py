@@ -137,6 +137,10 @@ class TestSampleRegion:
             if flag:
                 assert p <= 0.25 + 1e-9
 
+    def test_flags_match_scalar_feasible(self):
+        for x2, y2, flag, _ in sample_region(101):
+            assert flag is feasible(x2, y2)
+
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             sample_region(1)

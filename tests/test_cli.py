@@ -1,9 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nsgate.cli
+from nsgate import InfeasibleDesignError
 from nsgate.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 X2_MAX = 2 * (math.sqrt(2.0) - 1)
 
@@ -185,3 +193,37 @@ class TestUsageErrors:
         assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64
         assert main(["scan-curve", "--grid-n", "1"]) == 64
         capsys.readouterr()
+
+    def test_infeasible_design_maps_to_usage(self, capsys, monkeypatch):
+        def infeasible(u12, u21):
+            raise InfeasibleDesignError(["row 0 normalization: too large"])
+
+        monkeypatch.setattr(nsgate.cli, "klm_design", infeasible)
+        assert main(["verify-klm"]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("nsgate: error: row 0 normalization")
+
+
+def test_non_search_subcommands_leave_scipy_unloaded():
+    # A fresh interpreter: this test process may have imported scipy already.
+    script = """
+import contextlib, io, sys
+import nsgate, nsgate.cli
+for argv in (["verify-klm"], ["scan-curve"], ["region", "--grid-n", "5"],
+             ["kraus-check"], ["reduce-demo"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert nsgate.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -21,6 +21,7 @@ from nsgate import (
     reduce_general_ancilla,
     verify_ns,
 )
+from nsgate.gate import _complement_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -128,6 +129,44 @@ class TestCompleteToUnitary:
         assert "free columns" in str(excinfo.value)
         completed = complete_design(design)
         assert completed.total_modes == 4
+
+    @pytest.mark.parametrize(
+        "rows, cols, block",
+        [
+            # two fixed rows sharing one column: the block has rank 1
+            ((0, 1), (0,), [[0.6], [0.8]]),
+            # an all-zero fixed block, rank 0
+            ((0, 1), (0, 1), [[0.0, 0.0], [0.0, 0.0]]),
+            # rows with zero entries and a rank-1 block
+            ((0, 2), (1, 2), [[0.0, 0.6], [0.0, 0.8j]]),
+        ],
+    )
+    def test_rank_deficient_fixed_block_completes(self, rows, cols, block):
+        values = np.zeros((4, 4), dtype=complex)
+        mask = np.zeros((4, 4), dtype=bool)
+        values[np.ix_(rows, cols)] = block
+        mask[np.ix_(rows, cols)] = True
+        u = complete_to_unitary(PartialMatrix(values, mask)).matrix
+        assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+        assert np.array_equal(u[np.ix_(rows, cols)], values[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.6, 0.0, 0.8j]],
+            [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0]],
+            [[1.0, 1j, 0.0], [1j, -1.0, 0.0], [0.0, 0.0, 2.0]],
+            [[1.0]],
+        ],
+    )
+    def test_complement_rows(self, a):
+        a = np.array(a, dtype=complex)
+        r = _complement_rows(a)
+        n = a.shape[1]
+        assert r.shape == (n - np.linalg.matrix_rank(a), n)
+        assert np.abs(r @ r.conj().T - np.eye(len(r))).max(initial=0.0) < 1e-12
+        assert np.abs(a @ r.conj().T).max(initial=0.0) < 1e-12
 
     def test_row_norm_violation_named(self):
         design = generalized_design(0.95, [0.2], total_modes=4)
@@ -252,6 +291,17 @@ class TestReduceGeneralAncilla:
         chi = np.array([1.0, 1.0]) / math.sqrt(2)
         v = reduce_general_ancilla(chi)
         assert np.allclose(v.matrix[:, 0], chi)
+
+    @pytest.mark.parametrize(
+        "chi",
+        [[1.0], [1j], [0.0, 1.0, 0.0], [0.0, 0.6j, 0.0, -0.8], [0.6, 0.0, 0.8j]],
+    )
+    def test_first_column_is_chi(self, chi):
+        # k = 1 and amplitude vectors with zero entries
+        v = reduce_general_ancilla(chi)
+        assert v.matrix.shape == (len(chi), len(chi))
+        assert np.array_equal(v.matrix[:, 0], np.array(chi, dtype=complex))
+        assert np.abs(v.matrix.conj().T @ v.matrix - np.eye(len(chi))).max() < 1e-12
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ValueError):
