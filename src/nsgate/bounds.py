@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme
 from .fock import LopCircuit
-from .gate import PartialMatrix, complete_to_unitary, verify_ns
+from .gate import PartialMatrix, _sign_shift_defects, complete_to_unitary, verify_ns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -96,8 +96,10 @@ def feasible(x2: float, y2: float, tol: float = _REGION_TOL) -> bool:
     True iff both squared couplings satisfy the four normalization caps and
     the Schwarz bound on the constrained-row orthogonality holds.
     """
-    if x2 < 0 or y2 < 0:
-        raise ValueError("squared couplings cannot be negative")
+    if not (0 <= x2 < math.inf and 0 <= y2 < math.inf):
+        raise ValueError(
+            f"squared couplings must be finite and non-negative, got {x2}, {y2}"
+        )
     return bool(_feasible(x2, y2, tol))
 
 
@@ -124,8 +126,8 @@ def maximize_boundary(
     maxima), then the bracket is shrunk to width ``tol``.  Returns the
     argmax x^2 and the maximum probability.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if not 0 <= lo < hi <= X2_MAX + 1e-12:
         raise ValueError(f"interval must satisfy 0 <= lo < hi <= {X2_MAX}")
     xs = np.linspace(lo, hi, 101)
@@ -210,13 +212,9 @@ def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
 
 
 def _design_constraints(u: np.ndarray, rank_s: int) -> np.ndarray:
-    # Real and imaginary parts of U00 - (1 - sqrt 2) and of
-    # U01 Uj0 - sqrt 2 Uj1 for j = 1..rank_s, all zero exactly when
-    # m1 = m0 = -m2 on every accepted mode.  The literal conditions
-    # m1 - m0 = 0 and m2 + m0 = 0 would repeat the U00 equation once per
-    # accepted mode and leave the constraint Jacobian rank-deficient.
-    a, b = u[: rank_s + 1, 0], u[: rank_s + 1, 1]
-    c = np.concatenate(([a[0] - (1 - SQRT2)], b[0] * a[1:] - SQRT2 * b[1:]))
+    # Real and imaginary parts of the sign-shift entry defects for input
+    # mode 1 and accepted modes 1..rank_s.
+    c = _sign_shift_defects(u, 1, range(1, rank_s + 1))
     return np.concatenate((c.real, c.imag))
 
 

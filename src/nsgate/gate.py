@@ -14,7 +14,6 @@ unitary.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,6 +31,12 @@ CONDITION_TOL = 1e-10
 # Feasibility slack for the completion's Gram analysis.  Kept below the mode
 # unitarity tolerance so accepted completions always validate as unitary.
 _FEAS_EPS = 1e-11
+
+# Largest entry defect a completed design may carry.
+_DESIGN_TOL = 1e-12
+
+# Mode the single ancilla photon enters; the system is mode 0.
+_INPUT_MODE = 1
 
 
 class InfeasibleDesignError(ValueError):
@@ -73,57 +78,74 @@ class PartialMatrix:
         return self.values.shape[0]
 
 
+def _sign_shift_defects(
+    u: np.ndarray, input_mode: int, accept_modes: Sequence[int]
+) -> np.ndarray:
+    # U00 - (1 - sqrt 2) and U0i Uj0 - sqrt 2 Uji for each accepted mode j,
+    # all zero exactly when m1 = m0 = -m2 on every accepted outcome.  The
+    # literal conditions m1 - m0 = 0 and m2 + m0 = 0 would repeat the U00
+    # equation once per accepted mode (a rank-deficient constraint Jacobian
+    # in the search).
+    i, j = input_mode, list(accept_modes)
+    cross = u[0, i] * u[j, 0] - SQRT2 * u[j, i]
+    return np.concatenate(([u[0, 0] - (1 - SQRT2)], cross))
+
+
+def _predicted_probability(u: np.ndarray, accept_modes: Sequence[int]) -> float:
+    # (x^2 / 2) * sum(y_j^2) with x = |U0i| and y_j = |Uj0|.
+    x2 = abs(u[0, _INPUT_MODE]) ** 2
+    return float(x2 / 2 * sum(abs(u[j, 0]) ** 2 for j in accept_modes))
+
+
 @dataclass(frozen=True)
 class GeneralizedDesign:
     """Constrained entries of a rank-s sign-shift design, before completion."""
 
     partial: PartialMatrix
-    input_mode: int
     accept_modes: tuple[int, ...]
-    input_amplitude: complex
-    accept_amplitudes: tuple[complex, ...]
-    predicted_probability: float
+
+    @property
+    def predicted_probability(self) -> float:
+        return _predicted_probability(self.partial.values, self.accept_modes)
 
 
 @dataclass(frozen=True)
 class NsDesign:
-    """A completed sign-shift design: constrained entries plus full unitary.
+    """A completed sign-shift design: a full unitary and its accepted modes.
 
-    Mode 0 is the system mode; the single ancilla photon enters at
-    ``photon_in_mode`` and the run is accepted when it exits in any of
-    ``accept_modes`` (all indices zero-based, on the global circuit).
+    Mode 0 is the system mode; the single ancilla photon enters at mode 1
+    and the run is accepted when it exits in any of ``accept_modes`` (all
+    indices zero-based, on the global circuit).  Every other figure is read
+    off the matrix.
     """
 
-    total_modes: int
-    photon_in_mode: int
-    accept_modes: tuple[int, ...]
-    input_amplitude: complex
-    accept_amplitudes: tuple[complex, ...]
     matrix: LopCircuit
+    accept_modes: tuple[int, ...]
 
     def __post_init__(self):
-        u = self.matrix.matrix
-        if abs(u[0, 0] - (1 - SQRT2)) > 1e-12:
-            raise ValueError("system-system entry must equal 1 - sqrt(2)")
-        i = self.photon_in_mode
-        for j, yj in zip(self.accept_modes, self.accept_amplitudes):
-            if abs(u[j, i] - u[0, i] * u[j, 0] / SQRT2) > 1e-12:
-                raise ValueError(
-                    f"entry ({j}, {i}) must equal U[0,{i}]*U[{j},0]/sqrt(2)"
-                )
-            if abs(u[j, 0] - yj) > 1e-12 or abs(u[0, i] - self.input_amplitude) > 1e-12:
-                raise ValueError("completed matrix disagrees with design amplitudes")
+        accept, n = self.accept_modes, self.total_modes
+        if not accept or not all(1 <= j < n for j in accept):
+            raise ValueError(f"accepted modes must lie in 1..{n - 1}, got {accept}")
+        defects = _sign_shift_defects(self.matrix.matrix, _INPUT_MODE, accept)
+        if not np.abs(defects).max() <= _DESIGN_TOL:
+            raise ValueError(
+                "matrix breaks the sign-shift entries U00 = 1 - sqrt(2) and "
+                f"U01*Uj0 = sqrt(2)*Uj1 on accepted modes {accept}"
+            )
+
+    @property
+    def total_modes(self) -> int:
+        return self.matrix.dim
 
     @property
     def predicted_probability(self) -> float:
-        x2 = abs(self.input_amplitude) ** 2
-        return x2 / 2 * sum(abs(y) ** 2 for y in self.accept_amplitudes)
+        return _predicted_probability(self.matrix.matrix, self.accept_modes)
 
     def scheme(self, system_photons=(0, 1, 2)) -> ConditionalScheme:
         """Post-selection scheme matching this design's input and outcomes."""
         return ConditionalScheme.one_photon(
             self.total_modes - 1,
-            self.photon_in_mode - 1,
+            _INPUT_MODE - 1,
             [j - 1 for j in self.accept_modes],
             system_photons,
         )
@@ -246,18 +268,15 @@ def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
 
 
 def generalized_design(
-    x: float,
-    y_list: Sequence[float],
-    phases: Optional[tuple[float, Sequence[float]]] = None,
-    total_modes: int = 0,
+    x: complex, y_list: Sequence[complex], total_modes: int
 ) -> GeneralizedDesign:
     """Constrained entries of a rank-s sign-shift design.
 
-    ``x`` is the modulus coupling the system into the ancilla input mode and
-    ``y_list`` the moduli coupling the system out of each accepted mode.  The
-    photon enters at mode 1 and is accepted in modes 1..s; other placements
-    are mode permutations of this one.  The predicted success probability is
-    (x^2 / 2) * sum(y_j^2).
+    ``x`` is the complex coupling of the system into the ancilla input mode
+    and ``y_list`` the couplings of each accepted mode back into the system.
+    The photon enters at mode 1 and is accepted in modes 1..s; other
+    placements are mode permutations of this one.  The predicted success
+    probability is (|x|^2 / 2) * sum(|y_j|^2).
     """
     s = len(y_list)
     if s < 1:
@@ -266,38 +285,23 @@ def generalized_design(
         raise ValueError(
             f"need at least {s + 1} modes for {s} accepted modes, got {total_modes}"
         )
-    if not 0 <= x <= 1 or any(not 0 <= y <= 1 for y in y_list):
+    if not abs(x) <= 1 or any(not abs(y) <= 1 for y in y_list):
         raise ValueError("coupling moduli must lie in [0, 1]")
-    if phases is None:
-        phase_x, phase_y = 0.0, [0.0] * s
-    else:
-        phase_x, phase_y = phases
-        if len(phase_y) != s:
-            raise ValueError("one phase per accepted mode is required")
 
     n = total_modes
     values = np.zeros((n, n), dtype=complex)
     mask = np.zeros((n, n), dtype=bool)
-    ux = x * cmath.exp(1j * phase_x)
+    ux = complex(x)
     values[0, 0] = 1 - SQRT2
     values[0, 1] = ux
     mask[0, :2] = True
-    uys = []
-    for a, (y, ph) in enumerate(zip(y_list, phase_y)):
-        j = 1 + a
-        uy = y * cmath.exp(1j * ph)
+    for j, y in enumerate(y_list, start=1):
+        uy = complex(y)
         values[j, 0] = uy
         values[j, 1] = ux * uy / SQRT2
         mask[j, :2] = True
-        uys.append(uy)
-    predicted = (x**2 / 2) * sum(y**2 for y in y_list)
     return GeneralizedDesign(
-        partial=PartialMatrix(values, mask),
-        input_mode=1,
-        accept_modes=tuple(range(1, s + 1)),
-        input_amplitude=ux,
-        accept_amplitudes=tuple(uys),
-        predicted_probability=predicted,
+        partial=PartialMatrix(values, mask), accept_modes=tuple(range(1, s + 1))
     )
 
 
@@ -316,14 +320,7 @@ def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDe
         except InfeasibleDesignError as err:
             last = err
             continue
-        return NsDesign(
-            total_modes=n,
-            photon_in_mode=design.input_mode,
-            accept_modes=design.accept_modes,
-            input_amplitude=design.input_amplitude,
-            accept_amplitudes=design.accept_amplitudes,
-            matrix=circuit,
-        )
+        return NsDesign(matrix=circuit, accept_modes=design.accept_modes)
     assert last is not None
     raise last
 
@@ -336,13 +333,7 @@ def klm_design(u12: complex, u21: complex) -> NsDesign:
     unitary on the fewest modes that admit one (three at the canonical
     optimum u12 = u21 = 2**-0.25, where the success probability is 1/4).
     """
-    u12 = complex(u12)
-    u21 = complex(u21)
-    if abs(u12) > 1 or abs(u21) > 1:
-        raise ValueError("coupling moduli must lie in [0, 1]")
-    phases = (cmath.phase(u12) if u12 else 0.0, [cmath.phase(u21) if u21 else 0.0])
-    design = generalized_design(abs(u12), [abs(u21)], phases, total_modes=2)
-    return complete_design(design)
+    return complete_design(generalized_design(u12, [u21], total_modes=2))
 
 
 def verify_ns(lop: LopCircuit, scheme: ConditionalScheme) -> NsReport:
@@ -397,7 +388,9 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     v = np.asarray(chi, dtype=complex).reshape(-1)
     if v.size < 1:
         raise ValueError("chi must have at least one amplitude")
-    if abs(np.sum(np.abs(v) ** 2) - 1.0) > 1e-10:
+    if not np.isfinite(v).all():
+        raise ValueError("chi has non-finite entries")
+    if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= 1e-10:
         raise ValueError("chi must be normalized to one photon")
     k = v.size
     out = np.zeros((k, k), dtype=complex)

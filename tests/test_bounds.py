@@ -46,6 +46,14 @@ class TestFeasible:
         with pytest.raises(ValueError):
             feasible(-0.1, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_rejected(self, bad, slot):
+        args = [0.1, 0.1]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            feasible(*args)
+
     def test_boundary_is_feasible_but_beyond_is_not(self):
         for x2 in np.linspace(0.0, X2_MAX, 50):
             y2 = boundary_y2(x2)
@@ -114,6 +122,10 @@ class TestMaximizeBoundary:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             maximize_boundary(0.0)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            maximize_boundary(math.nan)
 
 
 class TestSampleRegion:

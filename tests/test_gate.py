@@ -8,6 +8,7 @@ from nsgate import (
     DensityMatrix,
     InfeasibleDesignError,
     LopCircuit,
+    NsDesign,
     PartialMatrix,
     X2_MAX,
     ancilla_block,
@@ -63,16 +64,74 @@ class TestKlmDesign:
         with pytest.raises(ValueError):
             klm_design(1.2, 0.5)
 
-    def test_complex_couplings_honored(self):
-        u12 = 0.6 * np.exp(0.7j)
-        u21 = 0.5 * np.exp(-1.1j)
-        design = klm_design(u12, u21)
+    @pytest.mark.parametrize(
+        "u12, u21s",
+        [
+            (0.6 * np.exp(0.7j), [0.5 * np.exp(-1.1j)]),
+            # rank 2, one coupling a negative real (phase pi)
+            (0.6 * np.exp(0.7j), [0.4 * np.exp(-1.1j), -0.3]),
+        ],
+        ids=["rank1", "rank2"],
+    )
+    def test_complex_couplings_honored(self, u12, u21s):
+        if len(u21s) == 1:
+            design = klm_design(u12, u21s[0])
+        else:
+            design = complete_design(
+                generalized_design(u12, u21s, total_modes=len(u21s) + 1)
+            )
         u = design.matrix.matrix
         assert u[0, 1] == pytest.approx(u12, abs=1e-12)
-        assert u[1, 0] == pytest.approx(u21, abs=1e-12)
-        assert u[1, 1] == pytest.approx(u12 * u21 / SQRT2, abs=1e-12)
+        for j, u21 in enumerate(u21s, start=1):
+            assert u[j, 0] == pytest.approx(u21, abs=1e-12)
+            assert u[j, 1] == pytest.approx(u12 * u21 / SQRT2, abs=1e-12)
         report = verify_ns(design.matrix, design.scheme())
         assert report.condition_residual <= 1e-12
+
+    def test_non_finite_coupling_rejected(self):
+        with pytest.raises(ValueError):
+            klm_design(math.nan, 0.5)
+        with pytest.raises(ValueError):
+            generalized_design(complex("nan+1j"), [0.5], total_modes=3)
+
+
+class TestNsDesign:
+    def test_completed_matrix_accepted(self, klm_optimum):
+        design, _ = klm_optimum
+        again = NsDesign(design.matrix, (1,))
+        assert again.total_modes == 3
+        assert again.accept_modes == (1,)
+        assert again.predicted_probability == pytest.approx(0.25, abs=1e-12)
+
+    def test_haar_unitary_rejected(self, rng):
+        with pytest.raises(ValueError, match="sign-shift"):
+            NsDesign(haar_unitary(3, rng), (1,))
+
+    def test_wrong_accept_modes_rejected(self):
+        # rank-1 design: row 2 is a completion row, not an accepted mode
+        design = complete_design(generalized_design(0.5, [0.5], total_modes=3))
+        assert design.total_modes == 4
+        with pytest.raises(ValueError, match="sign-shift"):
+            NsDesign(design.matrix, (1, 2))
+        with pytest.raises(ValueError, match="sign-shift"):
+            NsDesign(design.matrix, (2,))
+
+    @pytest.mark.parametrize("accept", [(), (0,), (3,), (-1,)])
+    def test_accept_modes_outside_ancilla_rejected(self, klm_optimum, accept):
+        design, _ = klm_optimum
+        with pytest.raises(ValueError, match="accepted modes"):
+            NsDesign(design.matrix, accept)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+    def test_entry_defect_above_tolerance_rejected(self, klm_optimum, entry):
+        # 2e-12 off U00 or U11 breaks U00 = 1 - sqrt(2) or
+        # U01*U10 = sqrt(2)*U11 past the design tolerance while keeping the
+        # matrix unitary to 1e-11
+        design, _ = klm_optimum
+        u = design.matrix.matrix.copy()
+        u[entry] += 2e-12
+        with pytest.raises(ValueError, match="sign-shift"):
+            NsDesign(LopCircuit(u), (1,))
 
 
 class TestCompleteToUnitary:
@@ -306,6 +365,11 @@ class TestReduceGeneralAncilla:
     def test_non_normalized_rejected(self):
         with pytest.raises(ValueError):
             reduce_general_ancilla([1.0, 1.0])
+
+    @pytest.mark.parametrize("chi", [[np.nan, 0.0], [1.0, np.inf], [complex("nan+1j")]])
+    def test_non_finite_rejected(self, chi):
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_general_ancilla(chi)
 
     def test_pipeline_equivalence(self, rng):
         # preparing |chi> inside the circuit must reproduce the physics of
