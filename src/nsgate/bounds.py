@@ -159,18 +159,23 @@ def scan_curve(grid_n: int) -> list[BoundCurveSample]:
     return [BoundCurveSample.on_boundary(x2) for x2 in np.linspace(0.0, X2_MAX, grid_n)]
 
 
+def _region_grid(grid_n: int) -> tuple[np.ndarray, ...]:
+    # The x2, y2, feasible and p columns of sample_region as flat arrays.
+    if grid_n < 2:
+        raise ValueError("grid needs at least two points")
+    axis = np.linspace(0.0, X2_MAX, grid_n)
+    x2, y2 = np.meshgrid(axis, axis, indexing="ij")
+    columns = (x2, y2, _feasible(x2, y2, _REGION_TOL), x2 * y2 / 2)
+    return tuple(col.ravel() for col in columns)
+
+
 def sample_region(grid_n: int) -> list[tuple[float, float, bool, float]]:
     """(x^2, y^2, feasible, p) over a grid_n x grid_n grid of the domain.
 
     Rows are ordered by ascending x^2 then ascending y^2; p is the would-be
     success probability x^2 * y^2 / 2 whether or not the point is feasible.
     """
-    if grid_n < 2:
-        raise ValueError("grid needs at least two points")
-    axis = np.linspace(0.0, X2_MAX, grid_n)
-    x2, y2 = np.meshgrid(axis, axis, indexing="ij")
-    columns = (x2, y2, _feasible(x2, y2, _REGION_TOL), x2 * y2 / 2)
-    return list(zip(*(col.ravel().tolist() for col in columns)))
+    return list(zip(*(col.tolist() for col in _region_grid(grid_n))))
 
 
 def _columns(x: np.ndarray, n: int) -> np.ndarray:

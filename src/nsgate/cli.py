@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .bounds import numeric_search, sample_region, scan_curve
+from .bounds import _region_grid, numeric_search, scan_curve
 from .conditional import (
     ConditionalScheme,
     DensityMatrix,
@@ -54,12 +54,26 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _table(header: list[str], rows: list[list], fmt: str) -> str:
+def _format_column(col: np.ndarray) -> list[str]:
+    # Format each distinct value once and gather the text by index.  Floats
+    # are keyed on their bit pattern, not their value, so -0.0 keeps its sign
+    # instead of merging with 0.0.
+    is_float = col.dtype.kind == "f"
+    _, first, inverse = np.unique(
+        col.view(np.int64) if is_float else col, return_index=True, return_inverse=True
+    )
+    fmt = _fmt if is_float else str
+    text = np.array([fmt(v) for v in col[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
+    """Render equal-length 1-D columns (float64 or int) as CSV or JSON."""
     if fmt == "json":
+        rows = list(zip(*(col.tolist() for col in columns)))
         return json.dumps({"header": header, "rows": rows}, sort_keys=True) + "\n"
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_format_column, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -81,15 +95,15 @@ def _cmd_verify_klm(args) -> int:
 
 
 def _cmd_scan_curve(args) -> int:
-    rows = [[s.x2, s.y2, s.p] for s in scan_curve(args.grid_n)]
-    return _emit(_table(["x2", "y2", "p"], rows, args.format), args.output)
+    samples = np.array([(s.x2, s.y2, s.p) for s in scan_curve(args.grid_n)])
+    return _emit(_table(["x2", "y2", "p"], list(samples.T), args.format), args.output)
 
 
 def _cmd_region(args) -> int:
-    rows = [
-        [x2, y2, int(flag), p] for x2, y2, flag, p in sample_region(args.grid_n)
-    ]
-    return _emit(_table(["x2", "y2", "feasible", "p"], rows, args.format), args.output)
+    x2, y2, flag, p = _region_grid(args.grid_n)
+    columns = [x2, y2, flag.astype(int), p]
+    table = _table(["x2", "y2", "feasible", "p"], columns, args.format)
+    return _emit(table, args.output)
 
 
 def _cmd_optimize(args) -> int:

@@ -307,6 +307,8 @@ def generalized_design(
 
 def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDesign:
     """Complete a design to a unitary, adding up to two vacuum modes if needed."""
+    if max_extra_modes < 0:
+        raise ValueError(f"max_extra_modes must be non-negative, got {max_extra_modes}")
     base = design.partial.dim
     last: Optional[InfeasibleDesignError] = None
     for extra in range(max_extra_modes + 1):
@@ -321,7 +323,6 @@ def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDe
             last = err
             continue
         return NsDesign(matrix=circuit, accept_modes=design.accept_modes)
-    assert last is not None
     raise last
 
 

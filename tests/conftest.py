@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads: the acceptance searches solve many
+# tiny systems, and extra OpenBLAS threads on a shared host slow them
+# several-fold.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

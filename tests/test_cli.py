@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nsgate.cli
-from nsgate import InfeasibleDesignError
-from nsgate.cli import main
+from nsgate import InfeasibleDesignError, sample_region, scan_curve
+from nsgate.cli import _table, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -20,6 +21,51 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def per_cell_csv(header, rows):
+    """The table as formatted one cell at a time, the reference for _table."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestTable:
+    # Repeats, both signed zeros, the smallest subnormal of each sign, a huge
+    # value and values needing all twelve digits.
+    FLOATS = np.array(
+        [1 / 3, 0.0, -0.0, 5e-324, 1e300, X2_MAX, 1 / 3, -0.0, 0.0, 1e300,
+         -5e-324, X2_MAX, 0.1, 5e-324]
+    )
+    FLAGS = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0])
+    HEADER = ["a", "flag", "b"]
+
+    def columns(self):
+        # The reversed view is strided, as the columns of scan-curve are.
+        return [self.FLOATS, self.FLAGS, self.FLOATS[::-1]]
+
+    def rows(self):
+        return list(zip(*(col.tolist() for col in self.columns())))
+
+    def test_csv_matches_per_cell_formatting(self):
+        text = _table(self.HEADER, self.columns(), "csv")
+        assert text == per_cell_csv(self.HEADER, self.rows())
+        assert text.splitlines()[3].startswith("-0,")
+
+    def test_json_matches_row_dump(self):
+        rows = [list(row) for row in self.rows()]
+        expected = json.dumps({"header": self.HEADER, "rows": rows}, sort_keys=True)
+        text = _table(self.HEADER, self.columns(), "json")
+        assert text == expected + "\n"
+        assert all(type(row[1]) is int for row in json.loads(text)["rows"])
+
+    def test_no_rows(self):
+        empty = [np.zeros(0), np.zeros(0, dtype=int)]
+        assert _table(["x", "n"], empty, "csv") == "x,n\n"
+        assert json.loads(_table(["x", "n"], empty, "json"))["rows"] == []
 
 
 class TestVerifyKlm:
@@ -46,6 +92,11 @@ class TestScanCurve:
         last = [float(v) for v in lines[-1].split(",")]
         assert first[2] == 0.0
         assert last[2] == pytest.approx(0.0, abs=1e-14)
+
+    def test_rows_are_scan_curve_values(self, capsys):
+        _, out = run_cli(capsys, "scan-curve", "--grid-n", "9")
+        expected = [f"{s.x2:.12g},{s.y2:.12g},{s.p:.12g}" for s in scan_curve(9)]
+        assert out.split("\n") == ["x2,y2,p", *expected, ""]
 
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run_cli(capsys, "scan-curve", "--grid-n", "33")
@@ -81,6 +132,14 @@ class TestRegion:
         assert len(lines) == 5
         origin = lines[1].split(",")
         assert origin[2] == "1"
+
+    def test_rows_are_sample_region_values(self, capsys):
+        _, out = run_cli(capsys, "region", "--grid-n", "7")
+        expected = [
+            f"{x2:.12g},{y2:.12g},{int(flag)},{p:.12g}"
+            for x2, y2, flag, p in sample_region(7)
+        ]
+        assert out.split("\n") == ["x2,y2,feasible,p", *expected, ""]
 
     def test_row_order_ascending(self, capsys):
         _, out = run_cli(capsys, "region", "--grid-n", "4")

@@ -86,6 +86,26 @@ def random_schemes(draw):
     return scheme, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def permuted_schemes(draw):
+    """A scheme with every outcome, a circuit seed and an ancilla permutation.
+
+    One or two system modes, two or three ancilla modes and at most two
+    ancilla input photons.
+    """
+    system_modes = draw(st.integers(1, 2))
+    ancilla_modes = draw(st.integers(2, 3))
+    photon_modes = draw(st.lists(st.integers(0, ancilla_modes - 1), max_size=2))
+    scheme = ConditionalScheme(
+        system_modes=system_modes,
+        ancilla_modes=ancilla_modes,
+        ancilla_input=tuple(photon_modes.count(m) for m in range(ancilla_modes)),
+        outcomes=((0,) * ancilla_modes,),
+    ).all_outcomes()
+    perm = draw(st.permutations(range(ancilla_modes)))
+    return scheme, draw(st.integers(0, 2**32 - 1)), perm
+
+
 class TestSchemeValidation:
     def test_duplicate_outcomes_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +190,33 @@ class TestKrausOperator:
             ]
         )
         assert np.abs(op.entries - expected).max() <= 1e-12
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=permuted_schemes())
+    def test_ancilla_permutation_leaves_operators_unchanged(self, case):
+        # New ancilla mode k is old ancilla mode perm[k], in the circuit, the
+        # input and every outcome alike.
+        scheme, seed, perm = case
+        s = scheme.system_modes
+        lop = haar_unitary(s + scheme.ancilla_modes, np.random.default_rng(seed))
+        modes = [*range(s), *(s + k for k in perm)]
+        permuted_lop = LopCircuit(lop.matrix[np.ix_(modes, modes)])
+
+        def relabel(occ):
+            return tuple(occ[k] for k in perm)
+
+        permuted = ConditionalScheme(
+            system_modes=s,
+            ancilla_modes=scheme.ancilla_modes,
+            ancilla_input=relabel(scheme.ancilla_input),
+            outcomes=tuple(relabel(mu) for mu in scheme.outcomes),
+            system_photons=scheme.system_photons,
+        )
+        for mu in scheme.outcomes:
+            op = kraus_operator(scheme, lop, mu)
+            moved = kraus_operator(permuted, permuted_lop, relabel(mu))
+            assert moved.entries.shape == op.entries.shape
+            assert np.abs(moved.entries - op.entries).max(initial=0.0) <= 1e-12
 
     def test_diagonal_when_outcome_conserves_ancilla_photons(self, rng):
         # single system mode and outcome total equal to the input total force
