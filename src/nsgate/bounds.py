@@ -1,15 +1,15 @@
 """Success-probability bound for sign-shift gates with one ancilla photon.
 
-Writing x^2 and y^2 for the squared moduli of the system-to-input-mode and
-accepted-mode-to-system couplings, the fixed entries of a functioning design
-embed in a unitary only inside a bounded region of the (x^2, y^2) plane:
-four normalization caps plus a Schwarz bound on the orthogonality of the two
-constrained rows.  The success probability x^2 * y^2 / 2, maximized along the
-region's boundary curve, peaks at 0.25 for x^2 = y^2 = 1/sqrt(2).  A
-constrained search over the two unitary columns the gate depends on, with
-the sign-shift conditions imposed as equalities, provides an independent
-numerical check that no circuit beats that value, for rank-1 and rank-s
-post-selection alike.
+Write s = x^2 and t = y^2 for the squared moduli of the system-to-input-mode
+and accepted-mode-to-system couplings, k = 4 - 2 sqrt(2) and
+c = 2 sqrt(2) - 2.  The fixed entries of a functioning design embed in a
+unitary only inside the region s + t - k s t <= c, 0 <= s, t <= c, bounded by
+the hyperbola t = (c - s) / (1 - k s).  Along it the success probability
+p = s t / 2 obeys 1/4 - p = (sqrt(2) s - 1)^2 / (4 (1 - k s)), so p peaks at
+exactly 0.25 for s = t = 1/sqrt(2).  A constrained search over the two
+unitary columns the gate depends on, with the sign-shift conditions imposed
+as equalities, provides an independent numerical check that no circuit beats
+that value, for rank-1 and rank-s post-selection alike.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ SQRT2 = math.sqrt(2.0)
 #: Upper end of the admissible range for both squared couplings, 2(sqrt(2)-1).
 X2_MAX = 2 * (SQRT2 - 1)
 
-_GOLDEN = (math.sqrt(5.0) - 1) / 2
+# Cross-term coefficient k of the region s + t - k s t <= X2_MAX.
+_K = 4 - 2 * SQRT2
 
 # Default slack of the feasibility inequalities.
 _REGION_TOL = 1e-12
@@ -39,7 +40,10 @@ FEASIBLE_RESIDUAL = 1e-6
 
 @dataclass(frozen=True)
 class BoundCurveSample:
-    """One point of the feasibility boundary, with its curve coefficients."""
+    """One point of the feasibility boundary, with its curve coefficients.
+
+    In the Schwarz form of the boundary, y^2 = B/(A^2 + BC).
+    """
 
     x2: float
     y2: float
@@ -50,9 +54,9 @@ class BoundCurveSample:
 
     @classmethod
     def on_boundary(cls, x2: float) -> "BoundCurveSample":
-        a, b, c = _abc(x2)
         y2 = boundary_y2(x2)
-        return cls(x2=x2, y2=y2, A=a, B=b, C=c, p=x2 * y2 / 2)
+        a = abs((1 - SQRT2) + x2 / SQRT2)
+        return cls(x2=x2, y2=y2, A=a, B=X2_MAX - x2, C=1 + x2 / 2, p=x2 * y2 / 2)
 
 
 @dataclass(frozen=True)
@@ -70,31 +74,22 @@ class OptimizationResult:
     max_feasible_probability: float
 
 
-def _abc(x2: float) -> tuple[float, float, float]:
-    a = abs((1 - SQRT2) + x2 / SQRT2)
-    b = X2_MAX - x2
-    c = 1 + x2 / 2
-    return a, b, c
-
-
 def _feasible(x2, y2, tol: float):
-    # The four normalization caps and the Schwarz bound on the constrained-row
-    # orthogonality, elementwise over scalars or arrays of squared couplings.
-    a, b, c = _abc(x2)
+    # The hyperbola and the two domain caps, elementwise over scalars or
+    # arrays.  The caps are needed: beyond s = 1/k the hyperbola inequality
+    # flips sign.
     return (
         (x2 <= X2_MAX + tol)
         & (y2 <= X2_MAX + tol)
-        & (y2 * (1 + x2 / 2) <= 1 + tol)
-        & (x2 * (1 + y2 / 2) <= 1 + tol)
-        & (y2 * a * a <= b * (1 - y2 * c) + tol)
+        & (x2 + y2 - _K * x2 * y2 <= X2_MAX + tol)
     )
 
 
 def feasible(x2: float, y2: float, tol: float = _REGION_TOL) -> bool:
     """Whether (x^2, y^2) admits a unitary completion of the design entries.
 
-    True iff both squared couplings satisfy the four normalization caps and
-    the Schwarz bound on the constrained-row orthogonality holds.
+    True iff s + t - k s t <= X2_MAX with s = x^2, t = y^2 both at most
+    X2_MAX, where k = 4 - 2 sqrt(2); every inequality has slack ``tol``.
     """
     if not (0 <= x2 < math.inf and 0 <= y2 < math.inf):
         raise ValueError(
@@ -104,12 +99,11 @@ def feasible(x2: float, y2: float, tol: float = _REGION_TOL) -> bool:
 
 
 def boundary_y2(x2: float) -> float:
-    """Largest feasible y^2 at a given x^2: the boundary curve B/(A^2 + BC)."""
-    if not -1e-12 <= x2 <= X2_MAX + 1e-12:
+    """Largest feasible y^2 at x^2 = s: the hyperbola (X2_MAX - s)/(1 - k s)."""
+    if not -_REGION_TOL <= x2 <= X2_MAX + _REGION_TOL:
         raise ValueError(f"x2 must lie in [0, {X2_MAX}], got {x2}")
     x2 = min(max(x2, 0.0), X2_MAX)
-    a, b, c = _abc(x2)
-    return b / (a * a + b * c)
+    return (X2_MAX - x2) / (1 - _K * x2)
 
 
 def probability_on_boundary(x2: float) -> float:
@@ -120,35 +114,18 @@ def probability_on_boundary(x2: float) -> float:
 def maximize_boundary(
     tol: float, lo: float = 0.0, hi: float = X2_MAX
 ) -> tuple[float, float]:
-    """Golden-section maximization of the boundary probability.
+    """Argmax x^2 and maximum of the boundary probability on [lo, hi].
 
-    A 101-point pre-scan brackets the peak (guarding against endpoint
-    maxima), then the bracket is shrunk to width ``tol``.  Returns the
-    argmax x^2 and the maximum probability.
+    On the boundary 1/4 - p = (sqrt(2) s - 1)^2 / (4 (1 - k s)) with s = x^2,
+    and p rises up to s = 1/sqrt(2) and falls after it, so the maximum is
+    1/sqrt(2) clipped to the interval.  It is exact: ``tol`` is only
+    validated.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not 0 <= lo < hi <= X2_MAX + 1e-12:
+    if not 0 <= lo < hi <= X2_MAX + _REGION_TOL:
         raise ValueError(f"interval must satisfy 0 <= lo < hi <= {X2_MAX}")
-    xs = np.linspace(lo, hi, 101)
-    ps = [probability_on_boundary(x) for x in xs]
-    i = int(np.argmax(ps))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = probability_on_boundary(c)
-    fd = probability_on_boundary(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = probability_on_boundary(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = probability_on_boundary(d)
-    x_star = (a + b) / 2
+    x_star = min(max(1 / SQRT2, lo), hi)
     return x_star, probability_on_boundary(x_star)
 
 

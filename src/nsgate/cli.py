@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +36,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    # --tol must be finite and positive, the rule maximize_boundary applies.
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if 0 < value < math.inf:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"tolerance must be finite and positive, got {text!r}"
+    )
 
 
 def _fmt(value: float) -> str:
@@ -203,7 +217,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-klm", help="verify the canonical 3-mode design")
-    p.add_argument("--tol", type=float, default=CONDITION_TOL)
+    p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_verify_klm)
 
     p = sub.add_parser("scan-curve", help="emit boundary-curve samples")
@@ -230,13 +244,13 @@ def build_parser() -> _Parser:
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matrix-file", default=None)
-    p.add_argument("--tol", type=float, default=CONDITION_TOL)
+    p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_kraus_check)
 
     p = sub.add_parser("reduce-demo", help="one-photon input reduction check")
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=CONDITION_TOL)
+    p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_reduce_demo)
 
     return parser

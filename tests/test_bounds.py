@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsgate import (
     FEASIBLE_RESIDUAL,
@@ -22,7 +25,7 @@ from nsgate import (
     scan_curve,
     verify_ns,
 )
-from nsgate.bounds import _columns, _complete_pair, _gate_figures
+from nsgate.bounds import _K, _columns, _complete_pair, _gate_figures
 from nsgate.fock import LopCircuit
 
 SQRT2 = math.sqrt(2.0)
@@ -126,6 +129,89 @@ class TestMaximizeBoundary:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             maximize_boundary(math.nan)
+
+
+# Exact arithmetic in Q(sqrt(2)): (a, b) stands for a + b*sqrt(2), and a
+# polynomial in s is the list of its coefficients, constant term first.
+def _q2(a, b=0):
+    return (Fraction(a), Fraction(b))
+
+
+def _q2_mul(u, v):
+    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _poly_add(*polys):
+    out = [_q2(0)] * max(map(len, polys))
+    for poly in polys:
+        for i, (a, b) in enumerate(poly):
+            out[i] = (out[i][0] + a, out[i][1] + b)
+    while len(out) > 1 and out[-1] == _q2(0):
+        out.pop()
+    return out
+
+
+def _poly_mul(p, q):
+    out = [_q2(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            w = _q2_mul(u, v)
+            out[i + j] = (out[i + j][0] + w[0], out[i + j][1] + w[1])
+    return _poly_add(out)
+
+
+class TestExactCertificate:
+    # A = (1 - sqrt(2)) + s/sqrt(2), B = c - s, C = 1 + s/2 with
+    # c = 2 sqrt(2) - 2 and k = 4 - 2 sqrt(2).  Along the boundary
+    # t = B/(A^2 + BC), so 1/4 - s t/2 = (A^2 + BC - 2 s B)/(4 (A^2 + BC)).
+    A = [_q2(1, -1), _q2(0, Fraction(1, 2))]
+    B = [_q2(-2, 2), _q2(-1)]
+    C = [_q2(1), _q2(Fraction(1, 2))]
+    K = _q2(4, -2)
+
+    def denominator(self):
+        return _poly_add(_poly_mul(self.A, self.A), _poly_mul(self.B, self.C))
+
+    def test_denominator_is_linear(self):
+        # A^2 + BC = 1 - k s, so the boundary is the hyperbola (c - s)/(1 - k s).
+        minus_k = (-self.K[0], -self.K[1])
+        assert self.denominator() == [_q2(1), minus_k]
+
+    def test_gap_to_quarter_is_a_square(self):
+        # A^2 + BC - 2 s B = (sqrt(2) s - 1)^2: p <= 1/4, with equality only
+        # at s = 1/sqrt(2).
+        minus_2s_b = _poly_mul([_q2(0), _q2(-2)], self.B)
+        gap = _poly_add(self.denominator(), minus_2s_b)
+        root = [_q2(-1), _q2(0, 1)]
+        assert gap == _poly_mul(root, root)
+
+    def test_float_constants_match(self):
+        # The module's k and c are the floats of the exact ones used here.
+        assert _K == float(self.K[0]) + float(self.K[1]) * SQRT2
+        assert X2_MAX == float(self.B[0][1]) * SQRT2 + float(self.B[0][0])
+
+
+class TestCompletionMatchesRegion:
+    # Two free modes (n = 4, one accepted mode): every point of the region
+    # completes, none outside it does.
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        s=st.floats(0.0, X2_MAX, allow_nan=False),
+        t=st.floats(0.0, X2_MAX, allow_nan=False),
+    )
+    def test_completion_iff_feasible(self, s, t):
+        assume(abs(s + t - _K * s * t - X2_MAX) > 1e-6)
+        design = generalized_design(math.sqrt(s), [math.sqrt(t)], total_modes=4)
+        if not feasible(s, t):
+            with pytest.raises(InfeasibleDesignError):
+                complete_to_unitary(design.partial)
+            return
+        circuit = complete_to_unitary(design.partial)
+        assert abs(circuit.matrix[0, 0] - (1 - SQRT2)) <= 1e-12
+        report = verify_ns(circuit, search_scheme(4, 1))
+        assert report.condition_residual <= 1e-10
+        assert report.success_probability == pytest.approx(s * t / 2, abs=1e-12)
+        assert report.success_probability <= 0.25
 
 
 class TestSampleRegion:

@@ -248,6 +248,16 @@ class TestUsageErrors:
             main([])
         assert excinfo.value.code == 64
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", ["verify-klm", "kraus-check", "reduce-demo"])
+    def test_bad_tolerance_is_usage_error(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--tol", tol])
+        assert excinfo.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --tol: tolerance must be finite and positive" in err
+
     def test_semantic_value_errors_map_to_usage(self, capsys):
         assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64
         assert main(["scan-curve", "--grid-n", "1"]) == 64
