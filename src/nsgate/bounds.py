@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme
 from .fock import LopCircuit
-from .gate import PartialMatrix, _sign_shift_defects, complete_to_unitary, verify_ns
+from .gate import _complement_rows, _sign_shift_defects, verify_ns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,13 +166,8 @@ def _columns(x: np.ndarray, n: int) -> np.ndarray:
 
 def _complete_pair(cols: np.ndarray) -> LopCircuit:
     # Mode unitary whose first two columns are exactly the given orthonormal
-    # pair: fix rows 0 and 1 of its transpose, complete, transpose back.
-    n = cols.shape[0]
-    fixed = np.zeros((n, n), dtype=bool)
-    fixed[:2] = True
-    values = np.zeros((n, n), dtype=complex)
-    values[:2] = cols.T
-    return LopCircuit(complete_to_unitary(PartialMatrix(values, fixed)).matrix.T)
+    # pair, the rest an orthonormal basis of their complement.
+    return LopCircuit(np.vstack((cols.T, _complement_rows(cols.T))).T)
 
 
 def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:

@@ -219,7 +219,6 @@ class MeasurementOperator:
 
     scheme: ConditionalScheme
     outcome: Occupation
-    in_basis: SystemBasis
     out_basis: SystemBasis
     entries: np.ndarray
 
@@ -232,6 +231,10 @@ class MeasurementOperator:
             )
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+
+    @property
+    def in_basis(self) -> SystemBasis:
+        return self.scheme.system_basis
 
 
 @dataclass(frozen=True)
@@ -257,11 +260,13 @@ def _joint_positions(system_modes: int, photons: int, ancilla: Occupation):
 
 def _kraus_stack(
     scheme: ConditionalScheme, lop: LopCircuit, outcomes: Sequence[Occupation]
-) -> list[MeasurementOperator]:
-    """Measurement operators for the given outcomes, all read off one lift.
+) -> tuple[SystemBasis, np.ndarray]:
+    """One output basis and the (outcomes, out dim, in dim) operator stack.
 
-    Each block of each operator is an index slice of one lifted sector, so
-    entries that would break photon conservation stay exact zeros.
+    The basis is the union of each outcome's output sectors, n + shift >= 0
+    over the input sectors n, or the vacuum for an outcome that reaches none.
+    Each block is an index slice of one lift, so entries that would break
+    photon conservation stay exact zeros.
     """
     if lop.dim != scheme.system_modes + scheme.ancilla_modes:
         raise ValueError(
@@ -270,28 +275,26 @@ def _kraus_stack(
         )
     n_in = sum(scheme.ancilla_input)
     levels = _lift_levels(lop, max(scheme.system_photons) + n_in)
-    in_basis = scheme.system_basis
-    out_bases: dict[int, SystemBasis] = {}
-    ops = []
-    for outcome in outcomes:
-        shift = n_in - sum(outcome)
-        out_basis = out_bases.get(shift)
-        if out_basis is None:
-            out_sectors = [n + shift for n in in_basis.sectors if n + shift >= 0]
-            out_basis = SystemBasis(scheme.system_modes, out_sectors or (0,))
-            out_bases[shift] = out_basis
-        entries = np.zeros((out_basis.dim, in_basis.dim), dtype=complex)
-        row = col = 0
+    modes, in_basis = scheme.system_modes, scheme.system_basis
+    shifts = [n_in - sum(outcome) for outcome in outcomes]
+    out_sectors = {n + s for s in set(shifts) for n in in_basis.sectors if n + s >= 0}
+    if max(in_basis.sectors) + min(shifts) < 0:
+        out_sectors.add(0)
+    out_basis = SystemBasis(modes, out_sectors)
+    # Each sector starts at its first canonical state, (n, 0, ..., 0).
+    row_of = {n: out_basis.index((n,) + (0,) * (modes - 1)) for n in out_sectors}
+    stack = np.zeros((len(outcomes), out_basis.dim, in_basis.dim), dtype=complex)
+    for op, outcome, shift in zip(stack, outcomes, shifts):
+        col = 0
         for n in in_basis.sectors:
-            cols = _joint_positions(scheme.system_modes, n, scheme.ancilla_input)
+            cols = _joint_positions(modes, n, scheme.ancilla_input)
             if n + shift >= 0:
-                rows = _joint_positions(scheme.system_modes, n + shift, outcome)
+                rows = _joint_positions(modes, n + shift, outcome)
+                row = row_of[n + shift]
                 block = levels[n + n_in][rows][:, cols]
-                entries[row : row + len(rows), col : col + len(cols)] = block
-                row += len(rows)
+                op[row : row + len(rows), col : col + len(cols)] = block
             col += len(cols)
-        ops.append(MeasurementOperator(scheme, outcome, in_basis, out_basis, entries))
-    return ops
+    return out_basis, stack
 
 
 def kraus_operator(
@@ -309,7 +312,8 @@ def kraus_operator(
         raise ValueError(
             f"outcome {outcome} does not cover {scheme.ancilla_modes} ancilla modes"
         )
-    return _kraus_stack(scheme, lop, [outcome])[0]
+    out_basis, stack = _kraus_stack(scheme, lop, [outcome])
+    return MeasurementOperator(scheme, outcome, out_basis, stack[0])
 
 
 def apply_conditional(
@@ -320,13 +324,8 @@ def apply_conditional(
         raise ValueError("input state is not defined on the scheme's system basis")
     if rho.trace <= NORM_EPS:
         raise ValueError("input state must have positive trace")
-    ops = _kraus_stack(scheme, lop, scheme.outcomes)
-    union_sectors = sorted({n for op in ops for n in op.out_basis.sectors})
-    out_basis = SystemBasis(scheme.system_modes, union_sectors)
-    acc = np.zeros((out_basis.dim, out_basis.dim), dtype=complex)
-    for op in ops:
-        rows = [out_basis.index(occ) for occ in op.out_basis.states]
-        acc[np.ix_(rows, rows)] += op.entries @ rho.entries @ op.entries.conj().T
+    out_basis, stack = _kraus_stack(scheme, lop, scheme.outcomes)
+    acc = (stack @ rho.entries @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
     probability = float(acc.trace().real)
     probability = min(max(probability, 0.0), 1.0)
     rho_bar = DensityMatrix(out_basis, acc)
@@ -343,8 +342,8 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
     photon conservation allows (see ConditionalScheme.all_outcomes); then the
     defect is numerically zero for any unitary circuit.
     """
-    ops = _kraus_stack(scheme, lop, scheme.outcomes)
-    acc = sum(op.entries.conj().T @ op.entries for op in ops)
+    _, stack = _kraus_stack(scheme, lop, scheme.outcomes)
+    acc = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
     return float(np.abs(acc - np.eye(scheme.system_basis.dim)).max(initial=0.0))
 
 

@@ -29,11 +29,16 @@ LIFT_TOL = 1e-9
 #: so desk-scale work stays below this cap.
 PHOTON_CAP = 8
 
+#: Largest sector dimension a FockSector or sector lift may have: the
+#: 7-mode, 7-photon sector.  One lifted level is a dense dim x dim complex
+#: matrix, and the 8-mode, 8-photon sector (6435 states) takes about a minute.
+SECTOR_CAP = math.comb(13, 7)
+
 Occupation = tuple[int, ...]
 
 
 class CapacityError(ValueError):
-    """Raised when a computation would exceed the photon budget."""
+    """Raised when a computation would exceed the photon or sector budget."""
 
 
 def as_occupation(counts: Iterable[int]) -> Occupation:
@@ -67,7 +72,7 @@ class FockSector:
     """Basis of all occupation vectors of a fixed total photon number.
 
     The basis is ordered lexicographically decreasing; its length is
-    C(photons + modes - 1, modes - 1).
+    C(photons + modes - 1, modes - 1), at most SECTOR_CAP.
     """
 
     def __init__(self, modes: int, photons: int):
@@ -75,6 +80,12 @@ class FockSector:
             raise ValueError(f"mode count must be positive, got {modes}")
         if photons < 0:
             raise ValueError(f"photon number must be non-negative, got {photons}")
+        dim = math.comb(photons + modes - 1, photons)
+        if dim > SECTOR_CAP:
+            raise CapacityError(
+                f"sector of {photons} photons in {modes} modes has {dim} states, "
+                f"above the cap of {SECTOR_CAP}"
+            )
         self.modes = int(modes)
         self.photons = int(photons)
         self.basis = _sector_basis(self.modes, self.photons)
@@ -229,6 +240,7 @@ def _lift_levels(lop: LopCircuit, photons: int) -> list[np.ndarray]:
         raise ValueError(f"photon number must be non-negative, got {photons}")
     if photons > PHOTON_CAP:
         raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
+    FockSector(lop.dim, photons)  # refuses a top sector above SECTOR_CAP
     u = lop.matrix
     levels = [np.ones((1, 1), dtype=complex), u][: photons + 1]
     for n in range(2, photons + 1):
@@ -247,7 +259,8 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
 
     Entry (out, in) is the amplitude <out|U|in> in the sector's canonical
     basis order, built from the sectors below by the creation-operator
-    recursion of _lift_levels.  Raises CapacityError above PHOTON_CAP photons.
+    recursion of _lift_levels.  Raises CapacityError above PHOTON_CAP photons
+    or SECTOR_CAP states.
     """
     entries = _lift_levels(lop, photons)[-1]
     sector = FockSector(lop.dim, photons)

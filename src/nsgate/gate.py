@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import LopCircuit, Occupation
+from .fock import UNITARITY_TOL, LopCircuit, Occupation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -357,12 +357,13 @@ def verify_ns(lop: LopCircuit, scheme: ConditionalScheme) -> NsReport:
                 "operator is not diagonal on the sign-shift sectors"
             )
     reports = []
-    for op in _kraus_stack(scheme, lop, scheme.outcomes):
-        m0, m1, m2 = np.diagonal(op.entries)
+    _, stack = _kraus_stack(scheme, lop, scheme.outcomes)
+    diagonals = np.diagonal(stack, axis1=1, axis2=2)
+    for outcome, (m0, m1, m2) in zip(scheme.outcomes, diagonals):
         residual = max(abs(m1 - m0), abs(m2 + m0))
         reports.append(
             OutcomeReport(
-                outcome=op.outcome,
+                outcome=outcome,
                 m0=m0,
                 m1=m1,
                 m2=m2,
@@ -391,7 +392,8 @@ def reduce_general_ancilla(chi) -> LopCircuit:
         raise ValueError("chi must have at least one amplitude")
     if not np.isfinite(v).all():
         raise ValueError("chi has non-finite entries")
-    if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= 1e-10:
+    # The (0, 0) entry of the U†U - I check LopCircuit makes of the result.
+    if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= UNITARITY_TOL:
         raise ValueError("chi must be normalized to one photon")
     k = v.size
     out = np.zeros((k, k), dtype=complex)

@@ -195,6 +195,13 @@ class TestKrausCheck:
         assert code == 0
         assert "PASS" in out
 
+    def test_sector_above_cap_is_usage_error(self, capsys):
+        # 21 ancilla modes give a 3-photon outcome sector of 1771 states.
+        assert main(["kraus-check", "--modes", "22"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "above the cap of 1716" in err
+
     def test_missing_matrix_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "kraus-check", "--matrix-file", "/no/such/file")
         assert code == 2
@@ -262,6 +269,13 @@ class TestUsageErrors:
         assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64
         assert main(["scan-curve", "--grid-n", "1"]) == 64
         capsys.readouterr()
+
+    def test_usage_error_leaves_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bogus"])
+        assert excinfo.value.code == 64
+        assert main(["verify-klm"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_infeasible_design_maps_to_usage(self, capsys, monkeypatch):
         def infeasible(u12, u21):

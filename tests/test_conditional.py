@@ -298,6 +298,49 @@ class TestApplyConditional:
             assert 0.0 <= p <= 1.0
             assert p == pytest.approx(1.0, abs=1e-10)
 
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=random_schemes())
+    def test_mixed_shift_operators_placed_by_state(self, case):
+        # Every outcome is accepted, so output sectors differ across outcomes;
+        # each M rho M† must land on the states its own rows name.
+        scheme, seed = case
+        rng = np.random.default_rng(seed)
+        lop = haar_unitary(scheme.system_modes + scheme.ancilla_modes, rng)
+        amps = rng.standard_normal((2, scheme.system_basis.dim))
+        rho = DensityMatrix.pure(scheme.system_basis, amps[0] + 1j * amps[1])
+        result = apply_conditional(scheme, lop, rho).rho_bar
+        basis, rho_bar = result.basis, result.entries
+        ops = [kraus_operator(scheme, lop, mu) for mu in scheme.outcomes]
+        union = {n for op in ops for n in op.out_basis.sectors}
+        assert basis.sectors == tuple(sorted(union))
+        expected = np.zeros_like(rho_bar)
+        for op in ops:
+            rows = [basis.index(occ) for occ in op.out_basis.states]
+            block = op.entries @ rho.entries @ op.entries.conj().T
+            expected[np.ix_(rows, rows)] += block
+        assert np.abs(rho_bar - expected).max() <= 1e-12
+
+    def test_outcome_reaching_no_sector_adds_vacuum(self, rng):
+        # Outcome (2, 2) removes four ancilla photons from a three-photon
+        # input: it reaches no output sector and contributes the vacuum.
+        scheme = ConditionalScheme(
+            system_modes=1,
+            ancilla_modes=2,
+            ancilla_input=(1, 0),
+            outcomes=((1, 0), (2, 2)),
+            system_photons=(2,),
+        )
+        lop = haar_unitary(3, rng)
+        rho = DensityMatrix.pure(scheme.system_basis, [1.0])
+        rho_bar = apply_conditional(scheme, lop, rho).rho_bar
+        assert rho_bar.basis.sectors == (0, 2)
+        empty = kraus_operator(scheme, lop, (2, 2))
+        assert empty.out_basis.sectors == (0,)
+        assert not empty.entries.any()
+        (m,) = kraus_operator(scheme, lop, (1, 0)).entries.ravel()
+        expected = np.diag([0, abs(m) ** 2])
+        assert np.abs(rho_bar.entries - expected).max() <= 1e-15
+
 
 class TestCompleteness:
     def test_identity(self):

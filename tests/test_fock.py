@@ -11,6 +11,7 @@ from nsgate import (
     FockSector,
     LopCircuit,
     PHOTON_CAP,
+    SECTOR_CAP,
     fock_amplitude,
     haar_unitary,
     lift_to_sector,
@@ -71,6 +72,14 @@ class TestEnumerateSector:
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
             FockSector(2, -1)
+
+    def test_sector_at_cap_accepted(self):
+        assert FockSector(7, 7).dim == SECTOR_CAP
+
+    def test_sector_above_cap_rejected(self):
+        # 8855 states; the size is checked before any state is enumerated.
+        with pytest.raises(CapacityError, match="8855 states"):
+            FockSector(20, 4)
 
 
 class TestSectorIndex:
@@ -280,3 +289,8 @@ class TestLiftToSector:
     def test_photons_above_cap_rejected(self, rng):
         with pytest.raises(CapacityError):
             lift_to_sector(haar_unitary(2, rng), PHOTON_CAP + 1)
+
+    def test_sector_above_cap_rejected_before_lifting(self, rng):
+        # 8 photons pass the photon cap, but the (8, 8) sector has 6435 states.
+        with pytest.raises(CapacityError, match="6435 states"):
+            lift_to_sector(haar_unitary(8, rng), 8)
