@@ -10,6 +10,7 @@ the unnormalized conditional state and its success probability.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -250,12 +251,38 @@ class ConditionalResult:
     normalized: Optional[DensityMatrix]
 
 
-@lru_cache(maxsize=None)
-def _joint_positions(system_modes: int, photons: int, ancilla: Occupation):
-    # Global sector positions of alpha + ancilla, alpha over the system sector.
-    joint = FockSector(system_modes + len(ancilla), photons + sum(ancilla))
-    system = FockSector(system_modes, photons)
-    return np.array([joint.index(alpha + ancilla) for alpha in system.basis])
+#: Scheme shapes whose gather plans stay cached.  A plan holds a basis and
+#: index arrays, nothing of the unitary, so every unitary shares it.
+_PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
+    """Output basis and one gather per input sector for _kraus_stack.
+
+    The basis is the union of each outcome's output sectors, or the vacuum for
+    an outcome that reaches none.  A gather (level, flat destination, row,
+    column) reads lift level n + |ancilla| of input sector n: its state
+    alpha + ancilla is a column, gamma + mu is row gamma of outcome mu's block.
+    """
+    modes, n_in, totals = in_basis.modes, sum(ancilla), {sum(mu) for mu in outcomes}
+    out_sectors = {n + n_in - t for n in in_basis.sectors for t in totals}
+    if max(in_basis.sectors) + n_in < max(totals):
+        out_sectors.add(0)
+    out = SystemBasis(modes, {n for n in out_sectors if n >= 0})
+    block_of, gathers = {mu: k for k, mu in enumerate(outcomes)}, []
+    for level in (n + n_in for n in in_basis.sectors):
+        rows, cols = [], []
+        for r, occ in enumerate(FockSector(modes + len(ancilla), level).basis):
+            gamma, mu = occ[:modes], occ[modes:]
+            if mu in block_of:
+                rows.append((r, block_of[mu] * out.dim + out._index[gamma]))
+            if mu == ancilla:
+                cols.append((r, in_basis._index[gamma]))
+        if rows:
+            (r, i), (c, j) = np.array(rows).T, np.array(cols).T
+            gathers.append((level, i[:, None] * in_basis.dim + j, r[:, None], c))
+    return out, gathers
 
 
 def _kraus_stack(
@@ -263,37 +290,20 @@ def _kraus_stack(
 ) -> tuple[SystemBasis, np.ndarray]:
     """One output basis and the (outcomes, out dim, in dim) operator stack.
 
-    The basis is the union of each outcome's output sectors, n + shift >= 0
-    over the input sectors n, or the vacuum for an outcome that reaches none.
-    Each block is an index slice of one lift, so entries that would break
-    photon conservation stay exact zeros.
+    Gathered from one lift by the plan of the scheme's shape, so entries that
+    would break photon conservation stay exact zeros.
     """
     if lop.dim != scheme.system_modes + scheme.ancilla_modes:
         raise ValueError(
             f"mode unitary has {lop.dim} modes, scheme needs "
             f"{scheme.system_modes + scheme.ancilla_modes}"
         )
-    n_in = sum(scheme.ancilla_input)
-    levels = _lift_levels(lop, max(scheme.system_photons) + n_in)
-    modes, in_basis = scheme.system_modes, scheme.system_basis
-    shifts = [n_in - sum(outcome) for outcome in outcomes]
-    out_sectors = {n + s for s in set(shifts) for n in in_basis.sectors if n + s >= 0}
-    if max(in_basis.sectors) + min(shifts) < 0:
-        out_sectors.add(0)
-    out_basis = SystemBasis(modes, out_sectors)
-    # Each sector starts at its first canonical state, (n, 0, ..., 0).
-    row_of = {n: out_basis.index((n,) + (0,) * (modes - 1)) for n in out_sectors}
+    in_basis = scheme.system_basis
+    out_basis, gathers = _stack_plan(in_basis, scheme.ancilla_input, tuple(outcomes))
+    levels = _lift_levels(lop, max(in_basis.sectors) + sum(scheme.ancilla_input))
     stack = np.zeros((len(outcomes), out_basis.dim, in_basis.dim), dtype=complex)
-    for op, outcome, shift in zip(stack, outcomes, shifts):
-        col = 0
-        for n in in_basis.sectors:
-            cols = _joint_positions(modes, n, scheme.ancilla_input)
-            if n + shift >= 0:
-                rows = _joint_positions(modes, n + shift, outcome)
-                row = row_of[n + shift]
-                block = levels[n + n_in][rows][:, cols]
-                op[row : row + len(rows), col : col + len(cols)] = block
-            col += len(cols)
+    for level, dest, rows, cols in gathers:
+        stack.put(dest, levels[level][rows, cols])
     return out_basis, stack
 
 
@@ -331,7 +341,11 @@ def apply_conditional(
     rho_bar = DensityMatrix(out_basis, acc)
     normalized = None
     if probability > NORM_EPS:
-        normalized = DensityMatrix(out_basis, acc / probability)
+        # A positive multiple of the checked rho_bar stays finite, Hermitian
+        # and PSD, and its trace is 1 by the choice of probability.
+        normalized = copy.copy(rho_bar)
+        object.__setattr__(normalized, "entries", rho_bar.entries / probability)
+        normalized.entries.setflags(write=False)
     return ConditionalResult(rho_bar, probability, normalized)
 
 
@@ -342,9 +356,9 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
     photon conservation allows (see ConditionalScheme.all_outcomes); then the
     defect is numerically zero for any unitary circuit.
     """
-    _, stack = _kraus_stack(scheme, lop, scheme.outcomes)
-    acc = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
-    return float(np.abs(acc - np.eye(scheme.system_basis.dim)).max(initial=0.0))
+    dim = scheme.system_basis.dim
+    ops = _kraus_stack(scheme, lop, scheme.outcomes)[1].reshape(-1, dim)
+    return float(np.abs(ops.conj().T @ ops - np.eye(dim)).max(initial=0.0))
 
 
 def decompose_by_ancilla_count(
@@ -363,9 +377,10 @@ def decompose_by_ancilla_count(
         raise ValueError(
             f"system mode count must be in 1..{sector.modes - 1}, got {system_modes}"
         )
-    parts = {
-        c: np.zeros(sector.dim, dtype=complex) for c in range(sector.photons + 1)
-    }
-    for i, occ in enumerate(sector.basis):
-        parts[sum(occ[system_modes:])][i] = vec[i]
-    return parts
+    return dict(enumerate(np.where(_ancilla_masks(sector, system_modes), vec, 0)))
+
+
+@lru_cache(maxsize=None)
+def _ancilla_masks(sector: FockSector, system_modes: int) -> np.ndarray:
+    counts = np.array(sector.basis)[:, system_modes:].sum(axis=1)
+    return counts == np.arange(sector.photons + 1)[:, None]

@@ -19,6 +19,7 @@ from nsgate import (
     kraus_operator,
     lift_to_sector,
 )
+from nsgate.conditional import _PLAN_CACHE_SIZE, _kraus_stack, _stack_plan
 
 
 def one_system_scheme(ancilla_modes, input_mode=0, outcome_modes=(0,)):
@@ -60,6 +61,19 @@ def global_probability_oracle(scheme, lop, psi):
             gamma = (n_tot - sum(mu),)
             total_prob += abs(amp) ** 2 * abs(out[sector.index(gamma + mu)]) ** 2
     return total_prob
+
+
+def amplitude_block(lop, scheme, out_basis, mu):
+    """Per-entry amplitudes of outcome mu's operator on an output basis."""
+    return np.array(
+        [
+            [
+                fock_amplitude(lop, alpha + scheme.ancilla_input, gamma + mu)
+                for alpha in scheme.system_basis.states
+            ]
+            for gamma in out_basis.states
+        ]
+    )
 
 
 @st.composite
@@ -192,6 +206,47 @@ class TestKrausOperator:
         assert np.abs(op.entries - expected).max() <= 1e-12
 
     @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=random_schemes(), data=st.data())
+    def test_stack_blocks_match_per_entry_amplitudes(self, case, data):
+        # A random subset of outcomes in random order, plus one outcome that
+        # takes more photons than any input holds, so photon shifts are mixed
+        # and one block reaches no sector.
+        scheme, seed = case
+        lop = haar_unitary(
+            scheme.system_modes + scheme.ancilla_modes, np.random.default_rng(seed)
+        )
+        top = max(scheme.system_photons) + sum(scheme.ancilla_input)
+        unreachable = (top + 1,) + (0,) * (scheme.ancilla_modes - 1)
+        pick = st.sampled_from(scheme.outcomes)
+        subset = data.draw(st.lists(pick, min_size=1, max_size=6, unique=True))
+        outcomes = data.draw(st.permutations([*subset, unreachable]))
+        out_basis, stack = _kraus_stack(scheme, lop, outcomes)
+        assert 0 in out_basis.sectors
+        assert stack.shape == (len(outcomes), out_basis.dim, scheme.system_basis.dim)
+        for mu, block in zip(outcomes, stack):
+            expected = amplitude_block(lop, scheme, out_basis, mu)
+            assert np.abs(block - expected).max() <= 1e-12
+
+    def test_plan_holds_structure_only(self):
+        # Two circuits on one scheme share one plan, and each stack is its own
+        # circuit's; later circuits on that scheme build no plan.
+        scheme = one_system_scheme(3, outcome_modes=(0, 2)).all_outcomes()
+        rng = np.random.default_rng(11)
+        first, second = haar_unitary(4, rng), haar_unitary(4, rng)
+        for lop in (first, second, first):
+            out_basis, stack = _kraus_stack(scheme, lop, scheme.outcomes)
+            for mu, block in zip(scheme.outcomes, stack):
+                expected = amplitude_block(lop, scheme, out_basis, mu)
+                assert np.abs(block - expected).max() <= 1e-12
+        before = _stack_plan.cache_info()
+        for _ in range(10):
+            _kraus_stack(scheme, haar_unitary(4, rng), scheme.outcomes)
+        after = _stack_plan.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses
+        assert after.maxsize == _PLAN_CACHE_SIZE
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
     @given(case=permuted_schemes())
     def test_ancilla_permutation_leaves_operators_unchanged(self, case):
         # New ancilla mode k is old ancilla mode perm[k], in the circuit, the
@@ -265,6 +320,17 @@ class TestApplyConditional:
         result = apply_conditional(scheme, design.matrix, rho)
         assert result.normalized is not None
         assert result.normalized.trace == pytest.approx(1.0, abs=1e-12)
+
+    def test_normalized_is_rho_bar_over_probability(self, rng):
+        scheme = one_system_scheme(3, outcome_modes=(0, 2))
+        amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rho = DensityMatrix.pure(scheme.system_basis, amps)
+        result = apply_conditional(scheme, haar_unitary(4, rng), rho)
+        p, normalized = result.probability, result.normalized
+        assert normalized.basis == result.rho_bar.basis
+        assert np.array_equal(normalized.entries, result.rho_bar.entries / p)
+        assert abs(normalized.trace - 1.0) <= 1e-12
+        assert not normalized.entries.flags.writeable
 
     def test_never_succeeding_postselection(self):
         # identity circuit never moves the photon to the second ancilla mode
