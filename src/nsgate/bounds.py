@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme
 from .fock import LopCircuit
-from .gate import _complement_rows, _sign_shift_defects, verify_ns
+from .gate import _complete_columns, _sign_shift_defects, verify_ns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,12 +164,6 @@ def _columns(x: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((a, b / np.linalg.norm(b)))
 
 
-def _complete_pair(cols: np.ndarray) -> LopCircuit:
-    # Mode unitary whose first two columns are exactly the given orthonormal
-    # pair, the rest an orthonormal basis of their complement.
-    return LopCircuit(np.vstack((cols.T, _complement_rows(cols.T))).T)
-
-
 def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
     # Probability proxy and sign-shift residual for input mode 1, accepted
     # modes 1..rank_s, from the closed diagonal Kraus entries (checked
@@ -191,7 +185,7 @@ def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
 def _design_constraints(u: np.ndarray, rank_s: int) -> np.ndarray:
     # Real and imaginary parts of the sign-shift entry defects for input
     # mode 1 and accepted modes 1..rank_s.
-    c = _sign_shift_defects(u, 1, range(1, rank_s + 1))
+    c = _sign_shift_defects(u, range(1, rank_s + 1))
     return np.concatenate((c.real, c.imag))
 
 
@@ -261,7 +255,7 @@ def numeric_search(
         if best_key is None or key > best_key:
             best_key, best_x = key, x
 
-    circuit = _complete_pair(_columns(best_x, n))
+    circuit = _complete_columns(_columns(best_x, n))
     report = verify_ns(circuit, ConditionalScheme.one_photon(n - 1, 0, range(rank_s)))
     return OptimizationResult(
         best_probability=report.success_probability,

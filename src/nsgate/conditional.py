@@ -17,55 +17,20 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fock import FockSector, LopCircuit, Occupation, _lift_levels, as_occupation
+from .fock import (
+    FockSector,
+    LopCircuit,
+    Occupation,
+    SystemBasis,
+    _lift_levels,
+    as_occupation,
+)
 
 #: Probabilities below this are treated as zero when normalizing states.
 NORM_EPS = 1e-14
 
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
-
-
-class SystemBasis:
-    """Direct sum of photon-number sectors on the system modes.
-
-    States are ordered by ascending photon number, each sector internally in
-    its canonical order, and indexed by a single flat position.
-    """
-
-    def __init__(self, modes: int, photon_sectors: Iterable[int]):
-        if modes < 1:
-            raise ValueError(f"system mode count must be positive, got {modes}")
-        sectors = tuple(sorted(set(int(n) for n in photon_sectors)))
-        if any(n < 0 for n in sectors):
-            raise ValueError(f"photon sectors must be non-negative, got {sectors}")
-        self.modes = int(modes)
-        self.sectors = sectors
-        self.states = tuple(occ for n in sectors for occ in FockSector(modes, n).basis)
-        self._index = {occ: i for i, occ in enumerate(self.states)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    def index(self, occ: Iterable[int]) -> int:
-        occ = as_occupation(occ)
-        if occ not in self._index:
-            raise ValueError(f"occupation {occ} is not a state of {self!r}")
-        return self._index[occ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SystemBasis)
-            and self.modes == other.modes
-            and self.sectors == other.sectors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modes, self.sectors))
-
-    def __repr__(self) -> str:
-        return f"SystemBasis(modes={self.modes}, sectors={self.sectors})"
 
 
 @dataclass(frozen=True)
@@ -155,14 +120,11 @@ class ConditionalScheme:
         if self.ancilla_modes == 0:
             return self
         max_total = max(self.system_photons) + sum(self.ancilla_input)
-        outcomes: list[Occupation] = []
-        for total in range(max_total + 1):
-            outcomes.extend(FockSector(self.ancilla_modes, total).basis)
         return ConditionalScheme(
             system_modes=self.system_modes,
             ancilla_modes=self.ancilla_modes,
             ancilla_input=self.ancilla_input,
-            outcomes=tuple(outcomes),
+            outcomes=SystemBasis(self.ancilla_modes, range(max_total + 1)).states,
             system_photons=self.system_photons,
         )
 
@@ -381,6 +343,8 @@ def decompose_by_ancilla_count(
 
 
 @lru_cache(maxsize=None)
-def _ancilla_masks(sector: FockSector, system_modes: int) -> np.ndarray:
-    counts = np.array(sector.basis)[:, system_modes:].sum(axis=1)
-    return counts == np.arange(sector.photons + 1)[:, None]
+def _ancilla_masks(sector: SystemBasis, system_modes: int) -> np.ndarray:
+    # Reads only what every equal key has: an equal one-sector SystemBasis
+    # may reach this cache before or after the FockSector it equals.
+    counts = np.array(sector.states)[:, system_modes:].sum(axis=1)
+    return counts == np.arange(max(sector.sectors) + 1)[:, None]

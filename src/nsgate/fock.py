@@ -29,7 +29,7 @@ LIFT_TOL = 1e-9
 #: so desk-scale work stays below this cap.
 PHOTON_CAP = 8
 
-#: Largest sector dimension a FockSector or sector lift may have: the
+#: Largest dimension of one sector of a SystemBasis or of a sector lift: the
 #: 7-mode, 7-photon sector.  One lifted level is a dense dim x dim complex
 #: matrix, and the 8-mode, 8-photon sector (6435 states) takes about a minute.
 SECTOR_CAP = math.comb(13, 7)
@@ -49,7 +49,6 @@ def as_occupation(counts: Iterable[int]) -> Occupation:
     return occ
 
 
-@lru_cache(maxsize=None)
 def _sector_basis(modes: int, photons: int) -> tuple[Occupation, ...]:
     # Canonical order: lexicographically decreasing, so (n, 0, ..., 0) is first.
     def gen(m: int, n: int):
@@ -64,36 +63,43 @@ def _sector_basis(modes: int, photons: int) -> tuple[Occupation, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sector_lookup(modes: int, photons: int) -> dict[Occupation, int]:
-    return {occ: i for i, occ in enumerate(_sector_basis(modes, photons))}
-
-
-class FockSector:
-    """Basis of all occupation vectors of a fixed total photon number.
-
-    The basis is ordered lexicographically decreasing; its length is
-    C(photons + modes - 1, modes - 1), at most SECTOR_CAP.
-    """
-
-    def __init__(self, modes: int, photons: int):
-        if modes < 1:
-            raise ValueError(f"mode count must be positive, got {modes}")
-        if photons < 0:
-            raise ValueError(f"photon number must be non-negative, got {photons}")
-        dim = math.comb(photons + modes - 1, photons)
+def _basis_table(
+    modes: int, sectors: tuple[int, ...]
+) -> tuple[tuple[Occupation, ...], dict[Occupation, int]]:
+    # States of the listed sectors in order and their flat positions.  Each
+    # sector's size is checked before any state is enumerated.
+    for n in sectors:
+        dim = math.comb(n + modes - 1, n)
         if dim > SECTOR_CAP:
             raise CapacityError(
-                f"sector of {photons} photons in {modes} modes has {dim} states, "
+                f"sector of {n} photons in {modes} modes has {dim} states, "
                 f"above the cap of {SECTOR_CAP}"
             )
+    states = tuple(occ for n in sectors for occ in _sector_basis(modes, n))
+    return states, {occ: i for i, occ in enumerate(states)}
+
+
+class SystemBasis:
+    """Direct sum of photon-number sectors on a set of modes.
+
+    States are ordered by ascending photon number, each sector internally
+    lexicographically decreasing, and indexed by a single flat position.
+    Every sector holds at most SECTOR_CAP states.
+    """
+
+    def __init__(self, modes: int, photon_sectors: Iterable[int]):
+        if modes < 1:
+            raise ValueError(f"mode count must be positive, got {modes}")
+        sectors = tuple(sorted({int(n) for n in photon_sectors}))
+        if sectors and sectors[0] < 0:
+            raise ValueError(f"photon numbers must be non-negative, got {sectors}")
         self.modes = int(modes)
-        self.photons = int(photons)
-        self.basis = _sector_basis(self.modes, self.photons)
-        self._index = _sector_lookup(self.modes, self.photons)
+        self.sectors = sectors
+        self.states, self._index = _basis_table(self.modes, sectors)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.states)
 
     def index(self, occ: Iterable[int]) -> int:
         occ = as_occupation(occ)
@@ -102,20 +108,34 @@ class FockSector:
         return self._index[occ]
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.states)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, FockSector)
+            isinstance(other, SystemBasis)
             and self.modes == other.modes
-            and self.photons == other.photons
+            and self.sectors == other.sectors
         )
 
     def __hash__(self) -> int:
-        return hash((self.modes, self.photons))
+        return hash((self.modes, self.sectors))
 
     def __repr__(self) -> str:
-        return f"FockSector(modes={self.modes}, photons={self.photons})"
+        return f"SystemBasis(modes={self.modes}, sectors={self.sectors})"
+
+
+class FockSector(SystemBasis):
+    """Basis of all occupation vectors of a fixed total photon number.
+
+    The one-sector SystemBasis: its length is C(photons + modes - 1,
+    modes - 1), at most SECTOR_CAP, and it equals SystemBasis(modes,
+    (photons,)).
+    """
+
+    def __init__(self, modes: int, photons: int):
+        super().__init__(modes, (photons,))
+        self.photons = int(photons)
+        self.basis = self.states
 
 
 @dataclass(frozen=True)
@@ -240,7 +260,7 @@ def _lift_levels(lop: LopCircuit, photons: int) -> list[np.ndarray]:
         raise ValueError(f"photon number must be non-negative, got {photons}")
     if photons > PHOTON_CAP:
         raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
-    FockSector(lop.dim, photons)  # refuses a top sector above SECTOR_CAP
+    _basis_table(lop.dim, (photons,))  # refuses a top sector above SECTOR_CAP
     u = lop.matrix
     levels = [np.ones((1, 1), dtype=complex), u][: photons + 1]
     for n in range(2, photons + 1):

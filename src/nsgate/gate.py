@@ -78,15 +78,13 @@ class PartialMatrix:
         return self.values.shape[0]
 
 
-def _sign_shift_defects(
-    u: np.ndarray, input_mode: int, accept_modes: Sequence[int]
-) -> np.ndarray:
-    # U00 - (1 - sqrt 2) and U0i Uj0 - sqrt 2 Uji for each accepted mode j,
-    # all zero exactly when m1 = m0 = -m2 on every accepted outcome.  The
-    # literal conditions m1 - m0 = 0 and m2 + m0 = 0 would repeat the U00
-    # equation once per accepted mode (a rank-deficient constraint Jacobian
-    # in the search).
-    i, j = input_mode, list(accept_modes)
+def _sign_shift_defects(u: np.ndarray, accept_modes: Sequence[int]) -> np.ndarray:
+    # U00 - (1 - sqrt 2) and U0i Uj0 - sqrt 2 Uji for the input mode i and
+    # each accepted mode j, all zero exactly when m1 = m0 = -m2 on every
+    # accepted outcome.  The literal conditions m1 - m0 = 0 and m2 + m0 = 0
+    # would repeat the U00 equation once per accepted mode (a rank-deficient
+    # constraint Jacobian in the search).
+    i, j = _INPUT_MODE, list(accept_modes)
     cross = u[0, i] * u[j, 0] - SQRT2 * u[j, i]
     return np.concatenate(([u[0, 0] - (1 - SQRT2)], cross))
 
@@ -126,7 +124,7 @@ class NsDesign:
         accept, n = self.accept_modes, self.total_modes
         if not accept or not all(1 <= j < n for j in accept):
             raise ValueError(f"accepted modes must lie in 1..{n - 1}, got {accept}")
-        defects = _sign_shift_defects(self.matrix.matrix, _INPUT_MODE, accept)
+        defects = _sign_shift_defects(self.matrix.matrix, accept)
         if not np.abs(defects).max() <= _DESIGN_TOL:
             raise ValueError(
                 "matrix breaks the sign-shift entries U00 = 1 - sqrt(2) and "
@@ -191,6 +189,12 @@ def _complement_rows(a: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(a.conj(), full_matrices=True)
     tol = max(a.shape) * np.finfo(s.dtype).eps * s.max(initial=0.0)
     return vh[np.count_nonzero(s > tol) :].conj()
+
+
+def _complete_columns(cols: np.ndarray) -> LopCircuit:
+    # Mode unitary whose first k columns are exactly the given n x k
+    # orthonormal columns, the rest an orthonormal basis of their complement.
+    return LopCircuit(np.vstack((cols.T, _complement_rows(cols.T))).T)
 
 
 def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
@@ -395,11 +399,7 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     # The (0, 0) entry of the U†U - I check LopCircuit makes of the result.
     if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= UNITARITY_TOL:
         raise ValueError("chi must be normalized to one photon")
-    k = v.size
-    out = np.zeros((k, k), dtype=complex)
-    out[:, 0] = v
-    out[:, 1:] = _complement_rows(v[None, :]).T
-    return LopCircuit(out)
+    return _complete_columns(v[:, None])
 
 
 def ancilla_block(system_modes: int, ancilla_unitary: LopCircuit) -> LopCircuit:

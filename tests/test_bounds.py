@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsgate import (
+    CONDITION_TOL,
     FEASIBLE_RESIDUAL,
     BoundCurveSample,
     ConditionalScheme,
@@ -25,8 +26,9 @@ from nsgate import (
     scan_curve,
     verify_ns,
 )
-from nsgate.bounds import _K, _columns, _complete_pair, _gate_figures
+from nsgate.bounds import _K, _columns, _gate_figures
 from nsgate.fock import LopCircuit
+from nsgate.gate import _complete_columns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -301,7 +303,7 @@ class TestGateFigures:
         for n in (3, 4, 5):
             cols = _columns(rng.standard_normal(4 * n), n)
             assert np.abs(cols.conj().T @ cols - np.eye(2)).max() < 1e-12
-            lop = _complete_pair(cols)
+            lop = _complete_columns(cols)
             assert isinstance(lop, LopCircuit)
             assert np.array_equal(lop.matrix[:, :2], cols)
 
@@ -343,6 +345,18 @@ class TestNumericSearch:
         prob, residual = report.success_probability, report.condition_residual
         assert prob == pytest.approx(r.best_probability, abs=1e-14)
         assert residual == pytest.approx(r.residual, abs=1e-14)
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(3, 1), (4, 2), (5, 3)]),
+    )
+    def test_working_endpoint_pins_u00(self, seed, shape):
+        # The sign-shift rule fixes U00 = 1 - sqrt(2) on every working gate,
+        # whatever the rank and wherever the search ends.
+        r = numeric_search(*shape, restarts=2, seed=seed)
+        assume(r.residual <= FEASIBLE_RESIDUAL)
+        assert abs(r.best_matrix.matrix[0, 0] - (1 - SQRT2)) <= CONDITION_TOL
 
     def test_functioning_search_result_has_design_structure(self):
         # a converged search result is itself a working gate, so it must

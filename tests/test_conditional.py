@@ -19,7 +19,12 @@ from nsgate import (
     kraus_operator,
     lift_to_sector,
 )
-from nsgate.conditional import _PLAN_CACHE_SIZE, _kraus_stack, _stack_plan
+from nsgate.conditional import (
+    _PLAN_CACHE_SIZE,
+    _ancilla_masks,
+    _kraus_stack,
+    _stack_plan,
+)
 
 
 def one_system_scheme(ancilla_modes, input_mode=0, outcome_modes=(0,)):
@@ -520,3 +525,14 @@ class TestDecomposeByAncillaCount:
         sector = FockSector(3, 2)
         with pytest.raises(ValueError):
             decompose_by_ancilla_count(np.zeros(3), sector, system_modes=1)
+
+    def test_equal_one_sector_basis_gives_same_split(self, rng):
+        # FockSector(3, 3) == SystemBasis(3, (3,)), so the two share one cached
+        # mask table; the split must not depend on which one fills it.
+        vec = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        bases = [SystemBasis(3, (3,)), FockSector(3, 3)]
+        for order in (bases, bases[::-1]):
+            _ancilla_masks.cache_clear()
+            a, b = (decompose_by_ancilla_count(vec, s, system_modes=1) for s in order)
+            assert a.keys() == b.keys() == {0, 1, 2, 3}
+            assert all(np.array_equal(a[c], b[c]) for c in a)

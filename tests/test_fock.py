@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from nsgate import (
     CapacityError,
+    ConditionalScheme,
     FockSector,
     LopCircuit,
     PHOTON_CAP,
     SECTOR_CAP,
+    SystemBasis,
     fock_amplitude,
     haar_unitary,
     lift_to_sector,
@@ -105,6 +107,29 @@ class TestSectorIndex:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FockSector(3, 2).index((1, 1))
+
+
+class TestSystemBasis:
+    @pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (3, 2), (4, 3)])
+    def test_sector_is_one_sector_basis(self, modes, photons):
+        sector, basis = FockSector(modes, photons), SystemBasis(modes, (photons,))
+        assert sector == basis and basis == sector
+        assert hash(sector) == hash(basis)
+        assert sector.basis == sector.states == basis.states
+        assert [sector.index(occ) for occ in basis.states] == list(range(basis.dim))
+        assert [basis.index(occ) for occ in sector.basis] == list(range(sector.dim))
+
+    def test_sector_above_cap_rejected(self):
+        # The vacuum sector fits; the 4-photon one does not, and no state of
+        # either is enumerated before the check.
+        with pytest.raises(CapacityError, match="8855 states"):
+            SystemBasis(20, (0, 4))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_outcomes_are_ancilla_sectors(self, k):
+        scheme = ConditionalScheme(1, k, (1,) + (0,) * (k - 1), ((0,) * k,))
+        outcomes = scheme.all_outcomes().outcomes
+        assert outcomes == sum((FockSector(k, t).basis for t in range(4)), ())
 
 
 class TestPermanent:
