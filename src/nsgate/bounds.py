@@ -7,9 +7,12 @@ unitary only inside the region s + t - k s t <= c, 0 <= s, t <= c, bounded by
 the hyperbola t = (c - s) / (1 - k s).  Along it the success probability
 p = s t / 2 obeys 1/4 - p = (sqrt(2) s - 1)^2 / (4 (1 - k s)), so p peaks at
 exactly 0.25 for s = t = 1/sqrt(2).  A constrained search over the two
-unitary columns the gate depends on, with the sign-shift conditions imposed
-as equalities, provides an independent numerical check that no circuit beats
-that value, for rank-1 and rank-s post-selection alike.
+unitary columns the gate depends on, with their orthonormality and the
+sign-shift conditions imposed as equalities and every derivative exact,
+provides an independent numerical check that no circuit beats that value,
+for rank-1 and rank-s post-selection alike; each working endpoint it reports
+is checked to be a first-order KKT point (Nocedal and Wright, Numerical
+Optimization, 2006, ch. 12).
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ import numpy as np
 
 from .conditional import ConditionalScheme
 from .fock import LopCircuit
-from .gate import _complete_columns, _sign_shift_defects, verify_ns
+from .gate import (
+    _complete_columns,
+    _sign_shift_defects,
+    _sign_shift_jacobian,
+    verify_ns,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,8 +42,13 @@ _K = 4 - 2 * SQRT2
 # Default slack of the feasibility inequalities.
 _REGION_TOL = 1e-12
 
-#: Sign-shift residual under which a search point counts as a working gate.
+#: Sign-shift residual (and, for max_feasible_probability, orthonormality
+#: defect of the column pair) under which a search point counts as working.
 FEASIBLE_RESIDUAL = 1e-6
+
+#: Largest first-order KKT defect ||grad f - J^T lambda|| expected at a
+#: working search endpoint.
+KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,15 @@ class OptimizationResult:
     seed: int
     evaluations: int
     #: Largest probability seen at ANY evaluated point whose sign-shift
-    #: residual was below FEASIBLE_RESIDUAL, not just at the final optimum.
+    #: residual and orthonormality defect were both at most
+    #: FEASIBLE_RESIDUAL, not just at the final optimum.
     max_feasible_probability: float
+    #: Whether the completed best circuit is a working gate: its residual is
+    #: at most FEASIBLE_RESIDUAL.
+    working: bool
+    #: Largest KKT stationarity defect over the working endpoints; nan when
+    #: no endpoint works.
+    kkt_defect: float
 
 
 def _feasible(x2, y2, tol: float):
@@ -155,15 +175,6 @@ def sample_region(grid_n: int) -> list[tuple[float, float, bool, float]]:
     return list(zip(*(col.tolist() for col in _region_grid(grid_n))))
 
 
-def _columns(x: np.ndarray, n: int) -> np.ndarray:
-    # Orthonormal pair [a b], the first two columns of a mode unitary, from
-    # 4n reals by Gram-Schmidt.
-    z = x[: 2 * n] + 1j * x[2 * n :]
-    a = z[:n] / np.linalg.norm(z[:n])
-    b = z[n:] - np.vdot(a, z[n:]) * a
-    return np.column_stack((a, b / np.linalg.norm(b)))
-
-
 def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
     # Probability proxy and sign-shift residual for input mode 1, accepted
     # modes 1..rank_s, from the closed diagonal Kraus entries (checked
@@ -182,11 +193,85 @@ def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
     return prob, residual
 
 
-def _design_constraints(u: np.ndarray, rank_s: int) -> np.ndarray:
-    # Real and imaginary parts of the sign-shift entry defects for input
+
+
+def _pair(x: np.ndarray, n: int) -> np.ndarray:
+    # The n x 2 pair [a b] of the search variables: a = z[:n], b = z[n:]
+    # with z = x[:2n] + i x[2n:].
+    z = x[: 2 * n] + 1j * x[2 * n :]
+    return z.reshape(2, n).T
+
+
+def _variables(pair: np.ndarray) -> np.ndarray:
+    # Inverse of _pair.
+    z = pair.T.ravel()
+    return np.concatenate((z.real, z.imag))
+
+
+def _orthonormality_defect(pair: np.ndarray) -> float:
+    return float(np.abs(pair.conj().T @ pair - np.eye(2)).max())
+
+
+def _orthonormal_pair(pair: np.ndarray) -> np.ndarray:
+    # Q of the QR factorization, with the phases of R's diagonal moved into
+    # Q so that an orthonormal pair maps to itself up to rounding.
+    q, r = np.linalg.qr(pair)
+    return q * np.exp(1j * np.angle(np.diagonal(r)))
+
+
+def _objective_gradient(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
+    # Gradient of the objective -sum_{j=1..s} |b_j|^2 over the 4n reals.
+    grad = np.zeros_like(x)
+    for part in (n, 3 * n):
+        acc = slice(part + 1, part + rank_s + 1)
+        grad[acc] = -2 * x[acc]
+    return grad
+
+
+def _search_constraints(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
+    # Equalities of the search: |a|^2 - 1, |b|^2 - 1, Re and Im <a, b>, then
+    # the real and imaginary parts of the sign-shift entry defects for input
     # mode 1 and accepted modes 1..rank_s.
-    c = _sign_shift_defects(u, range(1, rank_s + 1))
-    return np.concatenate((c.real, c.imag))
+    pair = _pair(x, n)
+    a, b = pair.T
+    inner = np.vdot(a, b)
+    defects = _sign_shift_defects(pair, range(1, rank_s + 1))
+    return np.concatenate(
+        (
+            [np.vdot(a, a).real - 1, np.vdot(b, b).real - 1, inner.real, inner.imag],
+            defects.real,
+            defects.imag,
+        )
+    )
+
+
+def _constraint_jacobian(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
+    # Rows of _search_constraints differentiated over the 4n reals, ordered
+    # (Re a, Re b, Im a, Im b).  A holomorphic defect with complex
+    # derivative D changes by D along Re z and by iD along Im z; its real
+    # and imaginary rows are the two parts of that.
+    ar, br, ai, bi = x.reshape(4, n)
+    zero = np.zeros(n)
+    orthonormality = np.array(
+        [
+            [2 * ar, zero, 2 * ai, zero],
+            [zero, 2 * br, zero, 2 * bi],
+            [br, ar, bi, ai],
+            [bi, -ai, -br, ar],
+        ]
+    ).reshape(4, 4 * n)
+    hol = _sign_shift_jacobian(_pair(x, n), range(1, rank_s + 1))
+    wide = np.hstack((hol, 1j * hol))
+    return np.concatenate((orthonormality, wide.real, wide.imag))
+
+
+def _kkt_defect(x: np.ndarray, n: int, rank_s: int) -> float:
+    # First-order stationarity ||grad f - J^T lambda|| with the multipliers
+    # lambda fitted by least squares.
+    grad = _objective_gradient(x, n, rank_s)
+    jac_t = _constraint_jacobian(x, n, rank_s).T
+    multipliers = np.linalg.lstsq(jac_t, grad, rcond=None)[0]
+    return float(np.linalg.norm(grad - jac_t @ multipliers))
 
 
 def numeric_search(
@@ -198,15 +283,21 @@ def numeric_search(
     """Constrained search for the best sign-shift success probability.
 
     The success probability and the sign-shift conditions read only the
-    first two columns of the mode unitary, so the search runs over that
-    orthonormal pair (4n reals, made orthonormal by Gram-Schmidt) and
-    maximizes the post-selected probability by SLSQP, subject to the
-    equalities that make the gate work.  One fixed deterministic start plus
+    first two columns a, b of the mode unitary, so the search runs over
+    those (4n reals) and maximizes the post-selected probability
+    sum_{j=1..s} |b_j|^2 by SLSQP (Kraft, DFVLR-FB 88-28, 1988), subject to
+    orthonormality of the pair and the sign-shift entry equalities.  Every
+    function is a polynomial of degree at most 2, and SLSQP gets its exact
+    gradient and constraint Jacobian.  One fixed deterministic start plus
     ``restarts`` random starts, each seeded independently from the master
-    seed so the outcome does not depend on evaluation order.  The best
-    working endpoint is completed to a full unitary and its figures are
-    recomputed from Fock amplitudes.  This is a falsification oracle for the
-    0.25 bound, not an optimality prover.
+    seed so the outcome does not depend on evaluation order.
+
+    Each endpoint is made exactly orthonormal by a phase-fixed QR before its
+    figures are read; the best working one is completed to a full unitary
+    and its figures are recomputed from Fock amplitudes.  At every working
+    endpoint the first-order KKT condition grad f = J^T lambda is checked,
+    and the largest defect is reported as ``kkt_defect``.  This is a
+    falsification oracle for the 0.25 bound, not an optimality prover.
     """
     if total_modes < 3:
         raise ValueError("the search needs at least three modes")
@@ -220,19 +311,25 @@ def numeric_search(
     n = total_modes
     tracker = {"max_feasible": 0.0, "evals": 0}
 
-    def figures(x: np.ndarray) -> tuple[float, float]:
-        prob, residual = _gate_figures(_columns(x, n), rank_s)
+    def figures(pair: np.ndarray) -> tuple[float, float]:
+        prob, residual = _gate_figures(pair, rank_s)
         tracker["evals"] += 1
-        if residual <= FEASIBLE_RESIDUAL:
+        if (
+            residual <= FEASIBLE_RESIDUAL
+            and _orthonormality_defect(pair) <= FEASIBLE_RESIDUAL
+        ):
             tracker["max_feasible"] = max(tracker["max_feasible"], prob)
         return prob, residual
 
     def neg_prob(x: np.ndarray) -> float:
-        return -figures(x)[0]
+        return -figures(_pair(x, n))[0]
 
+    args = (n, rank_s)
     constraint = {
         "type": "eq",
-        "fun": lambda x: _design_constraints(_columns(x, n), rank_s),
+        "fun": _search_constraints,
+        "jac": _constraint_jacobian,
+        "args": args,
     }
     starts = [0.4 + 0.03 * np.arange(4 * n)]
     for child in np.random.SeedSequence(seed).spawn(restarts):
@@ -240,22 +337,26 @@ def numeric_search(
 
     # Highest probability among working endpoints; failing that, the
     # endpoint nearest to working.
-    best_key, best_x = None, None
+    best_key, best_pair, kkt_defects = None, None, []
     for x0 in starts:
         x = minimize(
             neg_prob,
             x0,
+            jac=lambda x: _objective_gradient(x, *args),
             method="SLSQP",
             constraints=constraint,
             options={"maxiter": 200, "ftol": 1e-12},
         ).x
-        prob, residual = figures(x)
+        pair = _orthonormal_pair(_pair(x, n))
+        prob, residual = figures(pair)
         working = residual <= FEASIBLE_RESIDUAL
+        if working:
+            kkt_defects.append(_kkt_defect(_variables(pair), *args))
         key = (working, prob if working else -residual)
         if best_key is None or key > best_key:
-            best_key, best_x = key, x
+            best_key, best_pair = key, pair
 
-    circuit = _complete_columns(_columns(best_x, n))
+    circuit = _complete_columns(best_pair)
     report = verify_ns(circuit, ConditionalScheme.one_photon(n - 1, 0, range(rank_s)))
     return OptimizationResult(
         best_probability=report.success_probability,
@@ -265,4 +366,6 @@ def numeric_search(
         seed=seed,
         evaluations=int(tracker["evals"]),
         max_feasible_probability=float(tracker["max_feasible"]),
+        working=report.condition_residual <= FEASIBLE_RESIDUAL,
+        kkt_defect=max(kkt_defects, default=math.nan),
     )

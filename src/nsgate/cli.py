@@ -128,6 +128,7 @@ def _cmd_optimize(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
+    kkt = result.kkt_defect
     payload = {
         "best_probability": result.best_probability,
         "residual": result.residual,
@@ -135,8 +136,15 @@ def _cmd_optimize(args) -> int:
         "seed": result.seed,
         "evaluations": result.evaluations,
         "matrix": _encode_matrix(result.best_matrix),
+        "working": result.working,
+        "max_feasible_probability": result.max_feasible_probability,
+        # nan when no endpoint works; JSON has no nan.
+        "kkt_defect": None if math.isnan(kkt) else kkt,
     }
-    return _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
+    code = _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
+    if code == EXIT_OK and not result.working:
+        return EXIT_VERIFY
+    return code
 
 
 def _encode_matrix(lop: LopCircuit) -> list:

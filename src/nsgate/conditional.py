@@ -23,6 +23,7 @@ from .fock import (
     Occupation,
     SystemBasis,
     _lift_levels,
+    _photon_count,
     as_occupation,
 )
 
@@ -54,7 +55,7 @@ class ConditionalScheme:
             self, "outcomes", tuple(as_occupation(o) for o in self.outcomes)
         )
         object.__setattr__(
-            self, "system_photons", tuple(int(n) for n in self.system_photons)
+            self, "system_photons", tuple(map(_photon_count, self.system_photons))
         )
         if self.system_modes < 1:
             raise ValueError("a scheme needs at least one system mode")

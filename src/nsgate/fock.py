@@ -12,6 +12,7 @@ SLOS (Heurtel et al., arXiv:2206.10549), each sector built from the one below.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -41,9 +42,18 @@ class CapacityError(ValueError):
     """Raised when a computation would exceed the photon or sector budget."""
 
 
+def _photon_count(value) -> int:
+    # Python or numpy integers only: a float such as 1.5, or even 2.0, is
+    # refused rather than truncated.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"photon numbers must be integers, got {value!r}") from None
+
+
 def as_occupation(counts: Iterable[int]) -> Occupation:
     """Normalize a sequence of photon counts to a validated tuple."""
-    occ = tuple(int(c) for c in counts)
+    occ = tuple(map(_photon_count, counts))
     if any(c < 0 for c in occ):
         raise ValueError(f"occupation entries must be non-negative, got {occ}")
     return occ
@@ -90,7 +100,7 @@ class SystemBasis:
     def __init__(self, modes: int, photon_sectors: Iterable[int]):
         if modes < 1:
             raise ValueError(f"mode count must be positive, got {modes}")
-        sectors = tuple(sorted({int(n) for n in photon_sectors}))
+        sectors = tuple(sorted(set(map(_photon_count, photon_sectors))))
         if sectors and sectors[0] < 0:
             raise ValueError(f"photon numbers must be non-negative, got {sectors}")
         self.modes = int(modes)
@@ -134,7 +144,7 @@ class FockSector(SystemBasis):
 
     def __init__(self, modes: int, photons: int):
         super().__init__(modes, (photons,))
-        self.photons = int(photons)
+        self.photons = self.sectors[0]
         self.basis = self.states
 
 

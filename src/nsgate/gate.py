@@ -89,6 +89,20 @@ def _sign_shift_defects(u: np.ndarray, accept_modes: Sequence[int]) -> np.ndarra
     return np.concatenate(([u[0, 0] - (1 - SQRT2)], cross))
 
 
+def _sign_shift_jacobian(u: np.ndarray, accept_modes: Sequence[int]) -> np.ndarray:
+    # Derivative of _sign_shift_defects with respect to the entries of the
+    # first two columns of u, stacked column 0 then column 1 (2n entries).
+    # The defects are holomorphic, so this is the whole complex derivative.
+    n, i, j = u.shape[0], _INPUT_MODE, np.asarray(accept_modes, dtype=int)
+    rows = np.arange(1, len(j) + 1)
+    jac = np.zeros((len(rows) + 1, 2 * n), dtype=complex)
+    jac[0, 0] = 1.0
+    jac[rows, j] = u[0, i]
+    jac[rows, i * n] = u[j, 0]
+    jac[rows, i * n + j] = -SQRT2
+    return jac
+
+
 def _predicted_probability(u: np.ndarray, accept_modes: Sequence[int]) -> float:
     # (x^2 / 2) * sum(y_j^2) with x = |U0i| and y_j = |Uj0|.
     x2 = abs(u[0, _INPUT_MODE]) ** 2

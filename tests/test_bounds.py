@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsgate import (
     CONDITION_TOL,
     FEASIBLE_RESIDUAL,
+    KKT_TOL,
     BoundCurveSample,
     ConditionalScheme,
     InfeasibleDesignError,
@@ -26,7 +27,16 @@ from nsgate import (
     scan_curve,
     verify_ns,
 )
-from nsgate.bounds import _K, _columns, _gate_figures
+from nsgate.bounds import (
+    _K,
+    _constraint_jacobian,
+    _gate_figures,
+    _objective_gradient,
+    _orthonormal_pair,
+    _pair,
+    _search_constraints,
+    _variables,
+)
 from nsgate.fock import LopCircuit
 from nsgate.gate import _complete_columns
 
@@ -300,12 +310,19 @@ class TestGateFigures:
                 assert _gate_figures(u.matrix[:, :2], rank) == fast
 
     def test_parameterization_produces_unitaries(self, rng):
+        # The endpoint map: a phase-fixed QR makes any pair orthonormal, and
+        # the completion keeps that pair as its first two columns.
         for n in (3, 4, 5):
-            cols = _columns(rng.standard_normal(4 * n), n)
-            assert np.abs(cols.conj().T @ cols - np.eye(2)).max() < 1e-12
+            cols = _orthonormal_pair(_pair(rng.standard_normal(4 * n), n))
+            assert np.abs(cols.conj().T @ cols - np.eye(2)).max() <= 1e-14
             lop = _complete_columns(cols)
             assert isinstance(lop, LopCircuit)
             assert np.array_equal(lop.matrix[:, :2], cols)
+
+    def test_endpoint_map_keeps_an_orthonormal_pair(self, rng):
+        for n in (3, 4, 5):
+            pair = haar_unitary(n, rng).matrix[:, :2]
+            assert np.abs(_orthonormal_pair(pair) - pair).max() <= 1e-14
 
     def test_search_result_completes_a_working_pair(self):
         for n, rank in [(3, 1), (4, 2)]:
@@ -316,7 +333,78 @@ class TestGateFigures:
             assert prob == pytest.approx(r.best_probability, abs=1e-12)
 
 
+def central_differences(fun, x, h=1e-6):
+    # Exact up to rounding for the degree-2 polynomials of the search.
+    cols = [(fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(x.size)]
+    return np.array(cols).T
+
+
+class TestSearchDerivatives:
+    @pytest.mark.parametrize("n, rank", [(3, 1), (4, 2), (5, 3)])
+    def test_exact_derivatives_match_central_differences(self, rng, n, rank):
+        def objective(x):
+            return -_gate_figures(_pair(x, n), rank)[0]
+
+        for _ in range(5):
+            x = rng.standard_normal(4 * n)
+            grad = _objective_gradient(x, n, rank)
+            fd = central_differences(objective, x)
+            assert np.abs(grad - fd).max() <= 1e-6 * np.abs(grad).max()
+            jac = _constraint_jacobian(x, n, rank)
+            fd = central_differences(lambda v: _search_constraints(v, n, rank), x)
+            assert jac.shape == (4 + 2 * (rank + 1), 4 * n)
+            assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
+
+    def test_constraints_vanish_on_a_working_design(self):
+        design = complete_design(
+            generalized_design(2**-0.25, [2**-0.25], total_modes=3),
+            max_extra_modes=0,
+        )
+        x = _variables(design.matrix.matrix[:, :2])
+        assert np.array_equal(_pair(x, 3), design.matrix.matrix[:, :2])
+        assert np.abs(_search_constraints(x, 3, 1)).max() <= 1e-12
+
+
+# Seeds 1-10, the benchmark's held-out seed 7919 and the acceptance seed.
+PINNED_SEEDS = (*range(1, 11), 7919, 20240807)
+SEARCH_SHAPES = ((3, 1), (4, 2), (5, 3))
+
+
+def pinned_examples(test):
+    for seed in PINNED_SEEDS:
+        for shape in SEARCH_SHAPES:
+            test = example(seed=seed, shape=shape)(test)
+    return test
+
+
 class TestNumericSearch:
+    def test_fixed_start_needs_few_evaluations(self):
+        r = numeric_search(3, 1, restarts=0, seed=0)
+        assert r.working
+        assert r.evaluations < 30
+
+    def test_acceptance_searches_are_kkt_points(self):
+        for n, rank in [(3, 1), (4, 2)]:
+            r = numeric_search(n, rank, restarts=50, seed=20240807)
+            assert r.working
+            assert r.kkt_defect <= KKT_TOL
+            u = r.best_matrix.matrix
+            assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @pinned_examples
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(SEARCH_SHAPES),
+    )
+    def test_bound_holds_across_seeds(self, seed, shape):
+        r = numeric_search(*shape, restarts=10, seed=seed)
+        assert 0.2490 <= r.best_probability <= 0.250001
+        assert r.residual <= 1e-6
+        assert r.working
+        assert r.max_feasible_probability <= 0.250001
+        assert r.kkt_defect <= KKT_TOL
+
     def test_deterministic_given_seed(self):
         a = numeric_search(3, 1, restarts=2, seed=11)
         b = numeric_search(3, 1, restarts=2, seed=11)

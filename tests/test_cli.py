@@ -159,7 +159,8 @@ class TestOptimize:
         payload = json.loads(out)
         assert set(payload) == {
             "best_probability", "residual", "restarts", "seed",
-            "evaluations", "matrix",
+            "evaluations", "matrix", "working", "max_feasible_probability",
+            "kkt_defect",
         }
         assert payload["best_probability"] <= 0.250001
         assert payload["restarts"] == 0
@@ -167,6 +168,39 @@ class TestOptimize:
         assert len(payload["matrix"]) == 3
         assert all(len(row) == 3 for row in payload["matrix"])
         assert all(len(pair) == 2 for row in payload["matrix"] for pair in row)
+
+    def test_no_working_gate_exits_1_with_the_json(self, capsys):
+        # Accepting both ancilla modes of a 3-mode circuit leaves no free
+        # mode, and no gate works.
+        code, out = run_cli(
+            capsys,
+            "optimize", "--modes", "3", "--rank", "2",
+            "--restarts", "5", "--seed", "1",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["working"] is False
+        assert payload["residual"] > 1e-6
+        assert payload["kkt_defect"] is None
+
+    def test_no_working_gate_still_writes_the_json(self, capsys, tmp_path):
+        path = tmp_path / "best.json"
+        code, out = run_cli(
+            capsys,
+            "optimize", "--modes", "3", "--rank", "2",
+            "--restarts", "0", "--output", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(path.read_text())["working"] is False
+
+    def test_working_search_reports_its_verdict(self, capsys):
+        code, out = run_cli(capsys, "optimize", "--restarts", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["working"] is True
+        assert payload["max_feasible_probability"] <= 0.250001
+        assert 0 <= payload["kkt_defect"] <= 1e-6
 
     def test_output_feeds_kraus_check(self, capsys, tmp_path):
         path = tmp_path / "best.json"

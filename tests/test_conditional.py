@@ -138,6 +138,22 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             ConditionalScheme(1, 2, (1, 0), ())
 
+    def test_numpy_integer_counts_accepted(self):
+        scheme = ConditionalScheme(
+            1, 1, (np.int64(1),), ((np.int64(1),),), (0, np.int64(2))
+        )
+        assert scheme == ConditionalScheme(1, 1, (1,), ((1,),), (0, 2))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0])
+    def test_non_integral_counts_rejected(self, bad):
+        for args in (
+            ((bad,), ((1,),), (0, 1, 2)),
+            ((1,), ((bad,),), (0, 1, 2)),
+            ((1,), ((1,),), (0, bad)),
+        ):
+            with pytest.raises(ValueError, match=f"integers, got {bad}"):
+                ConditionalScheme(1, 1, *args)
+
     def test_one_photon_matches_hand_built_scheme(self):
         scheme = ConditionalScheme.one_photon(3, 1, (0, 2))
         assert scheme == one_system_scheme(3, input_mode=1, outcome_modes=(0, 2))

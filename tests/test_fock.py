@@ -19,6 +19,7 @@ from nsgate import (
     lift_to_sector,
     permanent,
 )
+from nsgate.fock import as_occupation
 
 
 def naive_permanent(m):
@@ -124,6 +125,26 @@ class TestSystemBasis:
         # either is enumerated before the check.
         with pytest.raises(CapacityError, match="8855 states"):
             SystemBasis(20, (0, 4))
+
+    def test_numpy_integer_counts_accepted(self):
+        two = np.int64(2)
+        assert FockSector(2, two) == FockSector(2, 2)
+        assert type(FockSector(2, two).photons) is int
+        assert SystemBasis(1, (np.int64(0), two)) == SystemBasis(1, (0, 2))
+        assert as_occupation(np.array([1, 2])) == (1, 2)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0])
+    def test_non_integral_counts_rejected(self, bad):
+        # Truncating would silently turn 1.5 into a one-photon object, so
+        # integral floats are refused too.
+        for build in (
+            lambda: SystemBasis(1, (0, bad)),
+            lambda: FockSector(2, bad),
+            lambda: as_occupation((1, bad)),
+            lambda: FockSector(2, 2).index((1, bad)),
+        ):
+            with pytest.raises(ValueError, match=f"integers, got {bad}"):
+                build()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_outcomes_are_ancilla_sectors(self, k):
