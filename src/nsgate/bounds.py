@@ -6,13 +6,26 @@ c = 2 sqrt(2) - 2.  The fixed entries of a functioning design embed in a
 unitary only inside the region s + t - k s t <= c, 0 <= s, t <= c, bounded by
 the hyperbola t = (c - s) / (1 - k s).  Along it the success probability
 p = s t / 2 obeys 1/4 - p = (sqrt(2) s - 1)^2 / (4 (1 - k s)), so p peaks at
-exactly 0.25 for s = t = 1/sqrt(2).  A constrained search over the two
-unitary columns the gate depends on, with their orthonormality and the
-sign-shift conditions imposed as equalities and every derivative exact,
-provides an independent numerical check that no circuit beats that value,
-for rank-1 and rank-s post-selection alike; each working endpoint it reports
-is checked to be a first-order KKT point (Nocedal and Wright, Numerical
-Optimization, 2006, ch. 12).
+exactly 0.25 for s = t = 1/sqrt(2).
+
+The same holds at every rank.  Let a design on n modes accept the photon in
+any of m modes, t = sum_j |y_j|^2, and f = n - 1 - m count the free modes
+(ancilla modes not accepted).  Columns 0 and 1 of a unitary are orthonormal,
+so a completion exists iff the Gram G = I - F†F of their fixed block F is
+positive semidefinite with rank G <= f (``gate``).
+  1. G00 = c - t, G11 = 1 - s - s t/2, |G01|^2 = s ((1 - sqrt 2) + t/sqrt 2)^2
+     and det G = c - s - t + k s t: the region and p <= 1/4 hold at any rank.
+  2. f >= 2 admits the whole region, f = 1 only its boundary (rank G = 1).
+  3. f = 0 (every ancilla mode accepted) needs G = 0, but G00 = 0 forces
+     t = c, and then |G01| = |x| (3 - 2 sqrt 2) is 0 only at x = 0, where
+     G11 = 1: no gate.
+
+A constrained search over the two unitary columns the gate depends on, with
+their orthonormality and the sign-shift conditions imposed as equalities and
+every derivative exact, provides an independent numerical check that no
+circuit beats that value, for rank-1 and rank-m post-selection alike; each
+working endpoint it reports is checked to be a first-order KKT point (Nocedal
+and Wright, Numerical Optimization, 2006, ch. 12).
 """
 
 from __future__ import annotations
@@ -55,7 +68,9 @@ KKT_TOL = 1e-6
 class BoundCurveSample:
     """One point of the feasibility boundary, with its curve coefficients.
 
-    In the Schwarz form of the boundary, y^2 = B/(A^2 + BC).
+    A, B, C give the Gram entries (module docstring) at y^2 = u, x^2 = v:
+    G00 = B(u), G11 = 1 - v C(u), |G01|^2 = v A(u)^2.  Read at u = x2, det G = 0
+    and the region's x^2 <-> y^2 symmetry give y^2 = B/(A^2 + BC).
     """
 
     x2: float
@@ -191,8 +206,6 @@ def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
         prob += abs(m0) ** 2
         residual = max(residual, abs(m1 - m0), abs(m2 + m0))
     return prob, residual
-
-
 
 
 def _pair(x: np.ndarray, n: int) -> np.ndarray:

@@ -22,8 +22,8 @@ from .fock import (
     LopCircuit,
     Occupation,
     SystemBasis,
+    _count,
     _lift_levels,
-    _photon_count,
     as_occupation,
 )
 
@@ -50,12 +50,14 @@ class ConditionalScheme:
     system_photons: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
+        for name in ("system_modes", "ancilla_modes"):
+            object.__setattr__(self, name, _count(getattr(self, name), "mode counts"))
         object.__setattr__(self, "ancilla_input", as_occupation(self.ancilla_input))
         object.__setattr__(
             self, "outcomes", tuple(as_occupation(o) for o in self.outcomes)
         )
         object.__setattr__(
-            self, "system_photons", tuple(map(_photon_count, self.system_photons))
+            self, "system_photons", tuple(map(_count, self.system_photons))
         )
         if self.system_modes < 1:
             raise ValueError("a scheme needs at least one system mode")
@@ -92,6 +94,7 @@ class ConditionalScheme:
         when it exits in any of ``accept_modes``; indices are zero-based over
         the ancilla modes only.
         """
+        ancilla_modes = _count(ancilla_modes, "mode counts")
         accept_modes = tuple(accept_modes)
         for m in (input_mode, *accept_modes):
             if not 0 <= m < ancilla_modes:

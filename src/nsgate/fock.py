@@ -42,18 +42,18 @@ class CapacityError(ValueError):
     """Raised when a computation would exceed the photon or sector budget."""
 
 
-def _photon_count(value) -> int:
+def _count(value, what: str = "photon numbers") -> int:
     # Python or numpy integers only: a float such as 1.5, or even 2.0, is
     # refused rather than truncated.
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"photon numbers must be integers, got {value!r}") from None
+        raise ValueError(f"{what} must be integers, got {value!r}") from None
 
 
 def as_occupation(counts: Iterable[int]) -> Occupation:
     """Normalize a sequence of photon counts to a validated tuple."""
-    occ = tuple(map(_photon_count, counts))
+    occ = tuple(map(_count, counts))
     if any(c < 0 for c in occ):
         raise ValueError(f"occupation entries must be non-negative, got {occ}")
     return occ
@@ -98,12 +98,13 @@ class SystemBasis:
     """
 
     def __init__(self, modes: int, photon_sectors: Iterable[int]):
+        modes = _count(modes, "mode counts")
         if modes < 1:
             raise ValueError(f"mode count must be positive, got {modes}")
-        sectors = tuple(sorted(set(map(_photon_count, photon_sectors))))
+        sectors = tuple(sorted(set(map(_count, photon_sectors))))
         if sectors and sectors[0] < 0:
             raise ValueError(f"photon numbers must be non-negative, got {sectors}")
-        self.modes = int(modes)
+        self.modes = modes
         self.sectors = sectors
         self.states, self._index = _basis_table(self.modes, sectors)
 

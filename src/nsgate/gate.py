@@ -8,15 +8,15 @@ apply a global mode unitary, and accept the run when the photon exits in a
 designated ancilla mode.  Functioning requires the three diagonal Kraus
 entries to satisfy m0 = m1 = -m2, which pins the system-system entry of the
 mode unitary to 1 - sqrt(2) and ties the accepted-row entries together; the
-remaining freedom is fixed here by completing the constrained rows to a full
-unitary.
+remaining freedom is fixed here by completing the two constrained columns to
+a full unitary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,9 @@ SQRT2 = math.sqrt(2.0)
 #: Residual below which a circuit counts as a functioning sign-shift gate.
 CONDITION_TOL = 1e-10
 
-# Feasibility slack for the completion's Gram analysis.  Kept below the mode
-# unitarity tolerance so accepted completions always validate as unitary.
+# Slack of the completion's Gram checks and its eigenvalue rank cut.  Kept
+# below the mode unitarity tolerance so accepted completions always validate
+# as unitary.
 _FEAS_EPS = 1e-11
 
 # Largest entry defect a completed design may carry.
@@ -42,8 +43,9 @@ _INPUT_MODE = 1
 class InfeasibleDesignError(ValueError):
     """No unitary extends the requested fixed entries.
 
-    ``violations`` names every constraint found violated (row or column
-    normalization, the Schwarz orthogonality bound, or missing free columns).
+    ``violations`` names each violated condition on the Gram G = I - F†F of
+    the fixed columns F: a column above unit norm, G not positive
+    semidefinite, or rank G above the free modes (rows outside the block).
     A ValueError, since the requested entries are bad input.
     """
 
@@ -205,84 +207,71 @@ def _complement_rows(a: np.ndarray) -> np.ndarray:
     return vh[np.count_nonzero(s > tol) :].conj()
 
 
-def _complete_columns(cols: np.ndarray) -> LopCircuit:
-    # Mode unitary whose first k columns are exactly the given n x k
-    # orthonormal columns, the rest an orthonormal basis of their complement.
-    return LopCircuit(np.vstack((cols.T, _complement_rows(cols.T))).T)
+def _complete_columns(cols: np.ndarray, at: Sequence[int] = ()) -> LopCircuit:
+    # Mode unitary whose columns at (default the first k) are exactly the
+    # given n x k orthonormal columns, the others in order an orthonormal
+    # basis of their complement.
+    n, k = cols.shape
+    at = list(at) or list(range(k))
+    out = np.empty((n, n), dtype=complex)
+    out[:, at] = cols
+    out[:, [c for c in range(n) if c not in at]] = _complement_rows(cols.T).T
+    return LopCircuit(out)
 
 
-def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
-    """Extend fixed rows/columns to a full unitary, or prove none exists.
-
-    The fixed entries must fill a rows-times-columns block.  The free parts
-    of the constrained rows must then realize a prescribed Gram matrix
-    (unit norms and mutual orthogonality against the fixed parts), which
-    exists iff that Gram matrix is positive semidefinite and its rank fits in
-    the free columns.  On failure the error names the violated constraints;
-    on success the remaining rows are an orthonormal basis of the complement.
-    """
-    n = partial.dim
+def _fixed_block(partial: PartialMatrix) -> tuple[list[int], list[int], np.ndarray]:
+    # Rows and columns the fixed entries span, and the block F they fill.
     fixed = partial.fixed
-    rows_idx = [r for r in range(n) if fixed[r].any()]
-    cols_idx = [c for c in range(n) if fixed[:, c].any()]
-    if not rows_idx:
+    rows = np.flatnonzero(fixed.any(axis=1)).tolist()
+    cols = np.flatnonzero(fixed.any(axis=0)).tolist()
+    if not rows:
         raise ValueError("partial matrix has no fixed entries")
-    block = np.zeros_like(fixed)
-    block[np.ix_(rows_idx, cols_idx)] = True
-    if not np.array_equal(fixed, block):
+    if np.count_nonzero(fixed) != len(rows) * len(cols):
         raise ValueError("fixed entries must fill a rows-times-columns block")
+    return rows, cols, partial.values[np.ix_(rows, cols)]
 
-    f = partial.values[np.ix_(rows_idx, cols_idx)]
-    free_cols = [c for c in range(n) if c not in cols_idx]
-    free_dim = len(free_cols)
-    gram = np.eye(len(rows_idx)) - f @ f.conj().T
 
-    violations = []
-    for a, r in enumerate(rows_idx):
-        if gram[a, a].real < -_FEAS_EPS:
-            violations.append(f"row {r} normalization: fixed entries exceed unit norm")
-    for b, c in enumerate(cols_idx):
-        if np.sum(np.abs(f[:, b]) ** 2) > 1 + _FEAS_EPS:
-            violations.append(
-                f"column {c} normalization: fixed entries exceed unit norm"
-            )
-    for a in range(len(rows_idx)):
-        for b in range(a + 1, len(rows_idx)):
-            minor = gram[a, a].real * gram[b, b].real - abs(gram[a, b]) ** 2
-            if minor < -_FEAS_EPS:
-                violations.append(
-                    f"Schwarz bound violated between rows {rows_idx[a]} "
-                    f"and {rows_idx[b]}"
-                )
+def _complete_block(
+    rows: list[int], cols: list[int], f: np.ndarray, modes: int, max_modes: int
+) -> LopCircuit:
+    # Unitary on the fewest modes in modes..max_modes whose (rows, cols)
+    # block is exactly f.  Its columns cols are orthonormal, so the free rows
+    # (outside the block) must carry G = I - F†F: G >= 0 with rank G <= free.
+    gram = np.eye(len(cols)) - f.conj().T @ f
+    violations = [
+        f"column {c} normalization: fixed entries exceed unit norm"
+        for c, g in zip(cols, gram.diagonal().real)
+        if g < -_FEAS_EPS
+    ]
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] < -_FEAS_EPS and not violations:
-        violations.append(
-            "row orthonormality constraints admit no positive semidefinite Gram"
-        )
+        violations.append(f"fixed columns {cols} admit no positive semidefinite Gram")
     if violations:
         raise InfeasibleDesignError(violations)
 
     keep = eigvals > _FEAS_EPS
     rank = int(np.count_nonzero(keep))
-    if rank > free_dim:
+    n = max(modes, len(rows) + rank)
+    if n > max_modes:
         raise InfeasibleDesignError(
-            [
-                f"completion needs {rank} free columns but only {free_dim} "
-                "remain; add vacuum modes"
-            ]
+            [f"rank {rank} needs {rank} free modes, have {max_modes - len(rows)}"]
         )
-    # Free parts v_r realizing the required inner products v_a† v_b, which
-    # equal the complex conjugate of the Gram entries; hence the plain
-    # transpose here, not the conjugate one.
-    w = np.sqrt(eigvals[keep])[:, None] * eigvecs[:, keep].T
+    # Rows w with w†w = G fill the first free rows, so the columns close.
+    w = np.sqrt(eigvals[keep])[:, None] * eigvecs[:, keep].conj().T
+    block = np.zeros((n, len(cols)), dtype=complex)
+    block[rows] = f
+    block[[r for r in range(n) if r not in rows][:rank]] = w
+    return _complete_columns(block, cols)
 
-    body = np.zeros((len(rows_idx), n), dtype=complex)
-    body[:, cols_idx] = f
-    body[:, free_cols[:rank]] = w.T
-    out = np.zeros((n, n), dtype=complex)
-    out[rows_idx, :] = body
-    out[[r for r in range(n) if r not in rows_idx], :] = _complement_rows(body)
-    return LopCircuit(out)
+
+def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
+    """Extend fixed entries to a unitary of the same size, or prove none exists.
+
+    The fixed entries must fill a rows-times-columns block F.  A completion
+    exists iff G = I - F†F is positive semidefinite and its rank fits in the
+    free rows; the error names the violated condition.
+    """
+    return _complete_block(*_fixed_block(partial), partial.dim, partial.dim)
 
 
 def generalized_design(
@@ -324,24 +313,17 @@ def generalized_design(
 
 
 def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDesign:
-    """Complete a design to a unitary, adding up to two vacuum modes if needed."""
+    """Complete a design on max(its modes, s + 1 + rank G) modes, s accepted.
+
+    G is the fixed columns' Gram; at most max_extra_modes vacuum modes are added.
+    """
     if max_extra_modes < 0:
         raise ValueError(f"max_extra_modes must be non-negative, got {max_extra_modes}")
     base = design.partial.dim
-    last: Optional[InfeasibleDesignError] = None
-    for extra in range(max_extra_modes + 1):
-        n = base + extra
-        values = np.zeros((n, n), dtype=complex)
-        mask = np.zeros((n, n), dtype=bool)
-        values[:base, :base] = design.partial.values
-        mask[:base, :base] = design.partial.fixed
-        try:
-            circuit = complete_to_unitary(PartialMatrix(values, mask))
-        except InfeasibleDesignError as err:
-            last = err
-            continue
-        return NsDesign(matrix=circuit, accept_modes=design.accept_modes)
-    raise last
+    circuit = _complete_block(
+        *_fixed_block(design.partial), base, base + max_extra_modes
+    )
+    return NsDesign(matrix=circuit, accept_modes=design.accept_modes)
 
 
 def klm_design(u12: complex, u21: complex) -> NsDesign:

@@ -38,7 +38,7 @@ from nsgate.bounds import (
     _variables,
 )
 from nsgate.fock import LopCircuit
-from nsgate.gate import _complete_columns
+from nsgate.gate import _complete_columns, _fixed_block
 
 SQRT2 = math.sqrt(2.0)
 
@@ -201,6 +201,115 @@ class TestExactCertificate:
         # The module's k and c are the floats of the exact ones used here.
         assert _K == float(self.K[0]) + float(self.K[1]) * SQRT2
         assert X2_MAX == float(self.B[0][1]) * SQRT2 + float(self.B[0][0])
+
+    def test_design_gram_entries(self, rng):
+        # The Gram G = I - F†F of the two fixed columns of a design with
+        # s = |x|^2 and t = sum |y_j|^2, at every rank, is A, B, C read at t:
+        # G00 = B(t), G11 = 1 - s C(t), |G01|^2 = s A(t)^2.  So
+        # det G = B(t) - s (A^2 + BC)(t) = c - s - t + k s t by the linear
+        # denominator, and G depends on the y_j only through t.
+        for rank in (1, 2, 3):
+            for _ in range(20):
+                s, t = rng.uniform(0.0, 1.2 * X2_MAX, 2)
+                x = math.sqrt(s) * np.exp(2j * math.pi * rng.random())
+                ys = split_coupling(t, rank, rng)
+                gram = design_gram(generalized_design(x, ys, total_modes=rank + 1))
+                a, b, c = (_poly_value(p, t) for p in (self.A, self.B, self.C))
+                assert gram[0, 0] == pytest.approx(b, abs=1e-14)
+                assert gram[1, 1] == pytest.approx(1 - s * c, abs=1e-14)
+                assert abs(gram[0, 1]) ** 2 == pytest.approx(s * a**2, abs=1e-14)
+                det = np.linalg.det(gram).real
+                assert det == pytest.approx(X2_MAX - s - t + _K * s * t, abs=1e-14)
+
+
+def _poly_value(poly, t):
+    # Float value at t of a polynomial with coefficients in Q(sqrt(2)).
+    return sum((float(a) + float(b) * SQRT2) * t**i for i, (a, b) in enumerate(poly))
+
+
+def design_gram(design):
+    # G = I - F†F for the fixed block F of a design's two columns.
+    _, _, f = _fixed_block(design.partial)
+    return np.eye(2) - f.conj().T @ f
+
+
+def split_coupling(t, rank, rng):
+    # Couplings y_1..y_rank with sum |y_j|^2 = t, random split and phases.
+    weights = t * rng.dirichlet(np.ones(rank))
+    return np.sqrt(weights) * np.exp(2j * math.pi * rng.random(rank))
+
+
+def completion_outcome(design):
+    # Free modes used and success probability of the completed design, or
+    # the violation message.
+    try:
+        completed = complete_design(design, max_extra_modes=0)
+    except InfeasibleDesignError as err:
+        return str(err)
+    report = verify_ns(completed.matrix, completed.scheme())
+    assert report.condition_residual <= 1e-10
+    return report.success_probability
+
+
+class TestRankTheorem:
+    # The theorem in the bounds docstring: a design with m accepted modes
+    # completes iff G = I - F†F is positive semidefinite and its rank fits
+    # in the f = n - 1 - m free modes, and G is the rank-1 G at
+    # t = sum |y_j|^2.
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        s=st.floats(0.0, 1.0, allow_nan=False),
+        t=st.floats(0.0, 1.0, allow_nan=False),
+        rank=st.integers(2, 3),
+        free=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_m_design_matches_rank_one(self, s, t, rank, free, seed):
+        # Off the boundary the rank of G is not at the mercy of rounding.
+        assume(abs(s + t - _K * s * t - X2_MAX) > 1e-9)
+        rng = np.random.default_rng(seed)
+        x = math.sqrt(s) * np.exp(2j * math.pi * rng.random())
+        wide = generalized_design(
+            x, split_coupling(t, rank, rng), total_modes=rank + 1 + free
+        )
+        narrow = generalized_design(x, [math.sqrt(t)], total_modes=2 + free)
+        assert np.abs(design_gram(wide) - design_gram(narrow)).max() <= 1e-14
+        assert wide.predicted_probability == pytest.approx(
+            narrow.predicted_probability, abs=1e-15
+        )
+        outcome = completion_outcome(wide)
+        expected = completion_outcome(narrow)
+        if isinstance(expected, str):
+            assert outcome == expected
+        else:
+            assert outcome == pytest.approx(expected, abs=1e-10)
+            assert outcome == pytest.approx(s * t / 2, abs=1e-10)
+        if free == 2:
+            assert isinstance(outcome, float) is feasible(s, t)
+
+    @pytest.mark.parametrize("free", [0, 1, 2])
+    def test_free_modes_decide_completion(self, free):
+        # An interior point (rank G = 2) completes iff f >= 2 and a boundary
+        # point (rank G = 1) iff f >= 1, so accepting every ancilla mode
+        # (f = 0) admits no gate.
+        rng = np.random.default_rng(20240813)
+        for rank in (1, 2, 3):
+            for _ in range(30):
+                s = rng.uniform(0.0, X2_MAX)
+                edge = boundary_y2(s)
+                for t, needs in ((rng.uniform(0.0, 0.99) * edge, 2), (edge, 1)):
+                    x = math.sqrt(s) * np.exp(2j * math.pi * rng.random())
+                    design = generalized_design(
+                        x, split_coupling(t, rank, rng), total_modes=rank + 1 + free
+                    )
+                    outcome = completion_outcome(design)
+                    if free >= needs:
+                        assert outcome == pytest.approx(s * t / 2, abs=1e-10)
+                    else:
+                        assert outcome == (
+                            f"rank {needs} needs {needs} free modes, have {free}"
+                        )
 
 
 class TestCompletionMatchesRegion:

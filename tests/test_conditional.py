@@ -153,6 +153,15 @@ class TestSchemeValidation:
         ):
             with pytest.raises(ValueError, match=f"integers, got {bad}"):
                 ConditionalScheme(1, 1, *args)
+        # Mode counts are refused the same way, not truncated.
+        mode_message = f"mode counts must be integers, got {bad}"
+        for build in (
+            lambda: ConditionalScheme(bad, 1, (1,), ((1,),)),
+            lambda: ConditionalScheme(1, bad, (1, 0), ((1, 0),)),
+            lambda: ConditionalScheme.one_photon(bad, 0, (0,)),
+        ):
+            with pytest.raises(ValueError, match=mode_message):
+                build()
 
     def test_one_photon_matches_hand_built_scheme(self):
         scheme = ConditionalScheme.one_photon(3, 1, (0, 2))

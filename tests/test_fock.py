@@ -145,6 +145,14 @@ class TestSystemBasis:
         ):
             with pytest.raises(ValueError, match=f"integers, got {bad}"):
                 build()
+        # The same rule holds for mode counts.
+        mode_message = f"mode counts must be integers, got {bad}"
+        for build in (
+            lambda: SystemBasis(bad, (1,)),
+            lambda: FockSector(bad, 1),
+        ):
+            with pytest.raises(ValueError, match=mode_message):
+                build()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_outcomes_are_ancilla_sectors(self, k):

@@ -22,6 +22,7 @@ from nsgate import (
     reduce_general_ancilla,
     verify_ns,
 )
+from nsgate.bounds import _K
 from nsgate.gate import _complement_rows
 
 SQRT2 = math.sqrt(2.0)
@@ -54,11 +55,13 @@ class TestKlmDesign:
         assert np.abs(u[0, 2:]).max(initial=0.0) < 1e-12
         assert abs(np.abs(u[0, 0]) ** 2 + np.abs(u[0, 1]) ** 2 - 1) < 1e-12
 
-    def test_corner_infeasible_names_schwarz(self):
+    def test_corner_infeasible_names_column_norm(self):
+        # At s = t = c the second fixed column has squared norm
+        # s + s t / 2 > 1, so its Gram diagonal 1 - s - s t / 2 is negative.
         x = math.sqrt(X2_MAX)
         with pytest.raises(InfeasibleDesignError) as excinfo:
             klm_design(x, x)
-        assert "Schwarz" in str(excinfo.value)
+        assert "column 1 normalization" in str(excinfo.value)
 
     def test_modulus_above_one_rejected(self):
         with pytest.raises(ValueError):
@@ -180,14 +183,24 @@ class TestCompleteToUnitary:
             )
 
     def test_interior_point_needs_extra_mode(self):
-        # strictly inside the feasibility region the free parts span two
-        # directions, so three modes cannot host them but four can
+        # strictly inside the feasibility region the Gram of the two fixed
+        # columns has rank 2, so the free rows must span two modes: three
+        # modes leave one, four leave two
         design = generalized_design(0.5, [0.5], total_modes=3)
         with pytest.raises(InfeasibleDesignError) as excinfo:
             complete_to_unitary(design.partial)
-        assert "free columns" in str(excinfo.value)
+        assert "rank 2 needs 2 free modes, have 1" in str(excinfo.value)
         completed = complete_design(design)
         assert completed.total_modes == 4
+        # rank 2: three fixed rows, so 3 + 2 = 5 modes
+        design = generalized_design(0.6, [0.4, 0.3], total_modes=3)
+        completed = complete_design(design)
+        assert completed.total_modes == 5
+        u = completed.matrix.matrix
+        assert np.array_equal(u[:3, :2], design.partial.values[:3, :2])
+        with pytest.raises(InfeasibleDesignError) as excinfo:
+            complete_design(design, max_extra_modes=0)
+        assert "rank 2 needs 2 free modes, have 0" in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "rows, cols, block",
@@ -227,11 +240,17 @@ class TestCompleteToUnitary:
         assert np.abs(r @ r.conj().T - np.eye(len(r))).max(initial=0.0) < 1e-12
         assert np.abs(a @ r.conj().T).max(initial=0.0) < 1e-12
 
-    def test_row_norm_violation_named(self):
-        design = generalized_design(0.95, [0.2], total_modes=4)
+    @pytest.mark.parametrize("ys", [[0.2], [0.12, 0.16j]], ids=["rank1", "rank2"])
+    def test_non_psd_gram_named(self, ys):
+        # Both columns fit in the unit ball (no normalization message), but
+        # det G < 0: the point lies outside s + t - k s t <= c.
+        s, t = 0.95**2, sum(abs(y) ** 2 for y in ys)
+        assert s + t - _K * s * t > X2_MAX
+        design = generalized_design(0.95, ys, total_modes=5)
         with pytest.raises(InfeasibleDesignError) as excinfo:
             complete_to_unitary(design.partial)
-        assert "row 0 normalization" in str(excinfo.value)
+        assert "no positive semidefinite Gram" in str(excinfo.value)
+        assert "normalization" not in str(excinfo.value)
 
 
 class TestGeneralizedDesign:
