@@ -25,18 +25,22 @@ their orthonormality and the sign-shift conditions imposed as equalities and
 every derivative exact, provides an independent numerical check that no
 circuit beats that value, for rank-1 and rank-m post-selection alike; each
 working endpoint it reports is checked to be a first-order KKT point (Nocedal
-and Wright, Numerical Optimization, 2006, ch. 12).
+and Wright, Numerical Optimization, 2006, ch. 12).  Every derivative is one
+rule of CR calculus (Kreutz-Delgado, arXiv:0906.4835): a real function g of
+the packed columns z = (a, b) has the packed gradient G = 2 dg/d(conj z),
+and its gradient over the search reals (Re z, Im z) is (Re G, Im G).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditional import ConditionalScheme
-from .fock import LopCircuit
+from .fock import LopCircuit, _count
 from .gate import (
     _complete_columns,
     _sign_shift_defects,
@@ -190,15 +194,15 @@ def sample_region(grid_n: int) -> list[tuple[float, float, bool, float]]:
     return list(zip(*(col.tolist() for col in _region_grid(grid_n))))
 
 
-def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
-    # Probability proxy and sign-shift residual for input mode 1, accepted
-    # modes 1..rank_s, from the closed diagonal Kraus entries (checked
-    # against the lifted amplitudes of verify_ns).  Reads only the first
-    # two columns of u.
+def _gate_figures(u: np.ndarray, accept: Sequence[int]) -> tuple[float, float]:
+    # Probability proxy and sign-shift residual for input mode 1 and the
+    # accepted rows, from the closed diagonal Kraus entries (checked against
+    # the lifted amplitudes of verify_ns).  Reads only the first two columns
+    # of u.
     u00 = u[0, 0]
     prob = 0.0
     residual = 0.0
-    for j in range(1, rank_s + 1):
+    for j in accept:
         m0 = u[j, 1]
         cross = u[0, 1] * u[j, 0]
         m1 = u00 * m0 + cross
@@ -209,16 +213,16 @@ def _gate_figures(u: np.ndarray, rank_s: int) -> tuple[float, float]:
 
 
 def _pair(x: np.ndarray, n: int) -> np.ndarray:
-    # The n x 2 pair [a b] of the search variables: a = z[:n], b = z[n:]
-    # with z = x[:2n] + i x[2n:].
+    # The n x 2 pair [a b] of the 4n search reals: z = x[:2n] + i x[2n:]
+    # packs z = (a, b).
     z = x[: 2 * n] + 1j * x[2 * n :]
     return z.reshape(2, n).T
 
 
-def _variables(pair: np.ndarray) -> np.ndarray:
-    # Inverse of _pair.
-    z = pair.T.ravel()
-    return np.concatenate((z.real, z.imag))
+def _real(packed: np.ndarray) -> np.ndarray:
+    # Gradients over the search reals from packed gradients G = 2 dg/d(conj z)
+    # over z = (a, b), one per row: (Re G, Im G).
+    return np.concatenate((packed.real, packed.imag), axis=-1)
 
 
 def _orthonormality_defect(pair: np.ndarray) -> float:
@@ -232,23 +236,21 @@ def _orthonormal_pair(pair: np.ndarray) -> np.ndarray:
     return q * np.exp(1j * np.angle(np.diagonal(r)))
 
 
-def _objective_gradient(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
-    # Gradient of the objective -sum_{j=1..s} |b_j|^2 over the 4n reals.
-    grad = np.zeros_like(x)
-    for part in (n, 3 * n):
-        acc = slice(part + 1, part + rank_s + 1)
-        grad[acc] = -2 * x[acc]
-    return grad
+def _objective_gradient(pair: np.ndarray, accept: Sequence[int]) -> np.ndarray:
+    # The objective -sum_j |b_j|^2 over the accepted rows has packed
+    # gradient -2 b_j there.
+    packed = np.zeros_like(pair)
+    packed[accept, 1] = -2 * pair[accept, 1]
+    return _real(packed.T.ravel())
 
 
-def _search_constraints(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
+def _search_constraints(pair: np.ndarray, accept: Sequence[int]) -> np.ndarray:
     # Equalities of the search: |a|^2 - 1, |b|^2 - 1, Re and Im <a, b>, then
     # the real and imaginary parts of the sign-shift entry defects for input
-    # mode 1 and accepted modes 1..rank_s.
-    pair = _pair(x, n)
+    # mode 1 and the accepted rows.
     a, b = pair.T
     inner = np.vdot(a, b)
-    defects = _sign_shift_defects(pair, range(1, rank_s + 1))
+    defects = _sign_shift_defects(pair, accept)
     return np.concatenate(
         (
             [np.vdot(a, a).real - 1, np.vdot(b, b).real - 1, inner.real, inner.imag],
@@ -258,31 +260,24 @@ def _search_constraints(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
     )
 
 
-def _constraint_jacobian(x: np.ndarray, n: int, rank_s: int) -> np.ndarray:
-    # Rows of _search_constraints differentiated over the 4n reals, ordered
-    # (Re a, Re b, Im a, Im b).  A holomorphic defect with complex
-    # derivative D changes by D along Re z and by iD along Im z; its real
-    # and imaginary rows are the two parts of that.
-    ar, br, ai, bi = x.reshape(4, n)
-    zero = np.zeros(n)
+def _constraint_jacobian(pair: np.ndarray, accept: Sequence[int]) -> np.ndarray:
+    # Packed gradients of the rows of _search_constraints.  A defect h with
+    # complex derivative D has packed gradient conj(D) for Re h and
+    # i conj(D) for Im h.
+    a, b = pair.T
+    zero = np.zeros_like(a)
     orthonormality = np.array(
-        [
-            [2 * ar, zero, 2 * ai, zero],
-            [zero, 2 * br, zero, 2 * bi],
-            [br, ar, bi, ai],
-            [bi, -ai, -br, ar],
-        ]
-    ).reshape(4, 4 * n)
-    hol = _sign_shift_jacobian(_pair(x, n), range(1, rank_s + 1))
-    wide = np.hstack((hol, 1j * hol))
-    return np.concatenate((orthonormality, wide.real, wide.imag))
+        [[2 * a, zero], [zero, 2 * b], [b, a], [-1j * b, 1j * a]]
+    ).reshape(4, -1)
+    dbar = _sign_shift_jacobian(pair, accept).conj()
+    return _real(np.concatenate((orthonormality, dbar, 1j * dbar)))
 
 
-def _kkt_defect(x: np.ndarray, n: int, rank_s: int) -> float:
+def _kkt_defect(pair: np.ndarray, accept: Sequence[int]) -> float:
     # First-order stationarity ||grad f - J^T lambda|| with the multipliers
     # lambda fitted by least squares.
-    grad = _objective_gradient(x, n, rank_s)
-    jac_t = _constraint_jacobian(x, n, rank_s).T
+    grad = _objective_gradient(pair, accept)
+    jac_t = _constraint_jacobian(pair, accept).T
     multipliers = np.linalg.lstsq(jac_t, grad, rcond=None)[0]
     return float(np.linalg.norm(grad - jac_t @ multipliers))
 
@@ -312,6 +307,9 @@ def numeric_search(
     and the largest defect is reported as ``kkt_defect``.  This is a
     falsification oracle for the 0.25 bound, not an optimality prover.
     """
+    total_modes = _count(total_modes, "mode counts")
+    rank_s = _count(rank_s, "ranks")
+    restarts = _count(restarts, "restart counts")
     if total_modes < 3:
         raise ValueError("the search needs at least three modes")
     if not 1 <= rank_s <= total_modes - 1:
@@ -322,10 +320,11 @@ def numeric_search(
     from scipy.optimize import minimize
 
     n = total_modes
+    accept = range(1, rank_s + 1)
     tracker = {"max_feasible": 0.0, "evals": 0}
 
     def figures(pair: np.ndarray) -> tuple[float, float]:
-        prob, residual = _gate_figures(pair, rank_s)
+        prob, residual = _gate_figures(pair, accept)
         tracker["evals"] += 1
         if (
             residual <= FEASIBLE_RESIDUAL
@@ -334,15 +333,15 @@ def numeric_search(
             tracker["max_feasible"] = max(tracker["max_feasible"], prob)
         return prob, residual
 
-    def neg_prob(x: np.ndarray) -> float:
-        return -figures(_pair(x, n))[0]
+    def on_reals(helper):
+        # SLSQP calls back with the 4n reals; the helpers read the pair.
+        return lambda x: helper(_pair(x, n), accept)
 
-    args = (n, rank_s)
+    objective = on_reals(lambda pair, _: -figures(pair)[0])
     constraint = {
         "type": "eq",
-        "fun": _search_constraints,
-        "jac": _constraint_jacobian,
-        "args": args,
+        "fun": on_reals(_search_constraints),
+        "jac": on_reals(_constraint_jacobian),
     }
     starts = [0.4 + 0.03 * np.arange(4 * n)]
     for child in np.random.SeedSequence(seed).spawn(restarts):
@@ -353,9 +352,9 @@ def numeric_search(
     best_key, best_pair, kkt_defects = None, None, []
     for x0 in starts:
         x = minimize(
-            neg_prob,
+            objective,
             x0,
-            jac=lambda x: _objective_gradient(x, *args),
+            jac=on_reals(_objective_gradient),
             method="SLSQP",
             constraints=constraint,
             options={"maxiter": 200, "ftol": 1e-12},
@@ -364,7 +363,7 @@ def numeric_search(
         prob, residual = figures(pair)
         working = residual <= FEASIBLE_RESIDUAL
         if working:
-            kkt_defects.append(_kkt_defect(_variables(pair), *args))
+            kkt_defects.append(_kkt_defect(pair, accept))
         key = (working, prob if working else -residual)
         if best_key is None or key > best_key:
             best_key, best_pair = key, pair

@@ -95,7 +95,8 @@ class ConditionalScheme:
         the ancilla modes only.
         """
         ancilla_modes = _count(ancilla_modes, "mode counts")
-        accept_modes = tuple(accept_modes)
+        input_mode = _count(input_mode, "mode indices")
+        accept_modes = tuple(_count(m, "mode indices") for m in accept_modes)
         for m in (input_mode, *accept_modes):
             if not 0 <= m < ancilla_modes:
                 raise ValueError(f"ancilla mode {m} outside 0..{ancilla_modes - 1}")

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import UNITARITY_TOL, LopCircuit, Occupation
+from .fock import UNITARITY_TOL, LopCircuit, Occupation, _count
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,13 +155,10 @@ class NsDesign:
     def predicted_probability(self) -> float:
         return _predicted_probability(self.matrix.matrix, self.accept_modes)
 
-    def scheme(self, system_photons=(0, 1, 2)) -> ConditionalScheme:
+    def scheme(self) -> ConditionalScheme:
         """Post-selection scheme matching this design's input and outcomes."""
         return ConditionalScheme.one_photon(
-            self.total_modes - 1,
-            _INPUT_MODE - 1,
-            [j - 1 for j in self.accept_modes],
-            system_photons,
+            self.total_modes - 1, _INPUT_MODE - 1, [j - 1 for j in self.accept_modes]
         )
 
 
@@ -317,6 +314,7 @@ def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDe
 
     G is the fixed columns' Gram; at most max_extra_modes vacuum modes are added.
     """
+    max_extra_modes = _count(max_extra_modes, "mode counts")
     if max_extra_modes < 0:
         raise ValueError(f"max_extra_modes must be non-negative, got {max_extra_modes}")
     base = design.partial.dim

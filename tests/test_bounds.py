@@ -35,7 +35,6 @@ from nsgate.bounds import (
     _orthonormal_pair,
     _pair,
     _search_constraints,
-    _variables,
 )
 from nsgate.fock import LopCircuit
 from nsgate.gate import _complete_columns, _fixed_block
@@ -406,17 +405,22 @@ def search_scheme(n, rank):
     return ConditionalScheme.one_photon(n - 1, 0, range(rank))
 
 
+def accepted_rows(rank):
+    return range(1, rank + 1)
+
+
 class TestGateFigures:
     def test_closed_forms_match_amplitude_machinery(self, rng):
         for n, rank in [(3, 1), (4, 2), (5, 3)]:
             for _ in range(10):
                 u = haar_unitary(n, rng)
-                fast = _gate_figures(u.matrix, rank)
+                accept = accepted_rows(rank)
+                fast = _gate_figures(u.matrix, accept)
                 report = verify_ns(u, search_scheme(n, rank))
                 assert fast[0] == pytest.approx(report.success_probability, abs=1e-12)
                 assert fast[1] == pytest.approx(report.condition_residual, abs=1e-12)
                 # the objective reads only the first two columns
-                assert _gate_figures(u.matrix[:, :2], rank) == fast
+                assert _gate_figures(u.matrix[:, :2], accept) == fast
 
     def test_parameterization_produces_unitaries(self, rng):
         # The endpoint map: a phase-fixed QR makes any pair orthonormal, and
@@ -437,7 +441,8 @@ class TestGateFigures:
         for n, rank in [(3, 1), (4, 2)]:
             r = numeric_search(n, rank, restarts=1, seed=n)
             assert isinstance(r.best_matrix, LopCircuit)
-            prob, residual = _gate_figures(r.best_matrix.matrix[:, :2], rank)
+            pair = r.best_matrix.matrix[:, :2]
+            prob, residual = _gate_figures(pair, accepted_rows(rank))
             assert residual <= FEASIBLE_RESIDUAL
             assert prob == pytest.approx(r.best_probability, abs=1e-12)
 
@@ -451,16 +456,23 @@ def central_differences(fun, x, h=1e-6):
 class TestSearchDerivatives:
     @pytest.mark.parametrize("n, rank", [(3, 1), (4, 2), (5, 3)])
     def test_exact_derivatives_match_central_differences(self, rng, n, rank):
-        def objective(x):
-            return -_gate_figures(_pair(x, n), rank)[0]
+        # Differentiated over the 4n reals, this checks the packed-gradient
+        # rule against the real layout of _pair.
+        accept = accepted_rows(rank)
+
+        def over_reals(f):
+            return lambda v: f(_pair(v, n), accept)
+
+        def objective(pair, accept):
+            return -_gate_figures(pair, accept)[0]
 
         for _ in range(5):
             x = rng.standard_normal(4 * n)
-            grad = _objective_gradient(x, n, rank)
-            fd = central_differences(objective, x)
+            grad = over_reals(_objective_gradient)(x)
+            fd = central_differences(over_reals(objective), x)
             assert np.abs(grad - fd).max() <= 1e-6 * np.abs(grad).max()
-            jac = _constraint_jacobian(x, n, rank)
-            fd = central_differences(lambda v: _search_constraints(v, n, rank), x)
+            jac = over_reals(_constraint_jacobian)(x)
+            fd = central_differences(over_reals(_search_constraints), x)
             assert jac.shape == (4 + 2 * (rank + 1), 4 * n)
             assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
 
@@ -469,9 +481,8 @@ class TestSearchDerivatives:
             generalized_design(2**-0.25, [2**-0.25], total_modes=3),
             max_extra_modes=0,
         )
-        x = _variables(design.matrix.matrix[:, :2])
-        assert np.array_equal(_pair(x, 3), design.matrix.matrix[:, :2])
-        assert np.abs(_search_constraints(x, 3, 1)).max() <= 1e-12
+        pair = design.matrix.matrix[:, :2]
+        assert np.abs(_search_constraints(pair, accepted_rows(1))).max() <= 1e-12
 
 
 # Seeds 1-10, the benchmark's held-out seed 7919 and the acceptance seed.
@@ -535,6 +546,11 @@ class TestNumericSearch:
             numeric_search(3, 3, restarts=0, seed=0)
         with pytest.raises(ValueError):
             numeric_search(3, 1, restarts=-1, seed=0)
+        # Refused before any other work, not truncated or left to SLSQP.
+        for bad in (1.5, 3.0):
+            for args in ((bad, 1, 0), (4, bad, 0), (3, 1, bad)):
+                with pytest.raises(ValueError, match=f"integers, got {bad}"):
+                    numeric_search(*args, seed=0)
 
     def test_best_matrix_matches_reported_figures(self):
         r = numeric_search(3, 1, restarts=2, seed=5)

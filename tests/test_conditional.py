@@ -162,6 +162,10 @@ class TestSchemeValidation:
         ):
             with pytest.raises(ValueError, match=mode_message):
                 build()
+        # So are mode indices: 0.5 would match no mode, 2.0 would mean mode 2.
+        for args in ((3, bad, (0,)), (3, 0, (bad,))):
+            with pytest.raises(ValueError, match=f"mode indices must be integers, got {bad}"):
+                ConditionalScheme.one_photon(*args)
 
     def test_one_photon_matches_hand_built_scheme(self):
         scheme = ConditionalScheme.one_photon(3, 1, (0, 2))
