@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalScheme
-from .fock import LopCircuit, _count
+from .fock import LopCircuit, _count, _phase_fixed_qr
 from .gate import (
-    _complete_columns,
+    _gate_figures,
     _sign_shift_defects,
     _sign_shift_jacobian,
     verify_ns,
@@ -56,7 +56,7 @@ X2_MAX = 2 * (SQRT2 - 1)
 # Cross-term coefficient k of the region s + t - k s t <= X2_MAX.
 _K = 4 - 2 * SQRT2
 
-# Default slack of the feasibility inequalities.
+# Slack of the feasibility inequalities.
 _REGION_TOL = 1e-12
 
 #: Sign-shift residual (and, for max_feasible_probability, orthonormality
@@ -105,36 +105,35 @@ class OptimizationResult:
     #: residual and orthonormality defect were both at most
     #: FEASIBLE_RESIDUAL, not just at the final optimum.
     max_feasible_probability: float
-    #: Whether the completed best circuit is a working gate: its residual is
-    #: at most FEASIBLE_RESIDUAL.
-    working: bool
     #: Largest KKT stationarity defect over the working endpoints; nan when
     #: no endpoint works.
     kkt_defect: float
 
+    @property
+    def working(self) -> bool:
+        """Whether the best circuit's residual is at most FEASIBLE_RESIDUAL."""
+        return self.residual <= FEASIBLE_RESIDUAL
 
-def _feasible(x2, y2, tol: float):
+
+def _feasible(x2, y2):
     # The hyperbola and the two domain caps, elementwise over scalars or
     # arrays.  The caps are needed: beyond s = 1/k the hyperbola inequality
     # flips sign.
-    return (
-        (x2 <= X2_MAX + tol)
-        & (y2 <= X2_MAX + tol)
-        & (x2 + y2 - _K * x2 * y2 <= X2_MAX + tol)
-    )
+    cap = X2_MAX + _REGION_TOL
+    return (x2 <= cap) & (y2 <= cap) & (x2 + y2 - _K * x2 * y2 <= cap)
 
 
-def feasible(x2: float, y2: float, tol: float = _REGION_TOL) -> bool:
+def feasible(x2: float, y2: float) -> bool:
     """Whether (x^2, y^2) admits a unitary completion of the design entries.
 
     True iff s + t - k s t <= X2_MAX with s = x^2, t = y^2 both at most
-    X2_MAX, where k = 4 - 2 sqrt(2); every inequality has slack ``tol``.
+    X2_MAX, where k = 4 - 2 sqrt(2); every inequality has slack _REGION_TOL.
     """
     if not (0 <= x2 < math.inf and 0 <= y2 < math.inf):
         raise ValueError(
             f"squared couplings must be finite and non-negative, got {x2}, {y2}"
         )
-    return bool(_feasible(x2, y2, tol))
+    return bool(_feasible(x2, y2))
 
 
 def boundary_y2(x2: float) -> float:
@@ -168,20 +167,24 @@ def maximize_boundary(
     return x_star, probability_on_boundary(x_star)
 
 
-def scan_curve(grid_n: int) -> list[BoundCurveSample]:
-    """Boundary-curve samples at grid_n evenly spaced x^2 values."""
+def _grid_size(grid_n) -> int:
+    grid_n = _count(grid_n, "grid sizes")
     if grid_n < 2:
         raise ValueError("grid needs at least two points")
-    return [BoundCurveSample.on_boundary(x2) for x2 in np.linspace(0.0, X2_MAX, grid_n)]
+    return grid_n
+
+
+def scan_curve(grid_n: int) -> list[BoundCurveSample]:
+    """Boundary-curve samples at grid_n evenly spaced x^2 values."""
+    x2_values = np.linspace(0.0, X2_MAX, _grid_size(grid_n))
+    return [BoundCurveSample.on_boundary(x2) for x2 in x2_values]
 
 
 def _region_grid(grid_n: int) -> tuple[np.ndarray, ...]:
     # The x2, y2, feasible and p columns of sample_region as flat arrays.
-    if grid_n < 2:
-        raise ValueError("grid needs at least two points")
-    axis = np.linspace(0.0, X2_MAX, grid_n)
+    axis = np.linspace(0.0, X2_MAX, _grid_size(grid_n))
     x2, y2 = np.meshgrid(axis, axis, indexing="ij")
-    columns = (x2, y2, _feasible(x2, y2, _REGION_TOL), x2 * y2 / 2)
+    columns = (x2, y2, _feasible(x2, y2), x2 * y2 / 2)
     return tuple(col.ravel() for col in columns)
 
 
@@ -192,24 +195,6 @@ def sample_region(grid_n: int) -> list[tuple[float, float, bool, float]]:
     success probability x^2 * y^2 / 2 whether or not the point is feasible.
     """
     return list(zip(*(col.tolist() for col in _region_grid(grid_n))))
-
-
-def _gate_figures(u: np.ndarray, accept: Sequence[int]) -> tuple[float, float]:
-    # Probability proxy and sign-shift residual for input mode 1 and the
-    # accepted rows, from the closed diagonal Kraus entries (checked against
-    # the lifted amplitudes of verify_ns).  Reads only the first two columns
-    # of u.
-    u00 = u[0, 0]
-    prob = 0.0
-    residual = 0.0
-    for j in accept:
-        m0 = u[j, 1]
-        cross = u[0, 1] * u[j, 0]
-        m1 = u00 * m0 + cross
-        m2 = u00 * (u00 * m0 + 2 * cross)
-        prob += abs(m0) ** 2
-        residual = max(residual, abs(m1 - m0), abs(m2 + m0))
-    return prob, residual
 
 
 def _pair(x: np.ndarray, n: int) -> np.ndarray:
@@ -227,13 +212,6 @@ def _real(packed: np.ndarray) -> np.ndarray:
 
 def _orthonormality_defect(pair: np.ndarray) -> float:
     return float(np.abs(pair.conj().T @ pair - np.eye(2)).max())
-
-
-def _orthonormal_pair(pair: np.ndarray) -> np.ndarray:
-    # Q of the QR factorization, with the phases of R's diagonal moved into
-    # Q so that an orthonormal pair maps to itself up to rounding.
-    q, r = np.linalg.qr(pair)
-    return q * np.exp(1j * np.angle(np.diagonal(r)))
 
 
 def _objective_gradient(pair: np.ndarray, accept: Sequence[int]) -> np.ndarray:
@@ -300,22 +278,27 @@ def numeric_search(
     ``restarts`` random starts, each seeded independently from the master
     seed so the outcome does not depend on evaluation order.
 
-    Each endpoint is made exactly orthonormal by a phase-fixed QR before its
-    figures are read; the best working one is completed to a full unitary
-    and its figures are recomputed from Fock amplitudes.  At every working
-    endpoint the first-order KKT condition grad f = J^T lambda is checked,
-    and the largest defect is reported as ``kkt_defect``.  This is a
-    falsification oracle for the 0.25 bound, not an optimality prover.
+    Each endpoint's pair goes through one phase-fixed QR: the first two
+    columns of its unitary are the pair made exactly orthonormal, which its
+    figures are read from, and the whole unitary is the pair's completion.
+    The best working unitary's figures are recomputed from Fock amplitudes.
+    At every working endpoint the first-order KKT condition
+    grad f = J^T lambda is checked, and the largest defect is reported as
+    ``kkt_defect``.  This is a falsification oracle for the 0.25 bound, not
+    an optimality prover.
     """
     total_modes = _count(total_modes, "mode counts")
     rank_s = _count(rank_s, "ranks")
     restarts = _count(restarts, "restart counts")
+    seed = _count(seed, "seeds")
     if total_modes < 3:
         raise ValueError("the search needs at least three modes")
     if not 1 <= rank_s <= total_modes - 1:
         raise ValueError(f"rank must lie in 1..{total_modes - 1}, got {rank_s}")
     if restarts < 0:
         raise ValueError("restart count cannot be negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     # Imported here: keeps scipy's 0.6 s import off every path that does not search.
     from scipy.optimize import minimize
 
@@ -349,7 +332,7 @@ def numeric_search(
 
     # Highest probability among working endpoints; failing that, the
     # endpoint nearest to working.
-    best_key, best_pair, kkt_defects = None, None, []
+    best_key, best_u, kkt_defects = None, None, []
     for x0 in starts:
         x = minimize(
             objective,
@@ -359,16 +342,17 @@ def numeric_search(
             constraints=constraint,
             options={"maxiter": 200, "ftol": 1e-12},
         ).x
-        pair = _orthonormal_pair(_pair(x, n))
+        u = _phase_fixed_qr(_pair(x, n))
+        pair = u[:, :2]
         prob, residual = figures(pair)
         working = residual <= FEASIBLE_RESIDUAL
         if working:
             kkt_defects.append(_kkt_defect(pair, accept))
         key = (working, prob if working else -residual)
         if best_key is None or key > best_key:
-            best_key, best_pair = key, pair
+            best_key, best_u = key, u
 
-    circuit = _complete_columns(best_pair)
+    circuit = LopCircuit(best_u)
     report = verify_ns(circuit, ConditionalScheme.one_photon(n - 1, 0, range(rank_s)))
     return OptimizationResult(
         best_probability=report.success_probability,
@@ -378,6 +362,5 @@ def numeric_search(
         seed=seed,
         evaluations=int(tracker["evals"]),
         max_feasible_probability=float(tracker["max_feasible"]),
-        working=report.condition_residual <= FEASIBLE_RESIDUAL,
         kkt_defect=max(kkt_defects, default=math.nan),
     )

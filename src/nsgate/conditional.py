@@ -82,13 +82,9 @@ class ConditionalScheme:
 
     @classmethod
     def one_photon(
-        cls,
-        ancilla_modes: int,
-        input_mode: int,
-        accept_modes: Iterable[int],
-        system_photons: Iterable[int] = (0, 1, 2),
+        cls, ancilla_modes: int, input_mode: int, accept_modes: Iterable[int]
     ) -> "ConditionalScheme":
-        """Scheme with one system mode and a single ancilla photon.
+        """Scheme with one system mode in sectors 0-2 and one ancilla photon.
 
         The photon enters ancilla mode ``input_mode`` and the run is accepted
         when it exits in any of ``accept_modes``; indices are zero-based over
@@ -109,7 +105,6 @@ class ConditionalScheme:
             ancilla_modes=ancilla_modes,
             ancilla_input=one_hot(input_mode),
             outcomes=tuple(one_hot(j) for j in accept_modes),
-            system_photons=tuple(system_photons),
         )
 
     @property

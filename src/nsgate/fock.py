@@ -303,13 +303,25 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     return SectorMatrix(sector, entries)
 
 
+def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """Unitary Q of the complete QR of z, with R's diagonal phases moved into Q.
+
+    For z of full column rank, its leading min(z.shape) columns span z's
+    columns (orthonormal columns come back as themselves up to rounding) and
+    the rest are an orthonormal basis of their complement.  On a square
+    complex Gaussian z it is Haar distributed (Mezzadri,
+    arXiv:math-ph/0609050).  The phase is exp(i arg d), which stays finite
+    at a zero pivot d where d/|d| does not.
+    """
+    q, r = np.linalg.qr(z, mode="complete")
+    q[:, : min(z.shape)] *= np.exp(1j * np.angle(np.diagonal(r)))
+    return q
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> LopCircuit:
     """Haar-distributed random mode unitary via QR with a phase-fixed diagonal."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return LopCircuit(q)
+    return LopCircuit(_phase_fixed_qr(z))

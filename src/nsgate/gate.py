@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import UNITARITY_TOL, LopCircuit, Occupation, _count
+from .fock import UNITARITY_TOL, LopCircuit, Occupation, _count, _phase_fixed_qr
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,10 +105,23 @@ def _sign_shift_jacobian(u: np.ndarray, accept_modes: Sequence[int]) -> np.ndarr
     return jac
 
 
-def _predicted_probability(u: np.ndarray, accept_modes: Sequence[int]) -> float:
-    # (x^2 / 2) * sum(y_j^2) with x = |U0i| and y_j = |Uj0|.
-    x2 = abs(u[0, _INPUT_MODE]) ** 2
-    return float(x2 / 2 * sum(abs(u[j, 0]) ** 2 for j in accept_modes))
+def _gate_figures(u: np.ndarray, accept: Sequence[int]) -> tuple[float, float]:
+    # Success probability sum_j |U_ji|^2 and sign-shift residual for the
+    # input mode i and the accepted rows j, from the closed diagonal Kraus
+    # entries (checked against the lifted amplitudes of verify_ns).  Reads
+    # only the first two columns of u.  On a design, U_ji = x y_j / sqrt 2
+    # makes the probability (|x|^2 / 2) * sum_j |y_j|^2.
+    i, u00 = _INPUT_MODE, u[0, 0]
+    prob = 0.0
+    residual = 0.0
+    for j in accept:
+        m0 = u[j, i]
+        cross = u[0, i] * u[j, 0]
+        m1 = u00 * m0 + cross
+        m2 = u00 * (u00 * m0 + 2 * cross)
+        prob += abs(m0) ** 2
+        residual = max(residual, abs(m1 - m0), abs(m2 + m0))
+    return prob, residual
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,7 @@ class GeneralizedDesign:
 
     @property
     def predicted_probability(self) -> float:
-        return _predicted_probability(self.partial.values, self.accept_modes)
+        return _gate_figures(self.partial.values, self.accept_modes)[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ class NsDesign:
 
     @property
     def predicted_probability(self) -> float:
-        return _predicted_probability(self.matrix.matrix, self.accept_modes)
+        return _gate_figures(self.matrix.matrix, self.accept_modes)[0]
 
     def scheme(self) -> ConditionalScheme:
         """Post-selection scheme matching this design's input and outcomes."""
@@ -195,24 +208,16 @@ class NsReport:
         return self.per_outcome[0].m2
 
 
-def _complement_rows(a: np.ndarray) -> np.ndarray:
-    # Orthonormal rows r spanning the orthogonal complement of a's rows, so
-    # that a @ r.conj().T == 0, from the SVD of conj(a) with the usual rank
-    # cut s > max(a.shape) * eps * max(s).
-    _, s, vh = np.linalg.svd(a.conj(), full_matrices=True)
-    tol = max(a.shape) * np.finfo(s.dtype).eps * s.max(initial=0.0)
-    return vh[np.count_nonzero(s > tol) :].conj()
-
-
 def _complete_columns(cols: np.ndarray, at: Sequence[int] = ()) -> LopCircuit:
     # Mode unitary whose columns at (default the first k) are exactly the
-    # given n x k orthonormal columns, the others in order an orthonormal
-    # basis of their complement.
+    # given n x k orthonormal columns, the others in order the trailing
+    # columns of their phase-fixed QR, an orthonormal basis of their
+    # complement.
     n, k = cols.shape
     at = list(at) or list(range(k))
     out = np.empty((n, n), dtype=complex)
     out[:, at] = cols
-    out[:, [c for c in range(n) if c not in at]] = _complement_rows(cols.T).T
+    out[:, [c for c in range(n) if c not in at]] = _phase_fixed_qr(cols)[:, k:]
     return LopCircuit(out)
 
 

@@ -32,12 +32,11 @@ from nsgate.bounds import (
     _constraint_jacobian,
     _gate_figures,
     _objective_gradient,
-    _orthonormal_pair,
     _pair,
     _search_constraints,
 )
-from nsgate.fock import LopCircuit
-from nsgate.gate import _complete_columns, _fixed_block
+from nsgate.fock import LopCircuit, _phase_fixed_qr
+from nsgate.gate import _fixed_block
 
 SQRT2 = math.sqrt(2.0)
 
@@ -335,6 +334,10 @@ class TestCompletionMatchesRegion:
 
 
 class TestSampleRegion:
+    def test_non_integral_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid sizes must be integers, got 2.5"):
+            sample_region(2.5)
+
     def test_two_point_grid(self):
         rows = sample_region(2)
         assert len(rows) == 4
@@ -374,6 +377,11 @@ class TestScanCurve:
     def test_boundary_probability_consistency(self):
         for s in scan_curve(41):
             assert s.p == pytest.approx(probability_on_boundary(s.x2), abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0])
+    def test_non_integral_grid_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"grid sizes must be integers, got {bad}"):
+            scan_curve(bad)
 
 
 class TestCurveCompletionAgreement:
@@ -423,19 +431,16 @@ class TestGateFigures:
                 assert _gate_figures(u.matrix[:, :2], accept) == fast
 
     def test_parameterization_produces_unitaries(self, rng):
-        # The endpoint map: a phase-fixed QR makes any pair orthonormal, and
-        # the completion keeps that pair as its first two columns.
+        # The endpoint map: a phase-fixed QR makes any pair orthonormal, as
+        # the first two columns of a unitary that completes it.
         for n in (3, 4, 5):
-            cols = _orthonormal_pair(_pair(rng.standard_normal(4 * n), n))
-            assert np.abs(cols.conj().T @ cols - np.eye(2)).max() <= 1e-14
-            lop = _complete_columns(cols)
-            assert isinstance(lop, LopCircuit)
-            assert np.array_equal(lop.matrix[:, :2], cols)
+            u = _phase_fixed_qr(_pair(rng.standard_normal(4 * n), n))
+            assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14
 
     def test_endpoint_map_keeps_an_orthonormal_pair(self, rng):
         for n in (3, 4, 5):
             pair = haar_unitary(n, rng).matrix[:, :2]
-            assert np.abs(_orthonormal_pair(pair) - pair).max() <= 1e-14
+            assert np.abs(_phase_fixed_qr(pair)[:, :2] - pair).max() <= 1e-14
 
     def test_search_result_completes_a_working_pair(self):
         for n, rank in [(3, 1), (4, 2)]:
@@ -548,9 +553,13 @@ class TestNumericSearch:
             numeric_search(3, 1, restarts=-1, seed=0)
         # Refused before any other work, not truncated or left to SLSQP.
         for bad in (1.5, 3.0):
-            for args in ((bad, 1, 0), (4, bad, 0), (3, 1, bad)):
+            for i in range(4):
+                args = [4, 1, 0, 0]
+                args[i] = bad
                 with pytest.raises(ValueError, match=f"integers, got {bad}"):
-                    numeric_search(*args, seed=0)
+                    numeric_search(*args)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            numeric_search(3, 1, restarts=0, seed=-1)
 
     def test_best_matrix_matches_reported_figures(self):
         r = numeric_search(3, 1, restarts=2, seed=5)

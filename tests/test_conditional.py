@@ -170,9 +170,6 @@ class TestSchemeValidation:
     def test_one_photon_matches_hand_built_scheme(self):
         scheme = ConditionalScheme.one_photon(3, 1, (0, 2))
         assert scheme == one_system_scheme(3, input_mode=1, outcome_modes=(0, 2))
-        assert ConditionalScheme.one_photon(2, 0, (0,), system_photons=(0, 1)) == (
-            ConditionalScheme(1, 2, (1, 0), ((1, 0),), (0, 1))
-        )
 
     def test_one_photon_mode_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgate import (
     ConditionalScheme,
@@ -23,7 +25,8 @@ from nsgate import (
     verify_ns,
 )
 from nsgate.bounds import _K
-from nsgate.gate import _complement_rows
+from nsgate.fock import _phase_fixed_qr
+from nsgate.gate import _complete_columns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -223,22 +226,22 @@ class TestCompleteToUnitary:
         assert np.array_equal(u[np.ix_(rows, cols)], values[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize(
-        "a",
-        [
-            [[0.6, 0.0, 0.8j]],
-            [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
-            [[0.0, 0.0, 0.0]],
-            [[1.0, 1j, 0.0], [1j, -1.0, 0.0], [0.0, 0.0, 2.0]],
-            [[1.0]],
-        ],
+        "n, k", [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
     )
-    def test_complement_rows(self, a):
-        a = np.array(a, dtype=complex)
-        r = _complement_rows(a)
-        n = a.shape[1]
-        assert r.shape == (n - np.linalg.matrix_rank(a), n)
-        assert np.abs(r @ r.conj().T - np.eye(len(r))).max(initial=0.0) < 1e-12
-        assert np.abs(a @ r.conj().T).max(initial=0.0) < 1e-12
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_phase_fixed_qr(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        q = _phase_fixed_qr(z)
+        assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
+        # Random column phases, so the pivots of R carry arbitrary phases.
+        cols = haar_unitary(n, rng).matrix[:, :k] * np.exp(2j * np.pi * rng.random(k))
+        q = _phase_fixed_qr(cols)
+        assert np.abs(q[:, :k] - cols).max() <= 1e-14
+        assert np.abs(cols.conj().T @ q[:, k:]).max(initial=0.0) <= 1e-14
+        at = rng.permutation(n)[:k].tolist()
+        assert np.array_equal(_complete_columns(cols, at).matrix[:, at], cols)
 
     @pytest.mark.parametrize("ys", [[0.2], [0.12, 0.16j]], ids=["rank1", "rank2"])
     def test_non_psd_gram_named(self, ys):
