@@ -52,6 +52,27 @@ def _tolerance(text: str) -> float:
     )
 
 
+def _at_least(floor: int, what: str):
+    # An integer flag with a lower bound, refused at parse time with its name.
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is not None and value >= floor:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"{what} must be an integer of at least {floor}, got {text!r}"
+        )
+
+    return parse
+
+
+#: One system mode plus at least one ancilla mode.
+_mode_count = _at_least(2, "mode count")
+_seed = _at_least(0, "seed")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -250,15 +271,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("kraus-check", help="completeness defect of a unitary")
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--modes", type=_mode_count, default=3)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--matrix-file", default=None)
     p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_kraus_check)
 
     p = sub.add_parser("reduce-demo", help="one-photon input reduction check")
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--modes", type=_mode_count, default=3)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_reduce_demo)
 

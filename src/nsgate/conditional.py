@@ -23,6 +23,7 @@ from .fock import (
     Occupation,
     SystemBasis,
     _count,
+    _ladder,
     _lift_levels,
     as_occupation,
 )
@@ -220,22 +221,30 @@ _PLAN_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
-    """Output basis and one gather per input sector for _kraus_stack.
+    """Output basis, gathers, kept lift columns and ladders for _kraus_stack.
 
     The basis is the union of each outcome's output sectors, or the vacuum for
     an outcome that reaches none.  A gather (level, flat destination, row,
     column) reads lift level n + |ancilla| of input sector n: its state
     alpha + ancilla is a column, gamma + mu is row gamma of outcome mu's block.
+
+    Only the columns a gather reads are lifted.  Column b of level n reads
+    column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
+    holds level n's gathered columns and the prev of every column kept one
+    level up; levels 0 and 1 keep all.  ladders[n - 2] is level n's (first,
+    prev, scale) on kept[n], with prev as positions in kept[n - 1], and a
+    gather's columns are positions in kept[level].
     """
     modes, n_in, totals = in_basis.modes, sum(ancilla), {sum(mu) for mu in outcomes}
+    lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
     out_sectors = {n + n_in - t for n in in_basis.sectors for t in totals}
-    if max(in_basis.sectors) + n_in < max(totals):
+    if top < max(totals):
         out_sectors.add(0)
     out = SystemBasis(modes, {n for n in out_sectors if n >= 0})
     block_of, gathers = {mu: k for k, mu in enumerate(outcomes)}, []
     for level in (n + n_in for n in in_basis.sectors):
         rows, cols = [], []
-        for r, occ in enumerate(FockSector(modes + len(ancilla), level).basis):
+        for r, occ in enumerate(FockSector(lift_modes, level).basis):
             gamma, mu = occ[:modes], occ[modes:]
             if mu in block_of:
                 rows.append((r, block_of[mu] * out.dim + out._index[gamma]))
@@ -244,7 +253,20 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         if rows:
             (r, i), (c, j) = np.array(rows).T, np.array(cols).T
             gathers.append((level, i[:, None] * in_basis.dim + j, r[:, None], c))
-    return out, gathers
+    read = {level: cols for level, _, _, cols in gathers}
+    kept, parents = {0: np.arange(1), 1: np.arange(lift_modes)}, np.zeros(0, int)
+    for n in range(top, 1, -1):
+        kept[n] = np.union1d(read.get(n, parents), parents)
+        parents = _ladder(lift_modes, n)[1][kept[n]]
+    ladders = []
+    for n in range(2, top + 1):
+        first, prev, scale = (a[kept[n]] for a in _ladder(lift_modes, n)[:3])
+        ladders.append((first, kept[n - 1].searchsorted(prev), scale))
+    gathers = [
+        (level, dest, rows, kept[level].searchsorted(cols))
+        for level, dest, rows, cols in gathers
+    ]
+    return out, gathers, tuple(kept[n] for n in range(top + 1)), tuple(ladders)
 
 
 def _kraus_stack(
@@ -252,8 +274,8 @@ def _kraus_stack(
 ) -> tuple[SystemBasis, np.ndarray]:
     """One output basis and the (outcomes, out dim, in dim) operator stack.
 
-    Gathered from one lift by the plan of the scheme's shape, so entries that
-    would break photon conservation stay exact zeros.
+    Gathered from one lift of only the columns the plan of the scheme's shape
+    reads, so entries that would break photon conservation stay exact zeros.
     """
     if lop.dim != scheme.system_modes + scheme.ancilla_modes:
         raise ValueError(
@@ -261,8 +283,11 @@ def _kraus_stack(
             f"{scheme.system_modes + scheme.ancilla_modes}"
         )
     in_basis = scheme.system_basis
-    out_basis, gathers = _stack_plan(in_basis, scheme.ancilla_input, tuple(outcomes))
-    levels = _lift_levels(lop, max(in_basis.sectors) + sum(scheme.ancilla_input))
+    out_basis, gathers, _, ladders = _stack_plan(
+        in_basis, scheme.ancilla_input, tuple(outcomes)
+    )
+    top = max(in_basis.sectors) + sum(scheme.ancilla_input)
+    levels = _lift_levels(lop, top, ladders)
     stack = np.zeros((len(outcomes), out_basis.dim, in_basis.dim), dtype=complex)
     for level, dest, rows, cols in gathers:
         stack.put(dest, levels[level][rows, cols])

@@ -259,13 +259,21 @@ def _ladder(modes: int, photons: int):
     return first, prev, scale, up, root
 
 
-def _lift_levels(lop: LopCircuit, photons: int) -> list[np.ndarray]:
+def _lift_levels(
+    lop: LopCircuit, photons: int, ladders: tuple | None = None
+) -> list[np.ndarray]:
     """Lifted matrices of sectors 0..photons, each in canonical basis order.
 
     Column b of sector n is sum_i U[i, j] a_i^dagger applied to column prev[b]
     of sector n - 1, over sqrt(occ_b[j]), with j the first occupied mode of
     basis state b (see _ladder).  Each sector costs one pass over the modes;
     sector 0 is the 1 x 1 identity and sector 1 the mode matrix itself.
+
+    ``ladders`` restricts the columns of sectors 2..photons: entry n - 2 is
+    the (first, prev, scale) of the columns sector n keeps, prev giving
+    positions among the columns kept one sector down.  A kept column is
+    computed exactly as in the full lift, since column b reads only column
+    prev[b] below.  None keeps every column.
     """
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
@@ -276,9 +284,12 @@ def _lift_levels(lop: LopCircuit, photons: int) -> list[np.ndarray]:
     levels = [np.ones((1, 1), dtype=complex), u][: photons + 1]
     for n in range(2, photons + 1):
         first, prev, scale, up, root = _ladder(lop.dim, n)
+        dim = len(first)
+        if ladders is not None:
+            first, prev, scale = ladders[n - 2]
         below = levels[-1][:, prev] * scale
         coeff = u[:, first]
-        level = np.zeros((len(first), len(first)), dtype=complex)
+        level = np.zeros((dim, len(first)), dtype=complex)
         for i in range(lop.dim):
             level[up[i]] += root[i] * below * coeff[i]
         levels.append(level)

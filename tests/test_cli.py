@@ -299,6 +299,27 @@ class TestUsageErrors:
         assert out == ""
         assert "error: argument --tol: tolerance must be finite and positive" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kraus-check", "--modes", "1"], "--modes: mode count must be an "
+             "integer of at least 2, got '1'"),
+            (["reduce-demo", "--modes", "0"], "--modes: mode count must be an "
+             "integer of at least 2, got '0'"),
+            (["kraus-check", "--seed", "-1"], "--seed: seed must be an integer "
+             "of at least 0, got '-1'"),
+            (["reduce-demo", "--seed", "-1"], "--seed: seed must be an integer "
+             "of at least 0, got '-1'"),
+        ],
+    )
+    def test_bad_mode_count_or_seed_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {message}" in err
+
     def test_semantic_value_errors_map_to_usage(self, capsys):
         assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64
         assert main(["scan-curve", "--grid-n", "1"]) == 64

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsgate import (
@@ -25,6 +25,7 @@ from nsgate.conditional import (
     _kraus_stack,
     _stack_plan,
 )
+from nsgate.fock import _ladder, _lift_levels
 
 
 def one_system_scheme(ancilla_modes, input_mode=0, outcome_modes=(0,)):
@@ -103,6 +104,54 @@ def random_schemes(draw):
         system_photons=tuple(photons),
     ).all_outcomes()
     return scheme, draw(st.integers(0, 2**32 - 1))
+
+
+def full_lift_reads(scheme, lop, outcomes, out_basis):
+    """The stack read entry by entry off a lift of every column."""
+    ancilla = scheme.ancilla_input
+    levels = _lift_levels(lop, max(scheme.system_photons) + sum(ancilla))
+    in_states = scheme.system_basis.states
+    stack = np.zeros((len(outcomes), out_basis.dim, len(in_states)), dtype=complex)
+    for k, mu in enumerate(outcomes):
+        for g, gamma in enumerate(out_basis.states):
+            for a, alpha in enumerate(in_states):
+                n = sum(alpha) + sum(ancilla)
+                if sum(gamma) + sum(mu) == n:
+                    sector = FockSector(lop.dim, n)
+                    row, col = sector.index(gamma + mu), sector.index(alpha + ancilla)
+                    stack[k, g, a] = levels[n][row, col]
+    return stack
+
+
+@st.composite
+def stack_cases(draw):
+    """A scheme with 0 to 3 ancilla modes, a circuit seed and an outcome list.
+
+    Ancilla inputs hold up to two photons a mode and the top lift level stays
+    at or below 4.  With an ancilla mode, the outcomes are a random subset in
+    random order plus one that takes more photons than any input holds.
+    """
+    system_modes = draw(st.integers(1, 2))
+    ancilla_modes = draw(st.integers(0, 3))
+    counts = st.lists(st.integers(0, 2), min_size=ancilla_modes, max_size=ancilla_modes)
+    ancilla_input = tuple(draw(counts))
+    assume(sum(ancilla_input) <= 4)
+    photons = draw(st.sets(st.integers(0, 4 - sum(ancilla_input)), min_size=1))
+    scheme = ConditionalScheme(
+        system_modes=system_modes,
+        ancilla_modes=ancilla_modes,
+        ancilla_input=ancilla_input,
+        outcomes=(ancilla_input,),
+        system_photons=tuple(photons),
+    ).all_outcomes()
+    outcomes = list(scheme.outcomes)
+    if ancilla_modes:
+        pick = st.sampled_from(scheme.outcomes)
+        subset = draw(st.lists(pick, min_size=1, max_size=6, unique=True))
+        top = max(photons) + sum(ancilla_input)
+        unreachable = (top + 1,) + (0,) * (ancilla_modes - 1)
+        outcomes = draw(st.permutations([*subset, unreachable]))
+    return scheme, draw(st.integers(0, 2**32 - 1)), outcomes
 
 
 @st.composite
@@ -277,6 +326,26 @@ class TestKrausOperator:
         assert after.misses == before.misses
         assert after.maxsize == _PLAN_CACHE_SIZE
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(case=stack_cases())
+    # Top lift level 0, then 1 reached by the system or by the ancilla alone.
+    @example(case=(ConditionalScheme(1, 0, (), ((),), (0,)), 0, [()]))
+    @example(case=(ConditionalScheme(2, 0, (), ((),), (0, 1)), 1, [()]))
+    @example(
+        case=(ConditionalScheme(1, 1, (1,), ((0,), (1,)), (0,)), 2, [(2,), (1,), (0,)])
+    )
+    def test_restricted_stack_equals_full_lift_reads(self, case):
+        # The plan lifts only the columns its gathers read; each kept column
+        # is computed as in the full lift, so the stack matches bit for bit.
+        scheme, seed, outcomes = case
+        lop = haar_unitary(
+            scheme.system_modes + scheme.ancilla_modes, np.random.default_rng(seed)
+        )
+        out_basis, stack = _kraus_stack(scheme, lop, outcomes)
+        expected = full_lift_reads(scheme, lop, outcomes, out_basis)
+        assert stack.shape == expected.shape
+        assert stack.tobytes() == expected.tobytes()
+
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(case=permuted_schemes())
     def test_ancilla_permutation_leaves_operators_unchanged(self, case):
@@ -312,6 +381,59 @@ class TestKrausOperator:
             op = kraus_operator(scheme, haar_unitary(3, rng), (0, 1))
             off = op.entries[~np.eye(3, dtype=bool)]
             assert np.all(off == 0)
+
+
+def plan_of(scheme):
+    return _stack_plan(scheme.system_basis, scheme.ancilla_input, scheme.outcomes)
+
+
+class TestStackPlanColumns:
+    """The plan keeps the input columns of each lift level and their parents.
+
+    Counted, not timed: a plan that went back to lifting every column fails
+    here.
+    """
+
+    def assert_closed_under_prev(self, scheme):
+        _, _, kept, ladders = plan_of(scheme)
+        lift_modes = scheme.system_modes + scheme.ancilla_modes
+        assert len(kept) == max(scheme.system_photons) + sum(scheme.ancilla_input) + 1
+        assert len(ladders) == max(len(kept) - 2, 0)
+        for n, ladder in enumerate(ladders, start=2):
+            first, prev, scale = _ladder(lift_modes, n)[:3]
+            assert np.isin(prev[kept[n]], kept[n - 1]).all()
+            assert np.array_equal(kept[n - 1][ladder[1]], prev[kept[n]])
+            assert np.array_equal(ladder[0], first[kept[n]])
+            assert np.array_equal(ladder[2], scale[kept[n]])
+
+    @pytest.mark.parametrize(
+        "system_modes, sectors, ancilla, counts",
+        [
+            (2, (0, 1, 2, 3), (1, 1, 0), {2: 1, 3: 2, 4: 3, 5: 4}),
+            (2, (0, 1, 2, 3), (2, 1, 0), {2: 1, 3: 1, 4: 2, 5: 3, 6: 4}),
+            (1, (0, 1, 2), (1, 1, 1), {2: 1, 3: 1, 4: 1, 5: 1}),
+            (2, (0, 1, 2), (2, 0), {2: 1, 3: 2, 4: 3}),
+        ],
+    )
+    def test_lift_benchmark_schemes(self, system_modes, sectors, ancilla, counts):
+        # Input sector sizes from level |ancilla| up; one parent column below.
+        scheme = ConditionalScheme(
+            system_modes, len(ancilla), ancilla, (ancilla,), sectors
+        ).all_outcomes()
+        kept = plan_of(scheme)[2]
+        assert {n: len(kept[n]) for n in range(2, len(kept))} == counts
+        self.assert_closed_under_prev(scheme)
+
+    @pytest.mark.parametrize("ancilla_modes", [1, 2, 5, 13])
+    def test_one_photon_schemes_keep_one_column(self, ancilla_modes):
+        for input_mode in (0, ancilla_modes - 1):
+            scheme = ConditionalScheme.one_photon(
+                ancilla_modes, input_mode, range(ancilla_modes)
+            ).all_outcomes()
+            kept = plan_of(scheme)[2]
+            assert [len(k) for k in kept[2:]] == [1, 1]
+            assert len(kept[1]) == ancilla_modes + 1
+            self.assert_closed_under_prev(scheme)
 
 
 class TestApplyConditional:
