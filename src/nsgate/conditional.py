@@ -283,11 +283,10 @@ def _kraus_stack(
             f"{scheme.system_modes + scheme.ancilla_modes}"
         )
     in_basis = scheme.system_basis
-    out_basis, gathers, _, ladders = _stack_plan(
+    out_basis, gathers, kept, ladders = _stack_plan(
         in_basis, scheme.ancilla_input, tuple(outcomes)
     )
-    top = max(in_basis.sectors) + sum(scheme.ancilla_input)
-    levels = _lift_levels(lop, top, ladders)
+    levels = _lift_levels(lop, len(kept) - 1, ladders)
     stack = np.zeros((len(outcomes), out_basis.dim, in_basis.dim), dtype=complex)
     for level, dest, rows, cols in gathers:
         stack.put(dest, levels[level][rows, cols])
