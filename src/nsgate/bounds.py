@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalScheme
-from .fock import LopCircuit, _count, _phase_fixed_qr
+from .fock import CapacityError, LopCircuit, _count, _phase_fixed_qr
 from .gate import (
     _gate_figures,
     _sign_shift_defects,
@@ -66,6 +66,14 @@ FEASIBLE_RESIDUAL = 1e-6
 #: Largest first-order KKT defect ||grad f - J^T lambda|| expected at a
 #: working search endpoint.
 KKT_TOL = 1e-6
+
+#: Largest grid size of scan_curve and sample_region.  The region grid holds
+#: GRID_CAP^2 points, about 1e6, and its CSV text is built in memory.
+GRID_CAP = 1001
+
+#: Largest mode count of numeric_search: the best endpoint is verified on a
+#: lift of three photons, and at 21 modes that sector exceeds SECTOR_CAP.
+SEARCH_MODE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,8 @@ def _grid_size(grid_n) -> int:
     grid_n = _count(grid_n, "grid sizes")
     if grid_n < 2:
         raise ValueError("grid needs at least two points")
+    if grid_n > GRID_CAP:
+        raise CapacityError(f"grid size {grid_n} exceeds the cap of {GRID_CAP}")
     return grid_n
 
 
@@ -293,6 +303,10 @@ def numeric_search(
     seed = _count(seed, "seeds")
     if total_modes < 3:
         raise ValueError("the search needs at least three modes")
+    if total_modes > SEARCH_MODE_CAP:
+        raise CapacityError(
+            f"{total_modes} modes exceed the search cap of {SEARCH_MODE_CAP}"
+        )
     if not 1 <= rank_s <= total_modes - 1:
         raise ValueError(f"rank must lie in 1..{total_modes - 1}, got {rank_s}")
     if restarts < 0:

@@ -221,12 +221,15 @@ _PLAN_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
-    """Output basis, gathers, kept lift columns and ladders for _kraus_stack.
+    """Output basis, gathers, kept lift columns and ladders for _kraus_blocks.
 
     The basis is the union of each outcome's output sectors, or the vacuum for
     an outcome that reaches none.  A gather (level, flat destination, row,
-    column) reads lift level n + |ancilla| of input sector n: its state
+    column, start) reads lift level n + |ancilla| of input sector n: its state
     alpha + ancilla is a column, gamma + mu is row gamma of outcome mu's block.
+    Its columns are sector n's states in in_basis order (both bases list a
+    sector lexicographically decreasing, and the ancilla suffix is fixed),
+    so the gathered block fills the in_basis columns from start on.
 
     Only the columns a gather reads are lifted.  Column b of level n reads
     column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
@@ -252,8 +255,9 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
                 cols.append((r, in_basis._index[gamma]))
         if rows:
             (r, i), (c, j) = np.array(rows).T, np.array(cols).T
-            gathers.append((level, i[:, None] * in_basis.dim + j, r[:, None], c))
-    read = {level: cols for level, _, _, cols in gathers}
+            dest = i[:, None] * in_basis.dim + j
+            gathers.append((level, dest, r[:, None], c, int(j[0])))
+    read = {level: cols for level, _, _, cols, _ in gathers}
     kept, parents = {0: np.arange(1), 1: np.arange(lift_modes)}, np.zeros(0, int)
     for n in range(top, 1, -1):
         kept[n] = np.union1d(read.get(n, parents), parents)
@@ -263,10 +267,36 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         first, prev, scale = (a[kept[n]] for a in _ladder(lift_modes, n)[:3])
         ladders.append((first, kept[n - 1].searchsorted(prev), scale))
     gathers = [
-        (level, dest, rows, kept[level].searchsorted(cols))
-        for level, dest, rows, cols in gathers
+        (level, dest, rows, kept[level].searchsorted(cols), start)
+        for level, dest, rows, cols, start in gathers
     ]
     return out, gathers, tuple(kept[n] for n in range(top + 1)), tuple(ladders)
+
+
+def _kraus_blocks(
+    scheme: ConditionalScheme, lop: LopCircuit, outcomes: Sequence[Occupation]
+) -> tuple[SystemBasis, list[tuple[np.ndarray, int, np.ndarray]]]:
+    """One output basis and a (destination, column start, block) per sector.
+
+    Input sector n's block holds its accepted (outcome, output state) rows and
+    its own columns, gathered from one lift of only the columns the plan of
+    the scheme's shape reads.  An input sector with no accepted row has no
+    block.
+    """
+    if lop.dim != scheme.system_modes + scheme.ancilla_modes:
+        raise ValueError(
+            f"mode unitary has {lop.dim} modes, scheme needs "
+            f"{scheme.system_modes + scheme.ancilla_modes}"
+        )
+    out_basis, gathers, kept, ladders = _stack_plan(
+        scheme.system_basis, scheme.ancilla_input, tuple(outcomes)
+    )
+    levels = _lift_levels(lop, len(kept) - 1, ladders)
+    blocks = [
+        (dest, start, levels[level][rows, cols])
+        for level, dest, rows, cols, start in gathers
+    ]
+    return out_basis, blocks
 
 
 def _kraus_stack(
@@ -274,22 +304,15 @@ def _kraus_stack(
 ) -> tuple[SystemBasis, np.ndarray]:
     """One output basis and the (outcomes, out dim, in dim) operator stack.
 
-    Gathered from one lift of only the columns the plan of the scheme's shape
-    reads, so entries that would break photon conservation stay exact zeros.
+    The blocks of _kraus_blocks put in place, so entries that would break
+    photon conservation stay exact zeros.
     """
-    if lop.dim != scheme.system_modes + scheme.ancilla_modes:
-        raise ValueError(
-            f"mode unitary has {lop.dim} modes, scheme needs "
-            f"{scheme.system_modes + scheme.ancilla_modes}"
-        )
-    in_basis = scheme.system_basis
-    out_basis, gathers, kept, ladders = _stack_plan(
-        in_basis, scheme.ancilla_input, tuple(outcomes)
+    out_basis, blocks = _kraus_blocks(scheme, lop, outcomes)
+    stack = np.zeros(
+        (len(outcomes), out_basis.dim, scheme.system_basis.dim), dtype=complex
     )
-    levels = _lift_levels(lop, len(kept) - 1, ladders)
-    stack = np.zeros((len(outcomes), out_basis.dim, in_basis.dim), dtype=complex)
-    for level, dest, rows, cols in gathers:
-        stack.put(dest, levels[level][rows, cols])
+    for dest, _, block in blocks:
+        stack.put(dest, block)
     return out_basis, stack
 
 
@@ -341,10 +364,24 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
     Meaningful when the scheme's outcomes enumerate every ancilla occupation
     photon conservation allows (see ConditionalScheme.all_outcomes); then the
     defect is numerically zero for any unitary circuit.
+
+    Every outcome maps different input sectors to different output sectors,
+    so the blocks of the sum between two input sectors are exact zeros.  Each
+    sector's gathered block goes in its own row band at its own columns, and
+    one Gram of that band is the whole sum; an input sector that no accepted
+    outcome reaches keeps zero columns and a defect of 1.
     """
     dim = scheme.system_basis.dim
-    ops = _kraus_stack(scheme, lop, scheme.outcomes)[1].reshape(-1, dim)
-    return float(np.abs(ops.conj().T @ ops - np.eye(dim)).max(initial=0.0))
+    blocks = _kraus_blocks(scheme, lop, scheme.outcomes)[1]
+    band = np.zeros((sum(len(block) for _, _, block in blocks), dim), dtype=complex)
+    top = 0
+    for _, start, block in blocks:
+        rows, cols = block.shape
+        band[top : top + rows, start : start + cols] = block
+        top += rows
+    gram = band.conj().T @ band
+    gram.flat[:: dim + 1] -= 1
+    return float(np.abs(gram).max(initial=0.0))
 
 
 def decompose_by_ancilla_count(

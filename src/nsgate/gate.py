@@ -82,10 +82,17 @@ class PartialMatrix:
 
 def _sign_shift_defects(u: np.ndarray, accept_modes: Sequence[int]) -> np.ndarray:
     # U00 - (1 - sqrt 2) and U0i Uj0 - sqrt 2 Uji for the input mode i and
-    # each accepted mode j, all zero exactly when m1 = m0 = -m2 on every
-    # accepted outcome.  The literal conditions m1 - m0 = 0 and m2 + m0 = 0
-    # would repeat the U00 equation once per accepted mode (a rank-deficient
-    # constraint Jacobian in the search).
+    # each accepted mode j.  With m0 = Uji and cross = U0i Uj0, the
+    # conditions m1 = m0 and m2 = -m0 are linear in (m0, cross) with
+    # determinant U00^2 - 2 U00 - 1, zero only at U00 = 1 +- sqrt 2, and
+    # |U00| <= 1 leaves 1 - sqrt 2.  So m1 = m0 = -m2 holds on an accepted
+    # outcome exactly when its defects are zero (the entry rule) or on the
+    # zero-probability branch m0 = cross = 0 with U00 free.  That branch
+    # passes verify_ns without zero defects: the permutation swapping modes
+    # 1 and 2 has residual 0 and p = 0 but defects (sqrt 2, 0).  The literal
+    # conditions m1 - m0 = 0 and m2 + m0 = 0 would repeat the U00 equation
+    # once per accepted mode (a rank-deficient constraint Jacobian in the
+    # search).
     i, j = _INPUT_MODE, list(accept_modes)
     cross = u[0, i] * u[j, 0] - SQRT2 * u[j, i]
     return np.concatenate(([u[0, 0] - (1 - SQRT2)], cross))

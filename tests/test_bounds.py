@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 from nsgate import (
     CONDITION_TOL,
     FEASIBLE_RESIDUAL,
+    GRID_CAP,
     KKT_TOL,
+    SEARCH_MODE_CAP,
+    SECTOR_CAP,
     BoundCurveSample,
+    CapacityError,
     ConditionalScheme,
     InfeasibleDesignError,
     X2_MAX,
@@ -500,6 +505,40 @@ def pinned_examples(test):
         for shape in SEARCH_SHAPES:
             test = example(seed=seed, shape=shape)(test)
     return test
+
+
+class TestCaps:
+    """Sizes above a cap are refused before anything is built.
+
+    A refusal stays far below 64 KB traced; the refused region grid alone
+    would take 8 MB, and the curve 1002 sample objects.  Small sizes are
+    accepted by the tests of each function.
+    """
+
+    @staticmethod
+    def refusal_peak(call, *args, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=match):
+                call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_above_cap_refused(self):
+        for scan in (scan_curve, sample_region):
+            peak = self.refusal_peak(scan, GRID_CAP + 1, match=f"cap of {GRID_CAP}")
+            assert peak < 64 * 1024
+
+    def test_search_modes_above_cap_refused(self):
+        args = (SEARCH_MODE_CAP + 1, 1, 0, 0)
+        match = f"search cap of {SEARCH_MODE_CAP}"
+        assert self.refusal_peak(numeric_search, *args, match=match) < 64 * 1024
+
+    def test_search_cap_is_the_largest_verifiable_mode_count(self):
+        # The best endpoint is verified on a lift of three photons.
+        assert math.comb(SEARCH_MODE_CAP + 2, 3) <= SECTOR_CAP
+        assert math.comb(SEARCH_MODE_CAP + 3, 3) > SECTOR_CAP
 
 
 class TestNumericSearch:

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import nsgate.cli
-from nsgate import InfeasibleDesignError, sample_region, scan_curve
+from nsgate import (
+    GRID_CAP,
+    SEARCH_MODE_CAP,
+    InfeasibleDesignError,
+    sample_region,
+    scan_curve,
+)
 from nsgate.cli import _table, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -324,6 +330,21 @@ class TestUsageErrors:
         assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64
         assert main(["scan-curve", "--grid-n", "1"]) == 64
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-curve", "--grid-n", str(GRID_CAP + 1)],
+            ["region", "--grid-n", str(GRID_CAP + 1)],
+            ["optimize", "--modes", str(SEARCH_MODE_CAP + 1), "--restarts", "0"],
+        ],
+    )
+    def test_size_above_cap_is_usage_error(self, capsys, argv):
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("nsgate: error: ")
+        assert "exceed" in err and len(err.splitlines()) == 1
 
     def test_usage_error_leaves_next_call_working(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,6 +594,53 @@ class TestCompleteness:
         modes = scheme.system_modes + scheme.ancilla_modes
         lop = haar_unitary(modes, np.random.default_rng(seed))
         assert completeness_defect(scheme, lop) <= 1e-10
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=stack_cases(), whole=st.booleans())
+    # Outcome (3,) leaves sectors 0 and 1 unreached: a defect of exactly 1.
+    @example(case=(ConditionalScheme(1, 1, (1,), ((1,),)), 5, [(3,)]), whole=False)
+    @example(case=(ConditionalScheme(1, 1, (1,), ((1,),)), 5, [(3,)]), whole=True)
+    def test_defect_matches_dense_stack_gram(self, case, whole):
+        # The oracle is the Gram of the dense (outcomes, out dim, in dim)
+        # stack; the drawn outcomes are every outcome or a random subset with
+        # one that reaches no sector.
+        scheme, seed, outcomes = case
+        if not whole:
+            scheme = dataclasses.replace(scheme, outcomes=tuple(outcomes))
+        lop = haar_unitary(
+            scheme.system_modes + scheme.ancilla_modes, np.random.default_rng(seed)
+        )
+        dim = scheme.system_basis.dim
+        ops = _kraus_stack(scheme, lop, scheme.outcomes)[1].reshape(-1, dim)
+        oracle = np.abs(ops.conj().T @ ops - np.eye(dim)).max()
+        defect = completeness_defect(scheme, lop)
+        assert abs(defect - oracle) <= 1e-14
+        n_in = sum(scheme.ancilla_input)
+        if any(
+            all(sum(mu) > n + n_in for mu in scheme.outcomes)
+            for n in scheme.system_photons
+        ):
+            assert defect == 1.0
+
+    def test_defect_allocates_less_than_the_dense_stack(self):
+        # The lift benchmark's (2, 1, 0) scheme with every outcome.  Counted,
+        # not timed: a defect read off a dense (84, 28, 10) stack fails here.
+        scheme = ConditionalScheme(
+            2, 3, (2, 1, 0), ((2, 1, 0),), (0, 1, 2, 3)
+        ).all_outcomes()
+        lop = haar_unitary(5, np.random.default_rng(1))
+        out_basis = plan_of(scheme)[0]
+        shape = (len(scheme.outcomes), out_basis.dim, scheme.system_basis.dim)
+        assert shape == (84, 28, 10)
+        dense = math.prod(shape) * np.dtype(complex).itemsize
+        completeness_defect(scheme, lop)  # plan and ladders cached
+        tracemalloc.start()
+        try:
+            completeness_defect(scheme, lop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense
 
 
 class TestSystemBasis:

@@ -26,7 +26,7 @@ from nsgate import (
 )
 from nsgate.bounds import _K
 from nsgate.fock import _phase_fixed_qr
-from nsgate.gate import _complete_columns
+from nsgate.gate import _complete_columns, _sign_shift_defects
 
 SQRT2 = math.sqrt(2.0)
 
@@ -363,6 +363,17 @@ class TestVerifyNs:
             u = design.matrix.matrix
             assert abs(u[0, 0] - (1 - SQRT2)) <= 1e-8
             assert abs(u[1, 1] - u[0, 1] * u[1, 0] / SQRT2) <= 1e-8
+
+    def test_zero_probability_branch_passes_off_the_entry_rule(self):
+        # Swapping modes 1 and 2 sends the helper photon away from the
+        # accepted mode: m0 = cross = 0 with U00 = 1, so m1 = m0 = -m2 holds
+        # at p = 0 while the entry-rule defects are (sqrt 2, 0).
+        swap = LopCircuit(np.eye(3)[[0, 2, 1]])
+        report = verify_ns(swap, ConditionalScheme.one_photon(2, 0, (0,)))
+        assert report.condition_residual == 0
+        assert report.success_probability == 0
+        defects = _sign_shift_defects(swap.matrix, (1,))
+        assert np.abs(defects - [SQRT2, 0]).max() <= 1e-15
 
     def test_multi_system_mode_rejected(self, rng):
         scheme = ConditionalScheme(2, 1, (1,), ((1,),))
