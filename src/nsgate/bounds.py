@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalScheme
-from .fock import CapacityError, LopCircuit, _count, _phase_fixed_qr
+from .fock import CapacityError, LopCircuit, _count, _isometry_defect, _phase_fixed_qr
 from .gate import (
     _gate_figures,
     _sign_shift_defects,
@@ -220,10 +220,6 @@ def _real(packed: np.ndarray) -> np.ndarray:
     return np.concatenate((packed.real, packed.imag), axis=-1)
 
 
-def _orthonormality_defect(pair: np.ndarray) -> float:
-    return float(np.abs(pair.conj().T @ pair - np.eye(2)).max())
-
-
 def _objective_gradient(pair: np.ndarray, accept: Sequence[int]) -> np.ndarray:
     # The objective -sum_j |b_j|^2 over the accepted rows has packed
     # gradient -2 b_j there.
@@ -325,7 +321,7 @@ def numeric_search(
         tracker["evals"] += 1
         if (
             residual <= FEASIBLE_RESIDUAL
-            and _orthonormality_defect(pair) <= FEASIBLE_RESIDUAL
+            and _isometry_defect(pair) <= FEASIBLE_RESIDUAL
         ):
             tracker["max_feasible"] = max(tracker["max_feasible"], prob)
         return prob, residual

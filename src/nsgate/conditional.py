@@ -23,6 +23,7 @@ from .fock import (
     Occupation,
     SystemBasis,
     _count,
+    _isometry_defect,
     _ladder,
     _lift_levels,
     as_occupation,
@@ -379,9 +380,7 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
         rows, cols = block.shape
         band[top : top + rows, start : start + cols] = block
         top += rows
-    gram = band.conj().T @ band
-    gram.flat[:: dim + 1] -= 1
-    return float(np.abs(gram).max(initial=0.0))
+    return float(_isometry_defect(band))
 
 
 def decompose_by_ancilla_count(

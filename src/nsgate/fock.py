@@ -149,6 +149,23 @@ class FockSector(SystemBasis):
         self.basis = self.states
 
 
+def _isometry_residual(x: np.ndarray) -> np.ndarray:
+    """x†x - I for an n x k matrix x, the identity subtracted in place.
+
+    Every unitarity, completeness and orthonormality check reads this one
+    residual.  It casts nothing, so it also runs on object arrays of sympy
+    expressions.
+    """
+    gram = x.conj().T @ x
+    gram.flat[:: gram.shape[0] + 1] -= 1
+    return gram
+
+
+def _isometry_defect(x: np.ndarray) -> float:
+    """Max-abs entry of x†x - I; 0 for a matrix with no columns."""
+    return np.abs(_isometry_residual(x)).max(initial=0.0)
+
+
 @dataclass(frozen=True)
 class LopCircuit:
     """An N x N unitary on optical mode operators."""
@@ -161,11 +178,8 @@ class LopCircuit:
             raise ValueError(f"mode matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("mode matrix has non-finite entries")
-        eye = np.eye(m.shape[0])
-        defect = max(
-            np.abs(m.conj().T @ m - eye).max(initial=0.0),
-            np.abs(m @ m.conj().T - eye).max(initial=0.0),
-        )
+        # U†U - I and, with x = U†, UU† - I.
+        defect = max(_isometry_defect(m), _isometry_defect(m.conj().T))
         if not defect <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         m.setflags(write=False)
@@ -305,13 +319,12 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     or SECTOR_CAP states.
     """
     entries = _lift_levels(lop, photons)[-1]
-    sector = FockSector(lop.dim, photons)
-    defect = np.abs(entries.conj().T @ entries - np.eye(sector.dim)).max(initial=0.0)
+    defect = _isometry_defect(entries)
     if not defect <= LIFT_TOL:
         raise ArithmeticError(
             f"lifted sector matrix failed unitarity (defect {defect:.3e})"
         )
-    return SectorMatrix(sector, entries)
+    return SectorMatrix(FockSector(lop.dim, photons), entries)
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:

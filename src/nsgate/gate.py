@@ -21,7 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import UNITARITY_TOL, LopCircuit, Occupation, _count, _phase_fixed_qr
+from .fock import (
+    UNITARITY_TOL,
+    LopCircuit,
+    Occupation,
+    _count,
+    _isometry_defect,
+    _isometry_residual,
+    _phase_fixed_qr,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -246,7 +254,7 @@ def _complete_block(
     # Unitary on the fewest modes in modes..max_modes whose (rows, cols)
     # block is exactly f.  Its columns cols are orthonormal, so the free rows
     # (outside the block) must carry G = I - F†F: G >= 0 with rank G <= free.
-    gram = np.eye(len(cols)) - f.conj().T @ f
+    gram = -_isometry_residual(f)
     violations = [
         f"column {c} normalization: fixed entries exceed unit norm"
         for c, g in zip(cols, gram.diagonal().real)
@@ -403,7 +411,7 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     if not np.isfinite(v).all():
         raise ValueError("chi has non-finite entries")
     # The (0, 0) entry of the U†U - I check LopCircuit makes of the result.
-    if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= UNITARITY_TOL:
+    if not _isometry_defect(v[:, None]) <= UNITARITY_TOL:
         raise ValueError("chi must be normalized to one photon")
     return _complete_columns(v[:, None])
 

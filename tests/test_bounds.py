@@ -1,9 +1,9 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +40,7 @@ from nsgate.bounds import (
     _pair,
     _search_constraints,
 )
-from nsgate.fock import LopCircuit, _phase_fixed_qr
+from nsgate.fock import LopCircuit, _isometry_residual, _phase_fixed_qr
 from nsgate.gate import _fixed_block
 
 SQRT2 = math.sqrt(2.0)
@@ -146,88 +146,82 @@ class TestMaximizeBoundary:
             maximize_boundary(math.nan)
 
 
-# Exact arithmetic in Q(sqrt(2)): (a, b) stands for a + b*sqrt(2), and a
-# polynomial in s is the list of its coefficients, constant term first.
-def _q2(a, b=0):
-    return (Fraction(a), Fraction(b))
-
-
-def _q2_mul(u, v):
-    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def _poly_add(*polys):
-    out = [_q2(0)] * max(map(len, polys))
-    for poly in polys:
-        for i, (a, b) in enumerate(poly):
-            out[i] = (out[i][0] + a, out[i][1] + b)
-    while len(out) > 1 and out[-1] == _q2(0):
-        out.pop()
-    return out
-
-
-def _poly_mul(p, q):
-    out = [_q2(0)] * (len(p) + len(q) - 1)
-    for i, u in enumerate(p):
-        for j, v in enumerate(q):
-            w = _q2_mul(u, v)
-            out[i + j] = (out[i + j][0] + w[0], out[i + j][1] + w[1])
-    return _poly_add(out)
-
-
 class TestExactCertificate:
     # A = (1 - sqrt(2)) + s/sqrt(2), B = c - s, C = 1 + s/2 with
     # c = 2 sqrt(2) - 2 and k = 4 - 2 sqrt(2).  Along the boundary
     # t = B/(A^2 + BC), so 1/4 - s t/2 = (A^2 + BC - 2 s B)/(4 (A^2 + BC)).
-    A = [_q2(1, -1), _q2(0, Fraction(1, 2))]
-    B = [_q2(-2, 2), _q2(-1)]
-    C = [_q2(1), _q2(Fraction(1, 2))]
-    K = _q2(4, -2)
-
-    def denominator(self):
-        return _poly_add(_poly_mul(self.A, self.A), _poly_mul(self.B, self.C))
+    # Every identity is an exact polynomial identity over Q(sqrt(2)).
+    r2 = sympy.sqrt(2)
+    s = sympy.Symbol("s")
+    c = 2 * r2 - 2
+    k = 4 - 2 * r2
+    A = (1 - r2) + s / r2
+    B = c - s
+    C = 1 + s / 2
 
     def test_denominator_is_linear(self):
         # A^2 + BC = 1 - k s, so the boundary is the hyperbola (c - s)/(1 - k s).
-        minus_k = (-self.K[0], -self.K[1])
-        assert self.denominator() == [_q2(1), minus_k]
+        A, B, C = self.A, self.B, self.C
+        assert sympy.expand(A**2 + B * C - (1 - self.k * self.s)) == 0
 
     def test_gap_to_quarter_is_a_square(self):
         # A^2 + BC - 2 s B = (sqrt(2) s - 1)^2: p <= 1/4, with equality only
         # at s = 1/sqrt(2).
-        minus_2s_b = _poly_mul([_q2(0), _q2(-2)], self.B)
-        gap = _poly_add(self.denominator(), minus_2s_b)
-        root = [_q2(-1), _q2(0, 1)]
-        assert gap == _poly_mul(root, root)
+        A, B, C, s = self.A, self.B, self.C, self.s
+        assert sympy.expand(A**2 + B * C - 2 * s * B - (self.r2 * s - 1) ** 2) == 0
 
     def test_float_constants_match(self):
-        # The module's k and c are the floats of the exact ones used here.
-        assert _K == float(self.K[0]) + float(self.K[1]) * SQRT2
-        assert X2_MAX == float(self.B[0][1]) * SQRT2 + float(self.B[0][0])
+        # The module's k and c are the floats of the exact a + b sqrt(2) used
+        # here, rounded as a + b*SQRT2 (a direct float() of the expression
+        # lands one ulp off).
+        for value, exact in ((_K, self.k), (X2_MAX, self.c)):
+            a, b = exact.coeff(self.r2, 0), exact.coeff(self.r2, 1)
+            assert exact == a + b * self.r2
+            assert value == float(a) + float(b) * SQRT2
 
-    def test_design_gram_entries(self, rng):
+    def symbolic_block(self, rank):
+        # The fixed block F of generalized_design(x, [y_1..y_rank], n): row 0
+        # is (1 - sqrt 2, x) and row j is (y_j, x y_j / sqrt 2).
+        x = sympy.Symbol("x")
+        ys = sympy.symbols(f"y1:{rank + 1}")
+        rows = [[1 - self.r2, x]] + [[y, x * y / self.r2] for y in ys]
+        return (x, *ys), np.array(rows, dtype=object)
+
+    def test_design_gram_entries(self):
         # The Gram G = I - F†F of the two fixed columns of a design with
         # s = |x|^2 and t = sum |y_j|^2, at every rank, is A, B, C read at t:
-        # G00 = B(t), G11 = 1 - s C(t), |G01|^2 = s A(t)^2.  So
+        # G00 = B(t), G11 = 1 - s C(t), G01 G10 = |G01|^2 = s A(t)^2.  So
         # det G = B(t) - s (A^2 + BC)(t) = c - s - t + k s t by the linear
-        # denominator, and G depends on the y_j only through t.
+        # denominator, and G depends on the y_j only through t.  G comes
+        # from the residual every unitarity check reads, run on symbols.
         for rank in (1, 2, 3):
-            for _ in range(20):
-                s, t = rng.uniform(0.0, 1.2 * X2_MAX, 2)
-                x = math.sqrt(s) * np.exp(2j * math.pi * rng.random())
-                ys = split_coupling(t, rank, rng)
-                gram = design_gram(generalized_design(x, ys, total_modes=rank + 1))
-                a, b, c = (_poly_value(p, t) for p in (self.A, self.B, self.C))
-                assert gram[0, 0] == pytest.approx(b, abs=1e-14)
-                assert gram[1, 1] == pytest.approx(1 - s * c, abs=1e-14)
-                assert abs(gram[0, 1]) ** 2 == pytest.approx(s * a**2, abs=1e-14)
-                det = np.linalg.det(gram).real
-                assert det == pytest.approx(X2_MAX - s - t + _K * s * t, abs=1e-14)
+            (x, *ys), f = self.symbolic_block(rank)
+            g = -_isometry_residual(f)
+            s = x * sympy.conjugate(x)
+            t = sum(y * sympy.conjugate(y) for y in ys)
+            identities = (
+                (g[0, 0], self.c - t),
+                (g[1, 1], 1 - s - s * t / 2),
+                (g[0, 1] * g[1, 0], s * ((1 - self.r2) + t / self.r2) ** 2),
+                (
+                    g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0],
+                    self.c - s - t + self.k * s * t,
+                ),
+            )
+            for entry, exact in identities:
+                assert sympy.expand(entry - exact) == 0
 
-
-def _poly_value(poly, t):
-    # Float value at t of a polynomial with coefficients in Q(sqrt(2)).
-    return sum((float(a) + float(b) * SQRT2) * t**i for i, (a, b) in enumerate(poly))
+    def test_symbolic_block_is_the_design_block(self, rng):
+        # The block proved on above is the one generalized_design builds.
+        for rank in (1, 2, 3):
+            symbols, f = self.symbolic_block(rank)
+            for _ in range(5):
+                point = rng.uniform(-0.7, 0.7, (rank + 1, 2)) @ [1, 1j]
+                numeric = _fixed_block(
+                    generalized_design(point[0], point[1:], rank + 1).partial
+                )[2]
+                exact = sympy.lambdify(symbols, sympy.Matrix(f))(*point)
+                assert np.abs(exact - numeric).max() <= 1e-15
 
 
 def design_gram(design):

@@ -19,7 +19,7 @@ from nsgate import (
     lift_to_sector,
     permanent,
 )
-from nsgate.fock import as_occupation
+from nsgate.fock import _isometry_defect, _phase_fixed_qr, as_occupation
 
 
 def naive_permanent(m):
@@ -217,6 +217,32 @@ class TestLopCircuit:
         assert np.array_equal(u1.matrix, u2.matrix)
         defect = np.abs(u1.matrix.conj().T @ u1.matrix - np.eye(4)).max()
         assert defect < 1e-12
+
+
+class TestIsometryDefect:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        shape=st.integers(0, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n))
+        ),
+        unitary=st.booleans(),
+        layout=st.sampled_from(["copy", "slice", "reversed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_literal_residual(self, shape, unitary, layout, seed):
+        # The max-abs of x†x - I for unitary and non-isometric inputs, taken
+        # as contiguous copies or as strided column slices, equals the
+        # literal formula with its identity temporary bit for bit.
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if unitary and n:
+            m = _phase_fixed_qr(m)
+        x = m[:, ::-1][:, :k] if layout == "reversed" else m[:, :k]
+        if layout == "copy":
+            x = np.ascontiguousarray(x)
+        expected = np.abs(x.conj().T @ x - np.eye(k)).max(initial=0.0)
+        assert _isometry_defect(x) == expected
 
 
 class TestFockAmplitude:

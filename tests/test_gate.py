@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from nsgate import (
     apply_conditional,
     complete_design,
     complete_to_unitary,
+    fock_amplitude,
     generalized_design,
     haar_unitary,
     klm_design,
@@ -384,6 +386,72 @@ class TestVerifyNs:
         scheme = ConditionalScheme(1, 2, (1, 0), ((0, 0),))
         with pytest.raises(ValueError):
             verify_ns(haar_unitary(3, rng), scheme)
+
+
+def symbolic_amplitude(block, in_occ, out_occ):
+    # fock_amplitude's definition on a symbolic block: the permanent of the
+    # block with column j repeated in_occ[j] times and row i out_occ[i]
+    # times, over the square root of the product of all occupations'
+    # factorials.
+    rows = [i for i, c in enumerate(out_occ) for _ in range(c)]
+    cols = [j for j, c in enumerate(in_occ) for _ in range(c)]
+    norm = math.prod(math.factorial(c) for c in (*in_occ, *out_occ))
+    return block.extract(rows, cols).per() / sympy.sqrt(norm)
+
+
+class TestSignShiftAlgebra:
+    # The modes (0, i) in and (0, j) out, for the input mode i and an
+    # accepted mode j, carry the block [[U00, U0i], [Uj0, Uji]], and
+    # m_n = <n, 1_j|U|n, 1_i> with n photons in the system mode.
+    u00, u0i, uj0, uji = sympy.symbols("U00 U0i Uj0 Uji")
+    block = sympy.Matrix([[u00, u0i], [uj0, uji]])
+
+    def diagonal(self):
+        return [symbolic_amplitude(self.block, (n, 1), (n, 1)) for n in range(3)]
+
+    def test_permanents_give_the_closed_forms(self):
+        # The closed forms of gate._gate_figures, with cross = U0i Uj0.
+        u00, uji, cross = self.u00, self.uji, self.u0i * self.uj0
+        m0, m1, m2 = self.diagonal()
+        assert sympy.expand(m0 - uji) == 0
+        assert sympy.expand(m1 - (u00 * m0 + cross)) == 0
+        assert sympy.expand(m2 - u00 * (u00 * m0 + 2 * cross)) == 0
+
+    def test_conditions_pin_u00_or_vanish(self):
+        # m1 - m0 and m2 + m0 are linear in (m0, cross) with determinant
+        # U00^2 - 2 U00 - 1, zero only at 1 +- sqrt 2: off those, m1 = m0 =
+        # -m2 forces m0 = cross = 0.  At U00 = 1 - sqrt 2 the solutions are
+        # cross = sqrt 2 m0, the entry rule _sign_shift_defects checks.
+        cross, r2 = sympy.Symbol("cross"), sympy.sqrt(2)
+        m0, m1, m2 = (m.subs(self.u0i, cross / self.uj0) for m in self.diagonal())
+        system, rhs = sympy.linear_eq_to_matrix(
+            [sympy.expand(m1 - m0), sympy.expand(m2 + m0)], [self.uji, cross]
+        )
+        assert rhs == sympy.zeros(2, 1)
+        det = sympy.expand(system.det())
+        assert det == self.u00**2 - 2 * self.u00 - 1
+        assert set(sympy.solve(det, self.u00)) == {1 - r2, 1 + r2}
+        pinned = system.subs(self.u00, 1 - r2)
+        assert pinned.rank() == 1
+        assert sympy.expand(pinned * sympy.Matrix([1, r2])) == sympy.zeros(2, 1)
+
+    @pytest.mark.parametrize("accept", [1, 2])
+    def test_symbolic_amplitudes_are_fock_amplitudes(self, rng, accept):
+        # The same definition, read at a Haar unitary, is the engine's.
+        lop = haar_unitary(3, rng)
+        u = lop.matrix
+        entries = {
+            self.u00: u[0, 0],
+            self.u0i: u[0, 1],
+            self.uj0: u[accept, 0],
+            self.uji: u[accept, 1],
+        }
+        out = [0, 0, 0]
+        out[accept] = 1
+        for n, m in enumerate(self.diagonal()):
+            out[0] = n
+            amplitude = fock_amplitude(lop, (n, 1, 0), out)
+            assert complex(m.subs(entries)) == pytest.approx(amplitude, abs=1e-14)
 
 
 class TestReduceGeneralAncilla:
