@@ -71,8 +71,8 @@ KKT_TOL = 1e-6
 #: GRID_CAP^2 points, about 1e6, and its CSV text is built in memory.
 GRID_CAP = 1001
 
-#: Largest mode count of numeric_search: the best endpoint is verified on a
-#: lift of three photons, and at 21 modes that sector exceeds SECTOR_CAP.
+#: Largest mode count of numeric_search, kraus-check and reduce-demo: each
+#: reads a three-photon lift, and at 21 modes that sector exceeds SECTOR_CAP.
 SEARCH_MODE_CAP = 20
 
 

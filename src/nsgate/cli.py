@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .bounds import _region_grid, numeric_search, scan_curve
+from .bounds import SEARCH_MODE_CAP, _region_grid, numeric_search, scan_curve
 from .conditional import (
     ConditionalScheme,
     DensityMatrix,
@@ -52,25 +52,25 @@ def _tolerance(text: str) -> float:
     )
 
 
-def _at_least(floor: int, what: str):
-    # An integer flag with a lower bound, refused at parse time with its name.
+def _int_flag(floor: int, what: str, cap: float = math.inf):
+    # An integer flag in [floor, cap], refused at parse time with its name.
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = None
-        if value is not None and value >= floor:
+            value = math.nan
+        if floor <= value <= cap:
             return value
-        raise argparse.ArgumentTypeError(
-            f"{what} must be an integer of at least {floor}, got {text!r}"
-        )
+        bound = f"at most {cap}" if value > cap else f"an integer of at least {floor}"
+        raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {text!r}")
 
     return parse
 
 
-#: One system mode plus at least one ancilla mode.
-_mode_count = _at_least(2, "mode count")
-_seed = _at_least(0, "seed")
+#: One system mode plus at least one ancilla mode, and at most the modes of
+#: an optimize run, whose three-photon lift stays within SECTOR_CAP.
+_mode_count = _int_flag(2, "mode count", SEARCH_MODE_CAP)
+_seed = _int_flag(0, "seed")
 
 
 def _fmt(value: float) -> str:

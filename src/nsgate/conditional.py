@@ -222,15 +222,16 @@ _PLAN_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
-    """Output basis, gathers, kept lift columns and ladders for _kraus_blocks.
+    """Output basis, row destinations, gathers, kept columns and ladders.
 
     The basis is the union of each outcome's output sectors, or the vacuum for
-    an outcome that reaches none.  A gather (level, flat destination, row,
-    column, start) reads lift level n + |ancilla| of input sector n: its state
-    alpha + ancilla is a column, gamma + mu is row gamma of outcome mu's block.
-    Its columns are sector n's states in in_basis order (both bases list a
-    sector lexicographically decreasing, and the ancilla suffix is fixed),
-    so the gathered block fills the in_basis columns from start on.
+    an outcome that reaches none.  A gather (level, rows, columns, band, span)
+    reads lift level n + |ancilla| of input sector n, whose states gamma + mu
+    are accepted rows and alpha + ancilla columns, into rows band and columns
+    span of K (see _kraus_matrix): both bases list a sector lexicographically
+    decreasing and the ancilla suffix is fixed, so the columns are sector n's
+    in_basis states in order.  Row i of K is row dest[i] of the flattened
+    (outcomes * out dim, in dim) stack.
 
     Only the columns a gather reads are lifted.  Column b of level n reads
     column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
@@ -245,20 +246,21 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
     if top < max(totals):
         out_sectors.add(0)
     out = SystemBasis(modes, {n for n in out_sectors if n >= 0})
-    block_of, gathers = {mu: k for k, mu in enumerate(outcomes)}, []
+    block_of, gathers, dest = {mu: k for k, mu in enumerate(outcomes)}, [], []
     for level in (n + n_in for n in in_basis.sectors):
         rows, cols = [], []
         for r, occ in enumerate(FockSector(lift_modes, level).basis):
             gamma, mu = occ[:modes], occ[modes:]
             if mu in block_of:
-                rows.append((r, block_of[mu] * out.dim + out._index[gamma]))
+                rows.append(r)
+                dest.append(block_of[mu] * out.dim + out._index[gamma])
             if mu == ancilla:
                 cols.append((r, in_basis._index[gamma]))
         if rows:
-            (r, i), (c, j) = np.array(rows).T, np.array(cols).T
-            dest = i[:, None] * in_basis.dim + j
-            gathers.append((level, dest, r[:, None], c, int(j[0])))
-    read = {level: cols for level, _, _, cols, _ in gathers}
+            (c, j), band = np.array(cols).T, slice(len(dest) - len(rows), len(dest))
+            span = slice(j[0], j[-1] + 1)
+            gathers.append((level, np.array(rows)[:, None], c, band, span))
+    read = {level: cols for level, _, cols, _, _ in gathers}
     kept, parents = {0: np.arange(1), 1: np.arange(lift_modes)}, np.zeros(0, int)
     for n in range(top, 1, -1):
         kept[n] = np.union1d(read.get(n, parents), parents)
@@ -268,36 +270,37 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         first, prev, scale = (a[kept[n]] for a in _ladder(lift_modes, n)[:3])
         ladders.append((first, kept[n - 1].searchsorted(prev), scale))
     gathers = [
-        (level, dest, rows, kept[level].searchsorted(cols), start)
-        for level, dest, rows, cols, start in gathers
+        (level, rows, kept[level].searchsorted(cols), band, span)
+        for level, rows, cols, band, span in gathers
     ]
-    return out, gathers, tuple(kept[n] for n in range(top + 1)), tuple(ladders)
+    kept = tuple(kept[n] for n in range(top + 1))
+    return out, np.array(dest, dtype=int), gathers, kept, tuple(ladders)
 
 
-def _kraus_blocks(
+def _kraus_matrix(
     scheme: ConditionalScheme, lop: LopCircuit, outcomes: Sequence[Occupation]
-) -> tuple[SystemBasis, list[tuple[np.ndarray, int, np.ndarray]]]:
-    """One output basis and a (destination, column start, block) per sector.
+) -> tuple[SystemBasis, np.ndarray, np.ndarray]:
+    """One output basis, the Kraus matrix K and its rows' stack destinations.
 
-    Input sector n's block holds its accepted (outcome, output state) rows and
-    its own columns, gathered from one lift of only the columns the plan of
-    the scheme's shape reads.  An input sector with no accepted row has no
-    block.
+    K has a row per accepted (outcome, output state) pair that some input
+    sector reaches and a column per input state; each input sector's block,
+    gathered from one lift of only the columns the plan of the scheme's shape
+    reads, fills its own rows and columns.  So K†K is the sum of M†M over the
+    outcomes, and the stack is K's rows put at dest.
     """
     if lop.dim != scheme.system_modes + scheme.ancilla_modes:
         raise ValueError(
             f"mode unitary has {lop.dim} modes, scheme needs "
             f"{scheme.system_modes + scheme.ancilla_modes}"
         )
-    out_basis, gathers, kept, ladders = _stack_plan(
+    out_basis, dest, gathers, kept, ladders = _stack_plan(
         scheme.system_basis, scheme.ancilla_input, tuple(outcomes)
     )
     levels = _lift_levels(lop, len(kept) - 1, ladders)
-    blocks = [
-        (dest, start, levels[level][rows, cols])
-        for level, dest, rows, cols, start in gathers
-    ]
-    return out_basis, blocks
+    kraus = np.zeros((len(dest), scheme.system_basis.dim), dtype=complex)
+    for level, rows, cols, band, span in gathers:
+        kraus[band, span] = levels[level][rows, cols]
+    return out_basis, kraus, dest
 
 
 def _kraus_stack(
@@ -305,16 +308,13 @@ def _kraus_stack(
 ) -> tuple[SystemBasis, np.ndarray]:
     """One output basis and the (outcomes, out dim, in dim) operator stack.
 
-    The blocks of _kraus_blocks put in place, so entries that would break
+    The rows of _kraus_matrix put in place, so entries that would break
     photon conservation stay exact zeros.
     """
-    out_basis, blocks = _kraus_blocks(scheme, lop, outcomes)
-    stack = np.zeros(
-        (len(outcomes), out_basis.dim, scheme.system_basis.dim), dtype=complex
-    )
-    for dest, _, block in blocks:
-        stack.put(dest, block)
-    return out_basis, stack
+    out_basis, kraus, dest = _kraus_matrix(scheme, lop, outcomes)
+    stack = np.zeros((len(outcomes) * out_basis.dim, kraus.shape[1]), dtype=complex)
+    stack[dest] = kraus
+    return out_basis, stack.reshape(len(outcomes), out_basis.dim, -1)
 
 
 def kraus_operator(
@@ -366,21 +366,11 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
     photon conservation allows (see ConditionalScheme.all_outcomes); then the
     defect is numerically zero for any unitary circuit.
 
-    Every outcome maps different input sectors to different output sectors,
-    so the blocks of the sum between two input sectors are exact zeros.  Each
-    sector's gathered block goes in its own row band at its own columns, and
-    one Gram of that band is the whole sum; an input sector that no accepted
-    outcome reaches keeps zero columns and a defect of 1.
+    One Gram of the Kraus matrix K is the whole sum, with no array of
+    operators; an input sector that no accepted outcome reaches keeps zero
+    columns and a defect of 1.
     """
-    dim = scheme.system_basis.dim
-    blocks = _kraus_blocks(scheme, lop, scheme.outcomes)[1]
-    band = np.zeros((sum(len(block) for _, _, block in blocks), dim), dtype=complex)
-    top = 0
-    for _, start, block in blocks:
-        rows, cols = block.shape
-        band[top : top + rows, start : start + cols] = block
-        top += rows
-    return float(_isometry_defect(band))
+    return float(_isometry_defect(_kraus_matrix(scheme, lop, scheme.outcomes)[1]))
 
 
 def decompose_by_ancilla_count(

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import nsgate.cli
 from nsgate import (
     GRID_CAP,
     SEARCH_MODE_CAP,
     InfeasibleDesignError,
+    LopCircuit,
     sample_region,
     scan_curve,
 )
@@ -235,9 +238,13 @@ class TestKrausCheck:
         assert code == 0
         assert "PASS" in out
 
-    def test_sector_above_cap_is_usage_error(self, capsys):
-        # 21 ancilla modes give a 3-photon outcome sector of 1771 states.
-        assert main(["kraus-check", "--modes", "22"]) == 64
+    def test_sector_above_cap_is_usage_error(self, capsys, tmp_path):
+        # 21 ancilla modes give a 3-photon outcome sector of 1771 states.  A
+        # --modes that large is refused at parse time, so the matrix comes
+        # from a file.
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(nsgate.cli._encode_matrix(LopCircuit(np.eye(22)))))
+        assert main(["kraus-check", "--matrix-file", str(path)]) == 64
         out, err = capsys.readouterr()
         assert out == ""
         assert "above the cap of 1716" in err
@@ -316,6 +323,12 @@ class TestUsageErrors:
              "of at least 0, got '-1'"),
             (["reduce-demo", "--seed", "-1"], "--seed: seed must be an integer "
              "of at least 0, got '-1'"),
+            # Three photons on SEARCH_MODE_CAP + 1 modes exceed SECTOR_CAP;
+            # refused while parsing, before any unitary is built.
+            (["kraus-check", "--modes", str(SEARCH_MODE_CAP + 1)], "--modes: mode "
+             f"count must be at most {SEARCH_MODE_CAP}, got '{SEARCH_MODE_CAP + 1}'"),
+            (["reduce-demo", "--modes", str(SEARCH_MODE_CAP + 1)], "--modes: mode "
+             f"count must be at most {SEARCH_MODE_CAP}, got '{SEARCH_MODE_CAP + 1}'"),
         ],
     )
     def test_bad_mode_count_or_seed_is_usage_error(self, capsys, argv, message):
@@ -386,3 +399,94 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _flag_values():
+    """Values per flag: small numbers, each cap + 1, negatives and junk text.
+
+    No drawn value starts a large allocation or a long run: grids stay at 50
+    points or below unless they are GRID_CAP + 1, mode counts at 5 unless
+    they are SEARCH_MODE_CAP + 1, and a search makes at most one restart
+    (see cli_argvs).  Paths are names in the working directory.
+    """
+    junk = st.sampled_from(["", "x", "1.5", "2e3", "0x10", "--", " 3", "1" * 5000])
+
+    def ints(lo, hi, *extra):
+        # Mostly in range; otherwise out of it or not a number.
+        in_range = st.integers(lo, hi).map(str)
+        return st.one_of(in_range, in_range, st.sampled_from(extra).map(str), junk)
+
+    paths = st.sampled_from(["out.txt", "good.json", "bad.json", "no/out.txt", "."])
+    return {
+        "--grid-n": ints(2, 50, -3, 0, 1, GRID_CAP + 1),
+        "--modes": ints(2, 5, -2, 0, 1, SEARCH_MODE_CAP + 1),
+        "--rank": ints(1, 4, -1, 0, 5),
+        "--restarts": ints(0, 1, -1),
+        "--seed": ints(0, 2**32, -3, -1),
+        "--tol": junk | st.sampled_from(["nan", "inf", "0", "-1", "1e-10", "1"]),
+        "--format": junk | st.sampled_from(["csv", "json", "xml"]),
+        "--output": paths,
+        "--matrix-file": paths,
+    }
+
+
+_SUBCOMMAND_FLAGS = {
+    "verify-klm": ["--tol"],
+    "scan-curve": ["--grid-n", "--output", "--format"],
+    "region": ["--grid-n", "--output", "--format"],
+    "optimize": ["--modes", "--rank", "--restarts", "--seed", "--output"],
+    "kraus-check": ["--modes", "--seed", "--matrix-file", "--tol"],
+    "reduce-demo": ["--modes", "--seed", "--tol"],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and up to three of its flags in any order, with values.
+
+    A flag left without its value and an unknown flag are drawn too.  A
+    search starts from --restarts 1, which a drawn --restarts overrides,
+    instead of the default 50.
+    """
+    values = _flag_values()
+    command = draw(st.sampled_from(list(_SUBCOMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_SUBCOMMAND_FLAGS[command]), max_size=3))
+    argv = [command, "--restarts", "1"] if command == "optimize" else [command]
+    for flag in flags:
+        argv += [flag, draw(values[flag])]
+    tail = [[], ["--modes"], ["--no-such-flag", "1"]]
+    return argv + draw(st.sampled_from(tail) if draw(st.booleans()) else st.just([]))
+
+
+class TestArgvFuzz:
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=cli_argvs())
+    # Each cap + 1, and a search that finds no working gate (exit 1).
+    @example(argv=["kraus-check", "--modes", str(SEARCH_MODE_CAP + 1)])
+    @example(argv=["reduce-demo", "--modes", str(SEARCH_MODE_CAP + 1)])
+    @example(argv=["optimize", "--modes", str(SEARCH_MODE_CAP + 1)])
+    @example(argv=["region", "--grid-n", str(GRID_CAP + 1)])
+    @example(argv=["scan-curve", "--grid-n", str(GRID_CAP + 1)])
+    @example(argv=["optimize", "--rank", "2", "--restarts", "0"])
+    def test_every_argv_exits_with_a_known_code(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # An exception that escaped main would print a traceback; argparse
+        # exits through SystemExit.
+        monkeypatch.chdir(tmp_path)
+        Path("good.json").write_text(
+            json.dumps(nsgate.cli._encode_matrix(LopCircuit(np.eye(3))))
+        )
+        Path("bad.json").write_text("not json")
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        err = capsys.readouterr().err
+        assert code in {0, 1, 2, 64}, (argv, err)
+        assert "Traceback" not in err

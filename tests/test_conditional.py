@@ -24,6 +24,7 @@ from nsgate import (
 from nsgate.conditional import (
     _PLAN_CACHE_SIZE,
     _ancilla_masks,
+    _kraus_matrix,
     _kraus_stack,
     _stack_plan,
 )
@@ -397,7 +398,7 @@ class TestStackPlanColumns:
     """
 
     def assert_closed_under_prev(self, scheme):
-        _, _, kept, ladders = plan_of(scheme)
+        _, _, _, kept, ladders = plan_of(scheme)
         lift_modes = scheme.system_modes + scheme.ancilla_modes
         assert len(kept) == max(scheme.system_photons) + sum(scheme.ancilla_input) + 1
         assert len(ladders) == max(len(kept) - 2, 0)
@@ -422,7 +423,7 @@ class TestStackPlanColumns:
         scheme = ConditionalScheme(
             system_modes, len(ancilla), ancilla, (ancilla,), sectors
         ).all_outcomes()
-        kept = plan_of(scheme)[2]
+        kept = plan_of(scheme)[3]
         assert {n: len(kept[n]) for n in range(2, len(kept))} == counts
         self.assert_closed_under_prev(scheme)
 
@@ -432,7 +433,7 @@ class TestStackPlanColumns:
             scheme = ConditionalScheme.one_photon(
                 ancilla_modes, input_mode, range(ancilla_modes)
             ).all_outcomes()
-            kept = plan_of(scheme)[2]
+            kept = plan_of(scheme)[3]
             assert [len(k) for k in kept[2:]] == [1, 1]
             assert len(kept[1]) == ancilla_modes + 1
             self.assert_closed_under_prev(scheme)
@@ -615,6 +616,11 @@ class TestCompleteness:
         oracle = np.abs(ops.conj().T @ ops - np.eye(dim)).max()
         defect = completeness_defect(scheme, lop)
         assert abs(defect - oracle) <= 1e-14
+        # K is the stack's rows at dest, and every other stack row is zero.
+        kraus, dest = _kraus_matrix(scheme, lop, scheme.outcomes)[1:]
+        assert len(np.unique(dest)) == len(dest)
+        assert ops[dest].tobytes() == kraus.tobytes()
+        assert not np.delete(ops, dest, axis=0).any()
         n_in = sum(scheme.ancilla_input)
         if any(
             all(sum(mu) > n + n_in for mu in scheme.outcomes)

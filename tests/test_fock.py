@@ -10,6 +10,7 @@ from nsgate import (
     CapacityError,
     ConditionalScheme,
     FockSector,
+    LIFT_TOL,
     LopCircuit,
     PHOTON_CAP,
     SECTOR_CAP,
@@ -153,6 +154,23 @@ class TestSystemBasis:
         ):
             with pytest.raises(ValueError, match=mode_message):
                 build()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 5),
+        sectors=st.sets(st.integers(0, 5), min_size=1, max_size=4),
+    )
+    def test_index_round_trip(self, modes, sectors):
+        # Sectors ascend, each lexicographically decreasing, and index
+        # inverts the state table.
+        basis = SystemBasis(modes, sectors)
+        expected = [
+            occ
+            for n in sorted(sectors)
+            for occ in sorted(brute_force_basis(modes, n), reverse=True)
+        ]
+        assert list(basis.states) == expected
+        assert [basis.index(occ) for occ in basis.states] == list(range(basis.dim))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_outcomes_are_ancilla_sectors(self, k):
@@ -365,6 +383,20 @@ class TestLiftToSector:
             ]
         )
         assert np.abs(lifted.entries - expected).max() <= 1e-12
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 5),
+        photons=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lift_is_unitary_within_lift_tol(self, modes, photons, seed):
+        # Both Grams, taken literally rather than through _isometry_defect.
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        lifted = lift_to_sector(lop, photons)
+        u, eye = lifted.entries, np.eye(lifted.sector.dim)
+        assert np.abs(u.conj().T @ u - eye).max() <= LIFT_TOL
+        assert np.abs(u @ u.conj().T - eye).max() <= LIFT_TOL
 
     def test_photons_above_cap_rejected(self, rng):
         with pytest.raises(CapacityError):
