@@ -90,26 +90,39 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    # Format each distinct value once and gather the text by index.  Floats
-    # are keyed on their bit pattern, not their value, so -0.0 keeps its sign
-    # instead of merging with 0.0.
+def _format_column(col: np.ndarray, fmt: str) -> list[str]:
+    # Format each distinct value once and gather the text by index: CSV
+    # writes floats through _fmt, JSON writes every value as json.dumps does.
+    # Floats are keyed on their bit pattern, not their value, so -0.0 keeps
+    # its sign instead of merging with 0.0.
     is_float = col.dtype.kind == "f"
     _, first, inverse = np.unique(
         col.view(np.int64) if is_float else col, return_index=True, return_inverse=True
     )
-    fmt = _fmt if is_float else str
-    text = np.array([fmt(v) for v in col[first].tolist()], dtype=object)
+    if fmt == "json":
+        # One dump of every distinct value; no number's text holds ", ".
+        text = json.dumps(col[first].tolist())[1:-1].split(", ")
+    else:
+        cell = _fmt if is_float else str
+        text = [cell(v) for v in col[first].tolist()]
+    text = np.array(text, dtype=object)
     return text[inverse].tolist()
 
 
 def _table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
-    """Render equal-length 1-D columns (float64 or int) as CSV or JSON."""
+    """Render equal-length 1-D columns (float64 or int) as CSV or JSON.
+
+    The JSON text is byte for byte json.dumps({"header": header, "rows":
+    rows}, sort_keys=True), written from the formatted cells.
+    """
+    # The rows are zipped where they are consumed: a zip that outlives its
+    # join keeps every column's text alive while the table is written.
+    cells = (_format_column(col, fmt) for col in columns)
     if fmt == "json":
-        rows = list(zip(*(col.tolist() for col in columns)))
-        return json.dumps({"header": header, "rows": rows}, sort_keys=True) + "\n"
+        body = ", ".join(f"[{', '.join(row)}]" for row in zip(*cells))
+        return f'{{"header": {json.dumps(header)}, "rows": [{body}]}}\n'
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_format_column, columns))))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

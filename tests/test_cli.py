@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import nsgate.cli
 from nsgate import (
+    CONDITION_TOL,
     GRID_CAP,
     SEARCH_MODE_CAP,
     InfeasibleDesignError,
@@ -112,6 +115,15 @@ class TestScanCurve:
         _, out2 = run_cli(capsys, "scan-curve", "--grid-n", "33")
         assert out1 == out2
 
+    def test_json_is_the_row_dump(self, capsys):
+        # The default grid, byte for byte as json.dumps writes its rows.
+        code, out = run_cli(capsys, "scan-curve", "--format", "json")
+        assert code == 0
+        rows = [[s.x2, s.y2, s.p] for s in scan_curve(201)]
+        header = ["x2", "y2", "p"]
+        expected = json.dumps({"header": header, "rows": rows}, sort_keys=True)
+        assert out == expected + "\n"
+
     def test_json_format(self, capsys):
         code, out = run_cli(capsys, "scan-curve", "--grid-n", "3", "--format", "json")
         assert code == 0
@@ -149,6 +161,16 @@ class TestRegion:
             for x2, y2, flag, p in sample_region(7)
         ]
         assert out.split("\n") == ["x2,y2,feasible,p", *expected, ""]
+
+    def test_json_is_the_row_dump(self, capsys):
+        # 2601 rows, byte for byte as json.dumps writes them, the feasibility
+        # flag as an integer.
+        code, out = run_cli(capsys, "region", "--grid-n", "51", "--format", "json")
+        assert code == 0
+        rows = [[x2, y2, int(flag), p] for x2, y2, flag, p in sample_region(51)]
+        header = ["x2", "y2", "feasible", "p"]
+        expected = json.dumps({"header": header, "rows": rows}, sort_keys=True)
+        assert out == expected + "\n"
 
     def test_row_order_ascending(self, capsys):
         _, out = run_cli(capsys, "region", "--grid-n", "4")
@@ -221,6 +243,36 @@ class TestOptimize:
         assert code == 0
         assert "modes: 3" in out
         assert "PASS" in out
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(0, 2),
+        shape=st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 1), (5, 3)]),
+    )
+    def test_output_round_trips_through_kraus_check(
+        self, tmp_path_factory, seed, restarts, shape
+    ):
+        # Every shape keeps a free mode, so the search works and exits 0; the
+        # matrix it writes is read back and passes the completeness check.
+        # With no restarts only the fixed start runs, so the seed does not
+        # change the matrix; restarts and the shape do.
+        path = tmp_path_factory.mktemp("round_trip") / "best.json"
+        modes, rank = shape
+        argv = [
+            "optimize", "--modes", str(modes), "--rank", str(rank),
+            "--restarts", str(restarts), "--seed", str(seed), "--output", str(path),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["kraus-check", "--matrix-file", str(path)]) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[0] == f"modes: {modes}"
+        defect = float(lines[2].removeprefix("completeness defect: "))
+        assert defect <= CONDITION_TOL
+        assert lines[-1] == "PASS"
 
 
 class TestKrausCheck:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsgate.fock
 from nsgate import (
     CapacityError,
     ConditionalScheme,
@@ -14,13 +15,15 @@ from nsgate import (
     LopCircuit,
     PHOTON_CAP,
     SECTOR_CAP,
+    SectorMatrix,
     SystemBasis,
     fock_amplitude,
     haar_unitary,
     lift_to_sector,
     permanent,
 )
-from nsgate.fock import _isometry_defect, _phase_fixed_qr, as_occupation
+from nsgate.conditional import _stack_plan
+from nsgate.fock import _isometry_defect, _lift_levels, _phase_fixed_qr, as_occupation
 
 
 def naive_permanent(m):
@@ -406,3 +409,77 @@ class TestLiftToSector:
         # 8 photons pass the photon cap, but the (8, 8) sector has 6435 states.
         with pytest.raises(CapacityError, match="6435 states"):
             lift_to_sector(haar_unitary(8, rng), 8)
+
+
+@st.composite
+def lift_cases(draw):
+    """A lift: modes, top photon number and ladders (None keeps every column).
+
+    Half the cases lift every column of 1 to 5 modes and 0 to 5 photons; the
+    rest take the restricted ladders of a random scheme's gather plan (1 or 2
+    system modes, 0 to 3 ancilla modes with up to two photons each, a top
+    level of at most 6 photons and a random subset of the outcomes).
+    """
+    if draw(st.booleans()):
+        return draw(st.integers(1, 5)), draw(st.integers(0, 5)), None
+    system_modes = draw(st.integers(1, 2))
+    ancilla_modes = draw(st.integers(0, 3))
+    counts = st.lists(st.integers(0, 2), min_size=ancilla_modes, max_size=ancilla_modes)
+    ancilla_input = tuple(draw(counts))
+    photons = draw(st.sets(st.integers(0, max(5 - sum(ancilla_input), 0)), min_size=1))
+    scheme = ConditionalScheme(
+        system_modes=system_modes,
+        ancilla_modes=ancilla_modes,
+        ancilla_input=ancilla_input,
+        outcomes=(ancilla_input,),
+        system_photons=tuple(photons),
+    ).all_outcomes()
+    pick = st.sampled_from(scheme.outcomes)
+    outcomes = draw(st.lists(pick, min_size=1, max_size=6, unique=True))
+    kept, ladders = _stack_plan(scheme.system_basis, ancilla_input, tuple(outcomes))[3:]
+    return system_modes + ancilla_modes, len(kept) - 1, ladders
+
+
+class TestLiftSteps:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(case=lift_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_flat_step_matches_the_mode_loop(self, case, seed):
+        # Every level formed by the per-mode loop alone (a size constant of
+        # 0) and by the flat scatter-add alone (one above any level).
+        modes, photons, ladders = case
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        runs = []
+        for terms in (0, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nsgate.fock, "_FLAT_TERMS", terms)
+                runs.append(_lift_levels(lop, photons, ladders))
+        for loop, flat in zip(*runs):
+            assert loop.shape == flat.shape
+            assert np.abs(loop - flat).max() <= 1e-15
+            if modes >= 2:
+                assert loop.tobytes() == flat.tobytes()
+
+
+class TestSectorMatrix:
+    def test_callers_array_is_copied(self):
+        # The matrix neither aliases nor freezes the array it is given.
+        given_entries = np.eye(3, dtype=complex)
+        matrix = SectorMatrix(FockSector(2, 2), given_entries)
+        assert given_entries.flags.writeable
+        assert not np.shares_memory(given_entries, matrix.entries)
+        given_entries[0, 0] = 5
+        assert matrix.entries[0, 0] == 1
+        assert not matrix.entries.flags.writeable
+
+    def test_shape_must_match_the_sector(self):
+        with pytest.raises(ValueError, match="does not match sector dim 3"):
+            SectorMatrix(FockSector(2, 2), np.eye(2))
+
+    @pytest.mark.parametrize("photons", [0, 1, 3])
+    def test_lifted_entries_are_read_only(self, rng, photons):
+        lop = haar_unitary(3, rng)
+        entries = lift_to_sector(lop, photons).entries
+        assert entries.dtype == complex
+        assert not entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0, 0] = 0
