@@ -116,6 +116,10 @@ class OptimizationResult:
     #: Largest KKT stationarity defect over the working endpoints; nan when
     #: no endpoint works.
     kkt_defect: float
+    #: Ancilla modes not accepted, f = n - 1 - s.  The rank theorem (module
+    #: docstring) expects no working gate at f = 0 and at most 1/4 otherwise,
+    #: so a non-working f = 0 search agrees with it.
+    free_modes: int
 
     @property
     def working(self) -> bool:
@@ -373,4 +377,5 @@ def numeric_search(
         evaluations=int(tracker["evals"]),
         max_feasible_probability=float(tracker["max_feasible"]),
         kkt_defect=max(kkt_defects, default=math.nan),
+        free_modes=n - 1 - rank_s,
     )

@@ -174,6 +174,7 @@ def _cmd_optimize(args) -> int:
         "max_feasible_probability": result.max_feasible_probability,
         # nan when no endpoint works; JSON has no nan.
         "kkt_defect": None if math.isnan(kkt) else kkt,
+        "free_modes": result.free_modes,
     }
     code = _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
     if code == EXIT_OK and not result.working:

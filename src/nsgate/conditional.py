@@ -23,9 +23,11 @@ from .fock import (
     Occupation,
     SystemBasis,
     _count,
+    _frozen,
     _isometry_defect,
     _ladder,
     _lift_levels,
+    _term_program,
     as_occupation,
 )
 
@@ -237,8 +239,9 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
     column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
     holds level n's gathered columns and the prev of every column kept one
     level up; levels 0 and 1 keep all.  ladders[n - 2] is level n's (first,
-    prev, scale) on kept[n], with prev as positions in kept[n - 1], and a
-    gather's columns are positions in kept[level].
+    prev, scale, program) on kept[n], with prev as positions in kept[n - 1]
+    and program its term program or None (see fock._term_program), and a
+    gather's columns are positions in kept[level].  Every array is read-only.
     """
     modes, n_in, totals = in_basis.modes, sum(ancilla), {sum(mu) for mu in outcomes}
     lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
@@ -267,14 +270,19 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         parents = _ladder(lift_modes, n)[1][kept[n]]
     ladders = []
     for n in range(2, top + 1):
-        first, prev, scale = (a[kept[n]] for a in _ladder(lift_modes, n)[:3])
-        ladders.append((first, kept[n - 1].searchsorted(prev), scale))
-    gathers = [
+        first, prev, scale, up, root, _ = _ladder(lift_modes, n)
+        first, scale = first[kept[n]], scale[kept[n]]
+        prev = kept[n - 1].searchsorted(prev[kept[n]])
+        program = _term_program(up, root, first, prev, scale, len(kept[n - 1]))
+        ladders.append((*_frozen(first, prev, scale), program))
+    gathers = tuple(
         (level, rows, kept[level].searchsorted(cols), band, span)
         for level, rows, cols, band, span in gathers
-    ]
+    )
     kept = tuple(kept[n] for n in range(top + 1))
-    return out, np.array(dest, dtype=int), gathers, kept, tuple(ladders)
+    dest = np.array(dest, dtype=int)
+    _frozen(dest, *kept, *(a for gather in gathers for a in gather[1:3]))
+    return out, dest, gathers, kept, tuple(ladders)
 
 
 def _kraus_matrix(
@@ -397,4 +405,4 @@ def _ancilla_masks(sector: SystemBasis, system_modes: int) -> np.ndarray:
     # Reads only what every equal key has: an equal one-sector SystemBasis
     # may reach this cache before or after the FockSector it equals.
     counts = np.array(sector.states)[:, system_modes:].sum(axis=1)
-    return counts == np.arange(max(sector.sectors) + 1)[:, None]
+    return _frozen(counts == np.arange(max(sector.sectors) + 1)[:, None])[0]

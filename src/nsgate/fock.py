@@ -36,10 +36,15 @@ PHOTON_CAP = 8
 SECTOR_CAP = math.comb(13, 7)
 
 #: Largest term count (modes x rows below x kept columns) of a lift level
-#: formed in one flat scatter-add; larger levels scatter mode by mode.  The
-#: flat step measured faster on almost every level up to this size, and up
-#: to 3x slower on the largest levels lifted here (5 modes, 5 photons).
-_FLAT_TERMS = 4096
+#: built by one flat scatter-add of its cached term program; a larger level
+#: keeps no program and scatters mode by mode.  Read when a ladder or gather
+#: plan is built, not per call.  A program is five 8-byte arrays, 40 B a
+#: term, so at most 40 x _FLAT_TERMS bytes (328 KB).  Over every sector of
+#: at most 21 modes and 8 photons within SECTOR_CAP, the full-lift programs
+#: total about 2.2 MB; a plan's programs are at most its full ladder's.
+#: Measured one level at a time on a 2-vCPU VM, the program took 0.2-0.8x
+#: the loop's time up to 7840 terms but 2.6-3.4x at 24 500 and 44 100.
+_FLAT_TERMS = 8192
 
 Occupation = tuple[int, ...]
 
@@ -229,7 +234,7 @@ def _ryser_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Row k is the indicator of column subset k; its sign is (-1)^(n - |S|).
     subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     signs = 1.0 - 2.0 * ((n - subsets.sum(axis=1)) & 1)
-    return subsets.astype(float), signs
+    return _frozen(subsets.astype(float), signs)
 
 
 def permanent(m) -> complex:
@@ -275,11 +280,19 @@ def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
     return permanent(lop.matrix[np.ix_(rows, cols)]) / math.sqrt(norm)
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Cached index tables are shared by every later call: none may be edited.
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _ladder(modes: int, photons: int):
     # Tables that build sector n = photons from sector n - 1 (see _lift_levels):
     # state b is a_j^dagger |occ_b - e_j> / sqrt(occ_b[j]) with j = first[b],
     # and a_i^dagger sends state p of sector n - 1 to up[i, p] times sqrt(p_i + 1).
+    # Last comes the term program of the full level (see _term_program).
     sector, lower = FockSector(modes, photons), FockSector(modes, photons - 1)
     basis, below = np.array(sector.basis), np.array(lower.basis)
     eye = np.eye(modes, dtype=int)
@@ -288,7 +301,33 @@ def _ladder(modes: int, photons: int):
     scale = 1.0 / np.sqrt(basis[np.arange(len(basis)), first])
     up = np.array([[sector.index(p) for p in below + e] for e in eye])
     root = np.sqrt(below.T + 1.0)[:, :, None]
-    return first, prev, scale, up, root
+    tables = _frozen(first, prev, scale, up, root)
+    return *tables, _term_program(up, root, first, prev, scale, len(below))
+
+
+def _term_program(up, root, first, prev, scale, below_cols):
+    """Flat step of one lift level on the columns (first, prev, scale) keep.
+
+    Five read-only 1-D arrays over the level's terms in mode-major (i, p, c)
+    order, for prev indexing the below_cols columns of the level below:
+    src = p * below_cols + prev[c] into that level raveled, scale[c],
+    root[i, p], ci = i * modes + first[c] into the raveled mode matrix, and
+    dst = up[i, p] * k + c into the raveled level of k columns.  None above
+    _FLAT_TERMS terms, where the level loops over the modes instead.
+    """
+    modes, rows = up.shape
+    k = len(first)
+    if modes * rows * k > _FLAT_TERMS:
+        return None
+    i, p = np.arange(modes)[:, None, None], np.arange(rows)[:, None]
+    program = np.broadcast_arrays(
+        p * below_cols + prev,
+        scale,
+        root,
+        i * modes + first,
+        up[:, :, None] * k + np.arange(k),
+    )
+    return _frozen(*(np.ravel(a) for a in program))
 
 
 def _lift_levels(
@@ -299,15 +338,20 @@ def _lift_levels(
     Column b of sector n is sum_i U[i, j] a_i^dagger applied to column prev[b]
     of sector n - 1, over sqrt(occ_b[j]), with j the first occupied mode of
     basis state b (see _ladder).  Each sector is one scatter-add of every
-    mode's terms, flat or mode by mode (see _FLAT_TERMS), each entry summed
-    in mode order either way; sector 0 is the 1 x 1 identity and sector 1
-    the mode matrix itself.
+    mode's terms, each entry summed in mode order from zero; sector 0 is the
+    1 x 1 identity and sector 1 the mode matrix itself.  A level with a term
+    program (at most _FLAT_TERMS terms, see _term_program) gathers its terms
+    from the level below, multiplies them in place by scale, root and the
+    mode-matrix coefficient, and adds them with one flat np.add.at; a larger
+    level loops over the modes with the same products in the same order, so
+    either step gives the same bits.
 
     ``ladders`` restricts the columns of sectors 2..photons: entry n - 2 is
-    the (first, prev, scale) of the columns sector n keeps, prev giving
-    positions among the columns kept one sector down.  A kept column is
-    computed exactly as in the full lift, since column b reads only column
-    prev[b] below.  None keeps every column.
+    the (first, prev, scale, program) of the columns sector n keeps, prev
+    giving positions among the columns kept one sector down and program
+    their term program or None.  A kept column is computed exactly as in the
+    full lift, since column b reads only column prev[b] below.  None keeps
+    every column.
     """
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
@@ -317,22 +361,21 @@ def _lift_levels(
     u = lop.matrix
     levels = [np.ones((1, 1), dtype=complex), u][: photons + 1]
     for n in range(2, photons + 1):
-        first, prev, scale, up, root = _ladder(lop.dim, n)
+        first, prev, scale, up, root, program = _ladder(lop.dim, n)
         dim = len(first)
         if ladders is not None:
-            first, prev, scale = ladders[n - 2]
-        below = levels[-1][:, prev] * scale
-        coeff = u[:, first]
-        k = len(first)
-        level = np.zeros((dim, k), dtype=complex)
-        if below.size * lop.dim <= _FLAT_TERMS:
-            # The loop's terms, all at once and mode-major, so one flat
-            # scatter-add sums each entry in the loop's mode order.
-            terms = np.multiply(root, below, order="C")
-            terms *= coeff[:, None, :]
-            dests = up[:, :, None] * k + np.arange(k)
-            np.add.at(level.ravel(), dests.ravel(), terms.ravel())
+            first, prev, scale, program = ladders[n - 2]
+        level = np.zeros((dim, len(first)), dtype=complex)
+        if program is not None:
+            src, scale_t, root_t, ci, dst = program
+            terms = levels[-1].take(src)
+            terms *= scale_t
+            terms *= root_t
+            terms *= u.take(ci)
+            np.add.at(level.ravel(), dst, terms)
         else:
+            below = levels[-1][:, prev] * scale
+            coeff = u[:, first]
             for i in range(lop.dim):
                 level[up[i]] += root[i] * below * coeff[i]
         levels.append(level)

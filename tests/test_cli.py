@@ -191,7 +191,7 @@ class TestOptimize:
         assert set(payload) == {
             "best_probability", "residual", "restarts", "seed",
             "evaluations", "matrix", "working", "max_feasible_probability",
-            "kkt_defect",
+            "kkt_defect", "free_modes",
         }
         assert payload["best_probability"] <= 0.250001
         assert payload["restarts"] == 0
@@ -199,6 +199,20 @@ class TestOptimize:
         assert len(payload["matrix"]) == 3
         assert all(len(row) == 3 for row in payload["matrix"])
         assert all(len(pair) == 2 for row in payload["matrix"] for pair in row)
+
+    @pytest.mark.parametrize("rank, free, code", [(2, 0, 1), (1, 1, 0)])
+    def test_free_modes_carry_the_theorems_verdict(self, capsys, rank, free, code):
+        # f = n - 1 - s: no gate at f = 0 (exit 1), at most 1/4 otherwise.
+        got, out = run_cli(
+            capsys,
+            "optimize", "--modes", "3", "--rank", str(rank),
+            "--restarts", "0", "--seed", "7",
+        )
+        payload = json.loads(out)
+        assert payload["free_modes"] == free
+        assert got == code
+        assert payload["working"] is (free > 0)
+        assert payload["best_probability"] <= 0.250001
 
     def test_no_working_gate_exits_1_with_the_json(self, capsys):
         # Accepting both ancilla modes of a 3-mode circuit leaves no free

@@ -28,7 +28,7 @@ from nsgate.conditional import (
     _kraus_stack,
     _stack_plan,
 )
-from nsgate.fock import _ladder, _lift_levels
+from nsgate.fock import _ladder, _lift_levels, _ryser_table
 
 
 def one_system_scheme(ancilla_modes, input_mode=0, outcome_modes=(0,)):
@@ -739,3 +739,42 @@ class TestDecomposeByAncillaCount:
             a, b = (decompose_by_ancilla_count(vec, s, system_modes=1) for s in order)
             assert a.keys() == b.keys() == {0, 1, 2, 3}
             assert all(np.array_equal(a[c], b[c]) for c in a)
+
+
+def cached_arrays(tables):
+    """Every array in a cached result, through nested tuples and lists."""
+    if isinstance(tables, np.ndarray):
+        yield tables
+    elif isinstance(tables, (tuple, list)):
+        for item in tables:
+            yield from cached_arrays(item)
+
+
+class TestCachedTablesAreReadOnly:
+    """Cached index tables are shared by every later call: none is writable."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _ladder(3, 3),
+            lambda: _ladder(4, 2),
+            lambda: _stack_plan(
+                SystemBasis(2, (0, 1, 2)),
+                (2, 0),
+                ConditionalScheme(2, 2, (2, 0), ((2, 0),), (0, 1, 2))
+                .all_outcomes()
+                .outcomes,
+            ),
+            lambda: plan_of(one_system_scheme(3, outcome_modes=(0, 2))),
+            lambda: _ryser_table(3),
+            lambda: _ancilla_masks(FockSector(3, 2), 1),
+        ],
+        ids=["ladder", "ladder-one-photon-below", "plan", "plan-one-photon",
+             "ryser", "ancilla-masks"],
+    )
+    def test_writing_raises(self, build):
+        arrays = list(cached_arrays(build()))
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

@@ -23,7 +23,14 @@ from nsgate import (
     permanent,
 )
 from nsgate.conditional import _stack_plan
-from nsgate.fock import _isometry_defect, _lift_levels, _phase_fixed_qr, as_occupation
+from nsgate.fock import (
+    _FLAT_TERMS,
+    _isometry_defect,
+    _ladder,
+    _lift_levels,
+    _phase_fixed_qr,
+    as_occupation,
+)
 
 
 def naive_permanent(m):
@@ -413,12 +420,12 @@ class TestLiftToSector:
 
 @st.composite
 def lift_cases(draw):
-    """A lift: modes, top photon number and ladders (None keeps every column).
+    """A lift: modes, top photon number and plan key (None keeps every column).
 
     Half the cases lift every column of 1 to 5 modes and 0 to 5 photons; the
-    rest take the restricted ladders of a random scheme's gather plan (1 or 2
-    system modes, 0 to 3 ancilla modes with up to two photons each, a top
-    level of at most 6 photons and a random subset of the outcomes).
+    rest take the gather plan of a random scheme (1 or 2 system modes, 0 to
+    3 ancilla modes with up to two photons each, a top level of at most 6
+    photons and a random subset of the outcomes), keyed as _stack_plan is.
     """
     if draw(st.booleans()):
         return draw(st.integers(1, 5)), draw(st.integers(0, 5)), None
@@ -436,8 +443,32 @@ def lift_cases(draw):
     ).all_outcomes()
     pick = st.sampled_from(scheme.outcomes)
     outcomes = draw(st.lists(pick, min_size=1, max_size=6, unique=True))
-    kept, ladders = _stack_plan(scheme.system_basis, ancilla_input, tuple(outcomes))[3:]
-    return system_modes + ancilla_modes, len(kept) - 1, ladders
+    plan = (scheme.system_basis, ancilla_input, tuple(outcomes))
+    return system_modes + ancilla_modes, max(photons) + sum(ancilla_input), plan
+
+
+def lift_with_flat_terms(terms, lop, photons, plan):
+    """_lift_levels with ladders and plans built under _FLAT_TERMS = terms.
+
+    Both caches read the constant when they build a level's program, so they
+    are emptied before and after; each level's step is checked to be the one
+    the constant picks.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nsgate.fock, "_FLAT_TERMS", terms)
+        _ladder.cache_clear()
+        _stack_plan.cache_clear()
+        try:
+            ladders = None if plan is None else _stack_plan(*plan)[4]
+            if ladders is None:
+                programs = [_ladder(lop.dim, n)[5] for n in range(2, photons + 1)]
+            else:
+                programs = [ladder[3] for ladder in ladders]
+            assert all((program is None) == (terms == 0) for program in programs)
+            return _lift_levels(lop, photons, ladders)
+        finally:
+            _ladder.cache_clear()
+            _stack_plan.cache_clear()
 
 
 class TestLiftSteps:
@@ -445,19 +476,47 @@ class TestLiftSteps:
     @given(case=lift_cases(), seed=st.integers(0, 2**32 - 1))
     def test_flat_step_matches_the_mode_loop(self, case, seed):
         # Every level formed by the per-mode loop alone (a size constant of
-        # 0) and by the flat scatter-add alone (one above any level).
-        modes, photons, ladders = case
+        # 0) and by the flat scatter-add of its program alone (one above any
+        # level).
+        modes, photons, plan = case
         lop = haar_unitary(modes, np.random.default_rng(seed))
-        runs = []
-        for terms in (0, 10**9):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(nsgate.fock, "_FLAT_TERMS", terms)
-                runs.append(_lift_levels(lop, photons, ladders))
-        for loop, flat in zip(*runs):
+        loop_levels = lift_with_flat_terms(0, lop, photons, plan)
+        flat_levels = lift_with_flat_terms(10**9, lop, photons, plan)
+        assert len(loop_levels) == len(flat_levels) == photons + 1
+        for loop, flat in zip(loop_levels, flat_levels):
             assert loop.shape == flat.shape
-            assert np.abs(loop - flat).max() <= 1e-15
-            if modes >= 2:
-                assert loop.tobytes() == flat.tobytes()
+            assert loop.tobytes() == flat.tobytes()
+
+    def test_programs_stay_within_forty_bytes_a_term(self):
+        # Five 8-byte arrays a term, and none above _FLAT_TERMS terms: a full
+        # level keeps a program exactly when it has at most that many terms.
+        for modes, photons in itertools.product(range(1, 7), range(2, 7)):
+            first, _, _, up, _, program = _ladder(modes, photons)
+            terms = up.size * len(first)
+            assert (program is None) == (terms > _FLAT_TERMS)
+            if program is not None:
+                size = sum(a.nbytes for a in program)
+                assert size == 40 * terms <= 40 * _FLAT_TERMS
+
+    @pytest.mark.parametrize(
+        "system_modes, sectors, ancilla",
+        [(2, (0, 1, 2, 3), (2, 1, 0)), (1, (0, 1, 2), (1,) + (0,) * 13)],
+    )
+    def test_plan_programs_are_at_most_the_full_ladders(
+        self, system_modes, sectors, ancilla
+    ):
+        scheme = ConditionalScheme(
+            system_modes, len(ancilla), ancilla, (ancilla,), sectors
+        ).all_outcomes()
+        ladders = _stack_plan(scheme.system_basis, ancilla, scheme.outcomes)[4]
+        lift_modes = system_modes + len(ancilla)
+        for n, (*_, program) in enumerate(ladders, start=2):
+            full = _ladder(lift_modes, n)[5]
+            assert program is not None
+            size = sum(a.nbytes for a in program)
+            assert size <= 40 * _FLAT_TERMS
+            if full is not None:
+                assert size <= sum(a.nbytes for a in full)
 
 
 class TestSectorMatrix:
