@@ -39,12 +39,15 @@ SECTOR_CAP = math.comb(13, 7)
 #: built by one flat scatter-add of its cached term program; a larger level
 #: keeps no program and scatters mode by mode.  Read when a ladder or gather
 #: plan is built, not per call.  A program is five 8-byte arrays, 40 B a
-#: term, so at most 40 x _FLAT_TERMS bytes (328 KB).  Over every sector of
+#: term, so at most 40 x _FLAT_TERMS bytes (164 KB).  Over every sector of
 #: at most 21 modes and 8 photons within SECTOR_CAP, the full-lift programs
-#: total about 2.2 MB; a plan's programs are at most its full ladder's.
-#: Measured one level at a time on a 2-vCPU VM, the program took 0.2-0.8x
-#: the loop's time up to 7840 terms but 2.6-3.4x at 24 500 and 44 100.
-_FLAT_TERMS = 8192
+#: total about 0.9 MB; a plan's programs are at most its full ladder's.
+#: Measured one level at a time on a 2-vCPU VM, the program took 0.2-0.6x
+#: the loop's time up to 3584 terms, 0.8x at 7840 and 2.6-3.4x at 24 500 and
+#: 44 100.  Inside the lift workload the one benchmark level between 4096
+#: and 8192 terms, the 7840-term top of the 4-mode, 5-photon lift, made
+#: that lift slower flat than looped (best of 15 s, 0.246 against 0.211 ms).
+_FLAT_TERMS = 4096
 
 Occupation = tuple[int, ...]
 
