@@ -11,7 +11,7 @@ the unnormalized conditional state and its success probability.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +27,7 @@ from .fock import (
     _isometry_defect,
     _ladder,
     _lift_levels,
+    _rank,
     _term_program,
     as_occupation,
 )
@@ -57,9 +58,7 @@ class ConditionalScheme:
         for name in ("system_modes", "ancilla_modes"):
             object.__setattr__(self, name, _count(getattr(self, name), "mode counts"))
         object.__setattr__(self, "ancilla_input", as_occupation(self.ancilla_input))
-        object.__setattr__(
-            self, "outcomes", tuple(as_occupation(o) for o in self.outcomes)
-        )
+        object.__setattr__(self, "outcomes", tuple(map(as_occupation, self.outcomes)))
         object.__setattr__(
             self, "system_photons", tuple(map(_count, self.system_photons))
         )
@@ -101,14 +100,12 @@ class ConditionalScheme:
             if not 0 <= m < ancilla_modes:
                 raise ValueError(f"ancilla mode {m} outside 0..{ancilla_modes - 1}")
 
-        def one_hot(mode: int) -> Occupation:
-            return tuple(1 if m == mode else 0 for m in range(ancilla_modes))
-
+        one_hot = FockSector(ancilla_modes, 1).states  # one_hot[m]: the photon in m
         return cls(
             system_modes=1,
             ancilla_modes=ancilla_modes,
-            ancilla_input=one_hot(input_mode),
-            outcomes=tuple(one_hot(j) for j in accept_modes),
+            ancilla_input=one_hot[input_mode],
+            outcomes=tuple(one_hot[j] for j in accept_modes),
         )
 
     @property
@@ -124,13 +121,8 @@ class ConditionalScheme:
         if self.ancilla_modes == 0:
             return self
         max_total = max(self.system_photons) + sum(self.ancilla_input)
-        return ConditionalScheme(
-            system_modes=self.system_modes,
-            ancilla_modes=self.ancilla_modes,
-            ancilla_input=self.ancilla_input,
-            outcomes=SystemBasis(self.ancilla_modes, range(max_total + 1)).states,
-            system_photons=self.system_photons,
-        )
+        outcomes = SystemBasis(self.ancilla_modes, range(max_total + 1)).states
+        return replace(self, outcomes=outcomes)
 
 
 @dataclass(frozen=True)
@@ -249,25 +241,26 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
     if top < max(totals):
         out_sectors.add(0)
     out = SystemBasis(modes, {n for n in out_sectors if n >= 0})
-    block_of, gathers, dest = {mu: k for k, mu in enumerate(outcomes)}, [], []
+    mus, anc = np.array(outcomes, dtype=int), np.array([ancilla], dtype=int)
+    gammas, alphas = np.array(out.states), np.array(in_basis.states)
+    gathers, dest = [], np.zeros(0, int)
     for level in (n + n_in for n in in_basis.sectors):
-        rows, cols = [], []
-        for r, occ in enumerate(FockSector(lift_modes, level).basis):
-            gamma, mu = occ[:modes], occ[modes:]
-            if mu in block_of:
-                rows.append(r)
-                dest.append(block_of[mu] * out.dim + out._index[gamma])
-            if mu == ancilla:
-                cols.append((r, in_basis._index[gamma]))
-        if rows:
-            (c, j), band = np.array(cols).T, slice(len(dest) - len(rows), len(dest))
-            span = slice(j[0], j[-1] + 1)
-            gathers.append((level, np.array(rows)[:, None], c, band, span))
+        # Rows: each gamma + mu ranked in the level; columns: alpha + ancilla.
+        k, g = np.nonzero(np.add.outer(mus.sum(axis=1), gammas.sum(axis=1)) == level)
+        if len(k):
+            rows = _rank(np.hstack([gammas[g], mus[k]]))
+            order = rows.argsort()
+            dest = np.concatenate([dest, (k * out.dim + g)[order]])
+            j = np.flatnonzero(alphas.sum(axis=1) + n_in == level)
+            cols = _rank(np.hstack([alphas[j], anc.repeat(len(j), axis=0)]))
+            band, span = slice(len(dest) - len(k), len(dest)), slice(j[0], j[-1] + 1)
+            gathers.append((level, rows[order][:, None], cols, band, span))
     read = {level: cols for level, _, cols, _, _ in gathers}
     kept, parents = {0: np.arange(1), 1: np.arange(lift_modes)}, np.zeros(0, int)
     for n in range(top, 1, -1):
-        kept[n] = np.union1d(read.get(n, parents), parents)
-        parents = _ladder(lift_modes, n)[1][kept[n]]
+        keep = np.zeros(len(_ladder(lift_modes, n)[1]), dtype=bool)
+        keep[read.get(n, parents)] = keep[parents] = True
+        kept[n], parents = np.flatnonzero(keep), _ladder(lift_modes, n)[1][keep]
     ladders = []
     for n in range(2, top + 1):
         first, prev, scale, up, root, _ = _ladder(lift_modes, n)
@@ -280,7 +273,6 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         for level, rows, cols, band, span in gathers
     )
     kept = tuple(kept[n] for n in range(top + 1))
-    dest = np.array(dest, dtype=int)
     _frozen(dest, *kept, *(a for gather in gathers for a in gather[1:3]))
     return out, dest, gathers, kept, tuple(ladders)
 

@@ -11,6 +11,7 @@ SLOS (Heurtel et al., arXiv:2206.10549), each sector built from the one below.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -73,24 +74,24 @@ def as_occupation(counts: Iterable[int]) -> Occupation:
     return occ
 
 
-def _sector_basis(modes: int, photons: int) -> tuple[Occupation, ...]:
-    # Canonical order: lexicographically decreasing, so (n, 0, ..., 0) is first.
-    def gen(m: int, n: int):
-        if m == 1:
-            yield (n,)
-            return
-        for c in range(n, -1, -1):
-            for rest in gen(m - 1, n - c):
-                yield (c,) + rest
-
-    return tuple(gen(modes, photons))
+def _rank(occ: np.ndarray) -> np.ndarray:
+    # Position of each occupation (last axis) in its sector's canonical order,
+    # by the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): for each
+    # mode k, C(t + j - 1, j) states precede it that agree up to k and hold
+    # more photons at k, for its t photons in the j modes after k.  The table
+    # is built in exact integers by cumulative sums up to the photons present.
+    tails = occ[..., :0:-1].cumsum(axis=-1)  # column j - 1: the last j modes
+    table = np.zeros((tails.max(initial=0) + 1, occ.shape[-1] - 1), dtype=int)
+    for t in range(1, len(table)):
+        table[t] = 1 + table[t - 1].cumsum()
+    return table[tails, np.arange(occ.shape[-1] - 1)].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _basis_table(
     modes: int, sectors: tuple[int, ...]
-) -> tuple[tuple[Occupation, ...], dict[Occupation, int]]:
-    # States of the listed sectors in order and their flat positions.  Each
+) -> tuple[tuple[Occupation, ...], dict[int, int]]:
+    # States of the listed sectors in order and each sector's offset.  Each
     # sector's size is checked before any state is enumerated.
     for n in sectors:
         dim = math.comb(n + modes - 1, n)
@@ -99,8 +100,15 @@ def _basis_table(
                 f"sector of {n} photons in {modes} modes has {dim} states, "
                 f"above the cap of {SECTOR_CAP}"
             )
-    states = tuple(occ for n in sectors for occ in _sector_basis(modes, n))
-    return states, {occ: i for i, occ in enumerate(states)}
+    # Stars and bars: itertools.combinations' bar positions (ends -1, slots),
+    # reversed into canonical, lexicographically decreasing order, differenced.
+    states, offsets = [], {}
+    for n in sectors:
+        offsets[n], slots = len(states), n + modes - 1
+        bars = itertools.combinations(range(slots), modes - 1)
+        edges = np.array([(-1, *b, slots) for b in bars])[::-1]
+        states += map(tuple, (edges[:, 1:] - edges[:, :-1] - 1).tolist())
+    return tuple(states), offsets
 
 
 class SystemBasis:
@@ -120,7 +128,7 @@ class SystemBasis:
             raise ValueError(f"photon numbers must be non-negative, got {sectors}")
         self.modes = modes
         self.sectors = sectors
-        self.states, self._index = _basis_table(self.modes, sectors)
+        self.states, self._offsets = _basis_table(self.modes, sectors)
 
     @property
     def dim(self) -> int:
@@ -128,9 +136,9 @@ class SystemBasis:
 
     def index(self, occ: Iterable[int]) -> int:
         occ = as_occupation(occ)
-        if occ not in self._index:
+        if len(occ) != self.modes or sum(occ) not in self._offsets:
             raise ValueError(f"occupation {occ} is not a state of {self!r}")
-        return self._index[occ]
+        return self._offsets[sum(occ)] + int(_rank(np.array(occ)))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -300,9 +308,9 @@ def _ladder(modes: int, photons: int):
     basis, below = np.array(sector.basis), np.array(lower.basis)
     eye = np.eye(modes, dtype=int)
     first = (basis > 0).argmax(axis=1)
-    prev = np.array([lower.index(occ) for occ in basis - eye[first]])
+    prev = _rank(basis - eye[first])
     scale = 1.0 / np.sqrt(basis[np.arange(len(basis)), first])
-    up = np.array([[sector.index(p) for p in below + e] for e in eye])
+    up = _rank(below + eye[:, None])
     root = np.sqrt(below.T + 1.0)[:, :, None]
     tables = _frozen(first, prev, scale, up, root)
     return *tables, _term_program(up, root, first, prev, scale, len(below))
@@ -354,7 +362,7 @@ def _lift_levels(
     giving positions among the columns kept one sector down and program
     their term program or None.  A kept column is computed exactly as in the
     full lift, since column b reads only column prev[b] below.  None keeps
-    every column.
+    every column.  Levels take u's dtype, so they also run on sympy symbols.
     """
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
@@ -362,13 +370,13 @@ def _lift_levels(
         raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
     _basis_table(lop.dim, (photons,))  # refuses a top sector above SECTOR_CAP
     u = lop.matrix
-    levels = [np.ones((1, 1), dtype=complex), u][: photons + 1]
+    levels = [np.ones((1, 1), dtype=u.dtype), u][: photons + 1]
     for n in range(2, photons + 1):
         first, prev, scale, up, root, program = _ladder(lop.dim, n)
         dim = len(first)
         if ladders is not None:
             first, prev, scale, program = ladders[n - 2]
-        level = np.zeros((dim, len(first)), dtype=complex)
+        level = np.zeros((dim, len(first)), dtype=u.dtype)
         if program is not None:
             src, scale_t, root_t, ci, dst = program
             terms = levels[-1].take(src)

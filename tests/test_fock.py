@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +32,11 @@ from nsgate.fock import (
     _ladder,
     _lift_levels,
     _phase_fixed_qr,
+    _rank,
+    _term_program,
     as_occupation,
 )
+from nsgate.gate import _gate_figures
 
 
 def naive_permanent(m):
@@ -46,6 +52,7 @@ def naive_permanent(m):
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def brute_force_basis(modes, photons):
     """All occupation tuples with the given total, by raw product scan."""
     return [
@@ -53,6 +60,34 @@ def brute_force_basis(modes, photons):
         for occ in itertools.product(range(photons + 1), repeat=modes)
         if sum(occ) == photons
     ]
+
+
+def brute_force_order(modes, sectors):
+    """The canonical order by brute force: ascending totals, each sector's
+    product scan sorted in reverse (lexicographically decreasing)."""
+    return [
+        occ
+        for n in sorted(sectors)
+        for occ in sorted(brute_force_basis(modes, n), reverse=True)
+    ]
+
+
+def reference_ladder(modes, photons):
+    """_ladder's first, prev, scale and up by dict lookups in the brute-force
+    order: the per-state path the combinatorial rank replaced."""
+    basis = brute_force_order(modes, (photons,))
+    below = brute_force_order(modes, (photons - 1,))
+    at = {occ: i for i, occ in enumerate(basis)}
+    at_below = {occ: i for i, occ in enumerate(below)}
+
+    def shifted(occ, i, by):
+        return occ[:i] + (occ[i] + by,) + occ[i + 1 :]
+
+    first = [next(i for i, c in enumerate(occ) if c) for occ in basis]
+    prev = [at_below[shifted(occ, j, -1)] for occ, j in zip(basis, first)]
+    scale = 1.0 / np.sqrt(np.array([occ[j] for occ, j in zip(basis, first)]))
+    up = [[at[shifted(p, i, 1)] for p in below] for i in range(modes)]
+    return np.array(first), np.array(prev), scale, np.array(up)
 
 
 class TestEnumerateSector:
@@ -65,7 +100,11 @@ class TestEnumerateSector:
     def test_two_photons_three_modes_count(self):
         sector = FockSector(3, 2)
         assert sector.dim == 6
-        assert sorted(sector.basis) == sorted(brute_force_basis(3, 2))
+        # The exact order, one-mode sectors and the vacuum included.
+        for modes, photons in itertools.product(range(1, 7), range(7)):
+            basis = FockSector(modes, photons).basis
+            assert list(basis) == brute_force_order(modes, (photons,))
+            assert all(type(c) is int for occ in basis for c in occ)
 
     @pytest.mark.parametrize("modes,photons", [(2, 3), (4, 2), (5, 4), (1, 6)])
     def test_counts_and_uniqueness(self, modes, photons):
@@ -181,6 +220,28 @@ class TestSystemBasis:
         ]
         assert list(basis.states) == expected
         assert [basis.index(occ) for occ in basis.states] == list(range(basis.dim))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 6),
+        sectors=st.sets(st.integers(0, 6), min_size=1),
+    )
+    def test_index_ranks_every_state(self, modes, sectors):
+        # index is the sector's offset plus the state's combinatorial rank,
+        # so it numbers the state table 0..dim - 1; it still refuses a wrong
+        # length, a total outside the sectors and a negative entry.
+        basis = SystemBasis(modes, sectors)
+        assert [basis.index(occ) for occ in basis.states] == list(range(basis.dim))
+        last = basis.states[-1]
+        outside = min(set(range(8)) - set(sectors))
+        for bad in (
+            last + (0,),
+            last[:-1],
+            (outside,) + (0,) * (modes - 1),
+            (-1,) + last[1:],
+        ):
+            with pytest.raises(ValueError):
+                basis.index(bad)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_outcomes_are_ancilla_sectors(self, k):
@@ -517,6 +578,237 @@ class TestLiftSteps:
             assert size <= 40 * _FLAT_TERMS
             if full is not None:
                 assert size <= sum(a.nbytes for a in full)
+
+
+def reference_plan(in_basis, ancilla, outcomes):
+    """_stack_plan's output states, dest, gathers and kept columns by the
+    per-state loop over every lift-level state and the dict lookups that the
+    rank arithmetic replaced.  Gathers hold level positions and plain ints."""
+    modes, n_in = in_basis.modes, sum(ancilla)
+    totals = {sum(mu) for mu in outcomes}
+    lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
+    out_sectors = {n + n_in - t for n in in_basis.sectors for t in totals}
+    if top < max(totals):
+        out_sectors.add(0)
+    out_states = brute_force_order(modes, {n for n in out_sectors if n >= 0})
+    out_at = {occ: i for i, occ in enumerate(out_states)}
+    in_at = {occ: i for i, occ in enumerate(brute_force_order(modes, in_basis.sectors))}
+    block_of = {mu: k for k, mu in enumerate(outcomes)}
+    gathers, dest = [], []
+    for level in (n + n_in for n in in_basis.sectors):
+        rows, cols, inputs = [], [], []
+        for r, occ in enumerate(brute_force_order(lift_modes, (level,))):
+            gamma, mu = occ[:modes], occ[modes:]
+            if mu in block_of:
+                rows.append(r)
+                dest.append(block_of[mu] * len(out_states) + out_at[gamma])
+            if mu == ancilla:
+                cols.append(r)
+                inputs.append(in_at[gamma])
+        if rows:
+            band, span = (len(dest) - len(rows), len(dest)), (inputs[0], inputs[-1] + 1)
+            gathers.append((level, rows, cols, band, span))
+    read = {level: cols for level, _, cols, _, _ in gathers}
+    kept, parents = {0: [0], 1: list(range(lift_modes))}, []
+    for n in range(top, 1, -1):
+        kept[n] = sorted(set(read.get(n, [])) | set(parents))
+        prev = reference_ladder(lift_modes, n)[1]
+        parents = [prev[b] for b in kept[n]]
+    return out_states, dest, gathers, [kept[n] for n in range(top + 1)]
+
+
+@st.composite
+def plan_keys(draw):
+    """A _stack_plan key: 1 or 2 system modes, 0 to 3 ancilla modes with up
+    to two photons each, up to three input sectors under a top level of at
+    most 6 photons, and 1 to 6 outcomes drawn from every ancilla pattern of
+    at most top + 2 photons, so some outcomes reach no level."""
+    system_modes, ancilla_modes = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    counts = st.lists(st.integers(0, 2), min_size=ancilla_modes, max_size=ancilla_modes)
+    ancilla = tuple(draw(counts))
+    room = max(6 - sum(ancilla), 0)
+    sectors = draw(st.sets(st.integers(0, room), min_size=1, max_size=3))
+    top = max(sectors) + sum(ancilla)
+    pool = SystemBasis(ancilla_modes, range(top + 3)).states if ancilla_modes else ((),)
+    outcomes = st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True)
+    return SystemBasis(system_modes, sectors), ancilla, tuple(draw(outcomes))
+
+
+class TestRankedTables:
+    """Ladders and gather plans, built by the combinatorial rank, against the
+    brute-force per-state lookups it replaced."""
+
+    @pytest.mark.parametrize(
+        "modes, photons", itertools.product(range(1, 6), range(2, 6))
+    )
+    def test_ladder_matches_the_lookup_reference(self, modes, photons):
+        first, prev, scale, up = _ladder(modes, photons)[:4]
+        for table, expected in zip(
+            (first, prev, scale, up), reference_ladder(modes, photons)
+        ):
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected)
+
+    def test_rank_at_the_widest_sectors(self):
+        # The exact table stays small at SECTOR_CAP's widest sectors: one
+        # photon in 1716 modes, two in 58 (1711 states) and seven in 7.
+        one_photon = np.zeros((3, 1716), dtype=int)
+        one_photon[[0, 1, 2], [0, 900, 1715]] = 1
+        assert _rank(one_photon).tolist() == [0, 900, 1715]
+        for modes, photons in [(58, 2), (7, 7)]:
+            first, last = np.zeros((2, modes), dtype=int)
+            first[0], last[-1] = photons, photons
+            dim = math.comb(photons + modes - 1, photons)
+            assert _rank(np.array([first, last])).tolist() == [0, dim - 1]
+
+    def assert_plan_matches_reference(self, key):
+        out, dest, gathers, kept, _ = _stack_plan(*key)
+        out_states, ref_dest, ref_gathers, ref_kept = reference_plan(*key)
+        assert list(out.states) == out_states
+        assert dest.dtype == np.intp and dest.tolist() == ref_dest
+        assert [k.tolist() for k in kept] == ref_kept
+        assert len(gathers) == len(ref_gathers)
+        for (level, rows, cols, band, span), ref in zip(gathers, ref_gathers):
+            assert rows.dtype == cols.dtype == np.intp
+            assert rows.shape == (len(ref[1]), 1)
+            assert (level, rows[:, 0].tolist(), kept[level][cols].tolist()) == ref[:3]
+            assert ((band.start, band.stop), (span.start, span.stop)) == ref[3:]
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            # No ancilla: every level is an input sector, with one outcome ().
+            (SystemBasis(2, (0, 1, 2)), (), ((),)),
+            # One mode throughout: one-mode sectors of every level.
+            (SystemBasis(1, (0, 1, 2, 3)), (), ((),)),
+            # An outcome above the top level puts the vacuum in the output.
+            (SystemBasis(1, (0, 1)), (1, 0), ((3, 0), (0, 1))),
+            # No outcome reaches any level: no gather and an empty dest.
+            (SystemBasis(1, (0,)), (1,), ((2,),)),
+        ],
+        ids=["zero-ancilla", "one-mode", "unreachable-outcome", "empty-dest"],
+    )
+    def test_plan_edge_cases_match_the_reference(self, key):
+        self.assert_plan_matches_reference(key)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(key=plan_keys())
+    def test_plans_match_the_reference(self, key):
+        self.assert_plan_matches_reference(key)
+
+    def test_cold_builds_look_up_no_state(self):
+        # The tables rank whole arrays: a cold ladder and a cold plan build
+        # with SystemBasis.index refusing every call.
+        def refuse(self, occ):
+            raise AssertionError(f"index({occ}) called while building a table")
+
+        scheme = ConditionalScheme.one_photon(4, 0, (0, 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SystemBasis, "index", refuse)
+            _ladder.cache_clear()
+            _stack_plan.cache_clear()
+            try:
+                assert len(_ladder(5, 4)[0]) == 70
+                key = (scheme.system_basis, scheme.ancilla_input, scheme.outcomes)
+                assert len(_stack_plan(*key)[4]) == 2
+            finally:
+                _ladder.cache_clear()
+                _stack_plan.cache_clear()
+
+
+def symbolic_circuit(modes):
+    """A stand-in for LopCircuit whose matrix is a grid of sympy symbols."""
+    u = np.array(sympy.symbols(f"u:{modes}:{modes}"), dtype=object)
+    return types.SimpleNamespace(dim=modes, matrix=u.reshape(modes, modes))
+
+
+def exact_ladder(modes, photons, flat):
+    """_ladder with scale = 1/sqrt(occ_b[first_b]) and root = sqrt(p_i + 1) as
+    sympy numbers, read off the sector states at the ladder's integer tables,
+    and the term program built from them (None forces the per-mode loop)."""
+    first, prev, _, up, _, _ = _ladder(modes, photons)
+    basis = np.array(FockSector(modes, photons).basis)
+    below = np.array(FockSector(modes, photons - 1).basis)
+    occupied = basis[np.arange(len(basis)), first].tolist()
+    scale = np.array([1 / sympy.sqrt(c) for c in occupied], dtype=object)
+    root = np.array([[sympy.sqrt(c + 1) for c in row] for row in below.T.tolist()])
+    root = root.astype(object)[:, :, None]
+    program = _term_program(up, root, first, prev, scale, len(below)) if flat else None
+    return first, prev, scale, up, root, program
+
+
+def exact_lift(lop, photons, flat, ladders=None):
+    """_lift_levels on symbols, with every ladder exact (see exact_ladder)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            nsgate.fock, "_ladder", lambda modes, n: exact_ladder(modes, n, flat)
+        )
+        return _lift_levels(lop, photons, ladders)
+
+
+def permanent_formula(u, out_occ, in_occ):
+    """per(U[rows, cols]) / sqrt(prod occ!), rows and columns repeated, the
+    permanent as the permutation sum (1 for the empty block)."""
+    rows, cols = (np.repeat(range(len(occ)), occ) for occ in (out_occ, in_occ))
+    block = u[np.ix_(rows, cols)]
+    per = sum(
+        math.prod(block[i, j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(block)))
+    )
+    norm = math.prod(math.factorial(c) for c in (*in_occ, *out_occ))
+    return per / sympy.sqrt(norm)
+
+
+class TestExactLift:
+    """The production lift, run on sympy symbols with exact tables, is the
+    permanent formula entry for entry, and the NS gather plan reads the
+    closed forms of gate._gate_figures off it."""
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "loop"])
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_every_entry_is_the_permanent_formula(self, modes, flat):
+        lop = symbolic_circuit(modes)
+        levels = exact_lift(lop, 3, flat)
+        for n, level in enumerate(levels):
+            states = FockSector(modes, n).basis
+            assert level.dtype == object and level.shape == (len(states),) * 2
+            for (r, out_occ), (c, in_occ) in itertools.product(
+                enumerate(states), repeat=2
+            ):
+                expected = permanent_formula(lop.matrix, out_occ, in_occ)
+                assert sympy.expand(level[r, c] - expected) == 0
+
+    @pytest.mark.parametrize("accept", [0, 1])
+    def test_ns_plan_diagonal_is_the_closed_form(self, rng, accept):
+        # System mode 0, the photon in at mode 1 and accepted at mode j.
+        scheme = ConditionalScheme.one_photon(2, 0, (accept,))
+        key = (scheme.system_basis, scheme.ancilla_input, scheme.outcomes)
+        _, _, gathers, kept, ladders = _stack_plan(*key)
+        exact = []
+        for n, (first, prev, _, _) in enumerate(ladders, start=2):
+            _, _, scale, up, root, _ = exact_ladder(3, n, flat=True)
+            scale = scale[kept[n]]
+            program = _term_program(up, root, first, prev, scale, len(kept[n - 1]))
+            exact.append((first, prev, scale, program))
+        lop = symbolic_circuit(3)
+        levels = exact_lift(lop, len(kept) - 1, True, tuple(exact))
+        diagonal = []
+        for n, (level, rows, cols, band, span) in enumerate(gathers):
+            assert (band, span) == (slice(n, n + 1), slice(n, n + 1))
+            diagonal.append(levels[level][rows, cols][0, 0])
+        u, i, j = lop.matrix, 1, accept + 1
+        m0, cross = u[j, i], u[0, i] * u[j, 0]
+        closed = [m0, u[0, 0] * m0 + cross, u[0, 0] * (u[0, 0] * m0 + 2 * cross)]
+        assert [sympy.expand(m - c) for m, c in zip(diagonal, closed)] == [0] * 3
+        # The same diagonal at a Haar unitary gives _gate_figures' numbers.
+        v = haar_unitary(3, rng).matrix
+        at = dict(zip(u.ravel(), v.ravel()))
+        m = [complex(entry.subs(at)) for entry in diagonal]
+        prob, residual = _gate_figures(v, (j,))
+        assert abs(m[0]) ** 2 == pytest.approx(prob, abs=1e-14)
+        assert max(abs(m[1] - m[0]), abs(m[2] + m[0])) == pytest.approx(
+            residual, abs=1e-14
+        )
 
 
 class TestSectorMatrix:
