@@ -59,8 +59,9 @@ _K = 4 - 2 * SQRT2
 # Slack of the feasibility inequalities.
 _REGION_TOL = 1e-12
 
-#: Sign-shift residual (and, for max_feasible_probability, orthonormality
-#: defect of the column pair) under which a search point counts as working.
+#: Sign-shift residual and entry-rule defect under which a search point
+#: counts as working (for max_feasible_probability, the residual and the
+#: orthonormality defect of the column pair).
 FEASIBLE_RESIDUAL = 1e-6
 
 #: Largest first-order KKT defect ||grad f - J^T lambda|| expected at a
@@ -123,8 +124,21 @@ class OptimizationResult:
 
     @property
     def working(self) -> bool:
-        """Whether the best circuit's residual is at most FEASIBLE_RESIDUAL."""
-        return self.residual <= FEASIBLE_RESIDUAL
+        """Whether the best circuit meets the sign shift by its entry rule.
+
+        Its residual and entry-rule defects on the accepted modes 1..s,
+        s = n - 1 - free_modes, are at most FEASIBLE_RESIDUAL (see _works).
+        """
+        accept = range(1, self.best_matrix.dim - self.free_modes)
+        return _works(self.best_matrix.matrix, accept, self.residual)
+
+
+def _works(u: np.ndarray, accept: Sequence[int], residual: float) -> bool:
+    # m0 = m1 = -m2 within FEASIBLE_RESIDUAL, and by the entry rule too:
+    # the zero-probability branch of gate._sign_shift_defects meets the
+    # first with U00 free, a "gate" that never fires.
+    defect = np.abs(_sign_shift_defects(u, accept)).max()
+    return bool(residual <= FEASIBLE_RESIDUAL and defect <= FEASIBLE_RESIDUAL)
 
 
 def _feasible(x2, y2):
@@ -359,7 +373,7 @@ def numeric_search(
         u = _phase_fixed_qr(_pair(x, n))
         pair = u[:, :2]
         prob, residual = figures(pair)
-        working = residual <= FEASIBLE_RESIDUAL
+        working = _works(pair, accept, residual)
         if working:
             kkt_defects.append(_kkt_defect(pair, accept))
         key = (working, prob if working else -residual)

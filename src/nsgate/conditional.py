@@ -209,31 +209,33 @@ class ConditionalResult:
     normalized: Optional[DensityMatrix]
 
 
-#: Scheme shapes whose gather plans stay cached.  A plan holds a basis and
+#: Scheme shapes whose read plans stay cached.  A plan holds a basis and
 #: index arrays, nothing of the unitary, so every unitary shares it.
 _PLAN_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
-    """Output basis, row destinations, gathers, kept columns and ladders.
+    """Output basis, row destinations, source index, kept columns and ladders.
 
     The basis is the union of each outcome's output sectors, or the vacuum for
-    an outcome that reaches none.  A gather (level, rows, columns, band, span)
-    reads lift level n + |ancilla| of input sector n, whose states gamma + mu
-    are accepted rows and alpha + ancilla columns, into rows band and columns
-    span of K (see _kraus_matrix): both bases list a sector lexicographically
-    decreasing and the ancilla suffix is fixed, so the columns are sector n's
-    in_basis states in order.  Row i of K is row dest[i] of the flattened
-    (outcomes * out dim, in dim) stack.
+    an outcome that reaches none.  K (see _kraus_matrix) has a column per
+    in_basis state alpha and a row per accepted state gamma + mu of each
+    input sector n's lift level n + |ancilla|, sector by sector; row i is row
+    dest[i] of the flattened (outcomes * out dim, in dim) stack.  source[i, c]
+    is K[i, c]'s position in lift levels 0..top raveled in order, then one
+    zero: row gamma + mu, column alpha + ancilla of their level, or the zero
+    when alpha lies in another input sector, since an outcome takes each
+    input sector to its own output sector.  It costs 8 B a K entry.
 
-    Only the columns a gather reads are lifted.  Column b of level n reads
+    Only the columns K reads are lifted.  Column b of level n reads
     column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
-    holds level n's gathered columns and the prev of every column kept one
-    level up; levels 0 and 1 keep all.  ladders[n - 2] is level n's (first,
-    prev, scale, program) on kept[n], with prev as positions in kept[n - 1]
-    and program its term program or None (see fock._term_program), and a
-    gather's columns are positions in kept[level].  Every array is read-only.
+    holds level n's read columns and the prev of every column kept one
+    level up; levels 0 and 1 keep all, and level n ravels as its sector's
+    states by its kept columns.  ladders[n - 2] is level n's (first, prev,
+    scale, program) on kept[n], with prev as positions in kept[n - 1] and
+    program its term program or None (see fock._term_program).  Every array
+    is read-only.
     """
     modes, n_in, totals = in_basis.modes, sum(ancilla), {sum(mu) for mu in outcomes}
     lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
@@ -242,8 +244,8 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         out_sectors.add(0)
     out = SystemBasis(modes, {n for n in out_sectors if n >= 0})
     mus, anc = np.array(outcomes, dtype=int), np.array([ancilla], dtype=int)
-    gammas, alphas = np.array(out.states), np.array(in_basis.states)
-    gathers, dest = [], np.zeros(0, int)
+    gammas, alphas = out._occupations, in_basis._occupations
+    reads, dest = [], np.zeros(0, int)
     for level in (n + n_in for n in in_basis.sectors):
         # Rows: each gamma + mu ranked in the level; columns: alpha + ancilla.
         k, g = np.nonzero(np.add.outer(mus.sum(axis=1), gammas.sum(axis=1)) == level)
@@ -253,9 +255,8 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
             dest = np.concatenate([dest, (k * out.dim + g)[order]])
             j = np.flatnonzero(alphas.sum(axis=1) + n_in == level)
             cols = _rank(np.hstack([alphas[j], anc.repeat(len(j), axis=0)]))
-            band, span = slice(len(dest) - len(k), len(dest)), slice(j[0], j[-1] + 1)
-            gathers.append((level, rows[order][:, None], cols, band, span))
-    read = {level: cols for level, _, cols, _, _ in gathers}
+            reads.append((len(dest) - len(k), level, rows[order], j, cols))
+    read = {level: cols for _, level, _, _, cols in reads}
     kept, parents = {0: np.arange(1), 1: np.arange(lift_modes)}, np.zeros(0, int)
     for n in range(top, 1, -1):
         keep = np.zeros(len(_ladder(lift_modes, n)[1]), dtype=bool)
@@ -268,13 +269,15 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         prev = kept[n - 1].searchsorted(prev[kept[n]])
         program = _term_program(up, root, first, prev, scale, len(kept[n - 1]))
         ladders.append((*_frozen(first, prev, scale), program))
-    gathers = tuple(
-        (level, rows, kept[level].searchsorted(cols), band, span)
-        for level, rows, cols, band, span in gathers
-    )
     kept = tuple(kept[n] for n in range(top + 1))
-    _frozen(dest, *kept, *(a for gather in gathers for a in gather[1:3]))
-    return out, dest, gathers, kept, tuple(ladders)
+    sizes = [FockSector(lift_modes, n).dim * len(kept[n]) for n in range(top + 1)]
+    start = np.cumsum([0, *sizes])
+    source = np.full((len(dest), in_basis.dim), start[-1], dtype=np.intp)
+    for band, level, rows, j, cols in reads:
+        at = start[level] + rows[:, None] * len(kept[level])
+        source[band : band + len(rows), j] = at + kept[level].searchsorted(cols)
+    _frozen(dest, source, *kept)
+    return out, dest, source, kept, tuple(ladders)
 
 
 def _kraus_matrix(
@@ -283,24 +286,23 @@ def _kraus_matrix(
     """One output basis, the Kraus matrix K and its rows' stack destinations.
 
     K has a row per accepted (outcome, output state) pair that some input
-    sector reaches and a column per input state; each input sector's block,
-    gathered from one lift of only the columns the plan of the scheme's shape
-    reads, fills its own rows and columns.  So K†K is the sum of M†M over the
-    outcomes, and the stack is K's rows put at dest.
+    sector reaches and a column per input state.  It is one take of the
+    source index that the plan of the scheme's shape caches, from one lift
+    of only the columns it reads, raveled level by level with a zero for
+    the entries that break photon conservation.  So K†K is the sum of M†M
+    over the outcomes, and the stack is K's rows put at dest.
     """
     if lop.dim != scheme.system_modes + scheme.ancilla_modes:
         raise ValueError(
             f"mode unitary has {lop.dim} modes, scheme needs "
             f"{scheme.system_modes + scheme.ancilla_modes}"
         )
-    out_basis, dest, gathers, kept, ladders = _stack_plan(
+    out_basis, dest, source, kept, ladders = _stack_plan(
         scheme.system_basis, scheme.ancilla_input, tuple(outcomes)
     )
     levels = _lift_levels(lop, len(kept) - 1, ladders)
-    kraus = np.zeros((len(dest), scheme.system_basis.dim), dtype=complex)
-    for level, rows, cols, band, span in gathers:
-        kraus[band, span] = levels[level][rows, cols]
-    return out_basis, kraus, dest
+    flat = np.concatenate([*map(np.ravel, levels), np.zeros(1, levels[0].dtype)])
+    return out_basis, flat.take(source), dest
 
 
 def _kraus_stack(
@@ -396,5 +398,5 @@ def decompose_by_ancilla_count(
 def _ancilla_masks(sector: SystemBasis, system_modes: int) -> np.ndarray:
     # Reads only what every equal key has: an equal one-sector SystemBasis
     # may reach this cache before or after the FockSector it equals.
-    counts = np.array(sector.states)[:, system_modes:].sum(axis=1)
+    counts = sector._occupations[:, system_modes:].sum(axis=1)
     return _frozen(counts == np.arange(max(sector.sectors) + 1)[:, None])[0]

@@ -38,7 +38,7 @@ SECTOR_CAP = math.comb(13, 7)
 
 #: Largest term count (modes x rows below x kept columns) of a lift level
 #: built by one flat scatter-add of its cached term program; a larger level
-#: keeps no program and scatters mode by mode.  Read when a ladder or gather
+#: keeps no program and scatters mode by mode.  Read when a ladder or read
 #: plan is built, not per call.  A program is five 8-byte arrays, 40 B a
 #: term, so at most 40 x _FLAT_TERMS bytes (164 KB).  Over every sector of
 #: at most 21 modes and 8 photons within SECTOR_CAP, the full-lift programs
@@ -90,9 +90,10 @@ def _rank(occ: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _basis_table(
     modes: int, sectors: tuple[int, ...]
-) -> tuple[tuple[Occupation, ...], dict[int, int]]:
-    # States of the listed sectors in order and each sector's offset.  Each
-    # sector's size is checked before any state is enumerated.
+) -> tuple[tuple[Occupation, ...], dict[int, int], np.ndarray]:
+    # States of the listed sectors in order, each sector's offset and the
+    # states as one read-only (dim, modes) int array.  Each sector's size is
+    # checked before any state is enumerated.
     for n in sectors:
         dim = math.comb(n + modes - 1, n)
         if dim > SECTOR_CAP:
@@ -102,13 +103,14 @@ def _basis_table(
             )
     # Stars and bars: itertools.combinations' bar positions (ends -1, slots),
     # reversed into canonical, lexicographically decreasing order, differenced.
-    states, offsets = [], {}
+    states, offsets, tables = [], {}, [np.zeros((0, modes), dtype=np.int64)]
     for n in sectors:
         offsets[n], slots = len(states), n + modes - 1
         bars = itertools.combinations(range(slots), modes - 1)
-        edges = np.array([(-1, *b, slots) for b in bars])[::-1]
-        states += map(tuple, (edges[:, 1:] - edges[:, :-1] - 1).tolist())
-    return tuple(states), offsets
+        edges = np.array([(-1, *b, slots) for b in bars], dtype=np.int64)[::-1]
+        tables.append(edges[:, 1:] - edges[:, :-1] - 1)
+        states += map(tuple, tables[-1].tolist())
+    return tuple(states), offsets, _frozen(np.concatenate(tables))[0]
 
 
 class SystemBasis:
@@ -128,7 +130,7 @@ class SystemBasis:
             raise ValueError(f"photon numbers must be non-negative, got {sectors}")
         self.modes = modes
         self.sectors = sectors
-        self.states, self._offsets = _basis_table(self.modes, sectors)
+        self.states, self._offsets, self._occupations = _basis_table(modes, sectors)
 
     @property
     def dim(self) -> int:
@@ -304,8 +306,8 @@ def _ladder(modes: int, photons: int):
     # state b is a_j^dagger |occ_b - e_j> / sqrt(occ_b[j]) with j = first[b],
     # and a_i^dagger sends state p of sector n - 1 to up[i, p] times sqrt(p_i + 1).
     # Last comes the term program of the full level (see _term_program).
-    sector, lower = FockSector(modes, photons), FockSector(modes, photons - 1)
-    basis, below = np.array(sector.basis), np.array(lower.basis)
+    basis = FockSector(modes, photons)._occupations
+    below = FockSector(modes, photons - 1)._occupations
     eye = np.eye(modes, dtype=int)
     first = (basis > 0).argmax(axis=1)
     prev = _rank(basis - eye[first])

@@ -34,11 +34,13 @@ from nsgate import (
 )
 from nsgate.bounds import (
     _K,
+    OptimizationResult,
     _constraint_jacobian,
     _gate_figures,
     _objective_gradient,
     _pair,
     _search_constraints,
+    _works,
 )
 from nsgate.fock import LopCircuit, _isometry_residual, _phase_fixed_qr
 from nsgate.gate import _fixed_block
@@ -533,6 +535,46 @@ class TestCaps:
         # The best endpoint is verified on a lift of three photons.
         assert math.comb(SEARCH_MODE_CAP + 2, 3) <= SECTOR_CAP
         assert math.comb(SEARCH_MODE_CAP + 3, 3) > SECTOR_CAP
+
+
+def result_of(lop, accept_modes):
+    """An OptimizationResult holding a 3-mode circuit, with its verify_ns
+    figures for the photon in at mode 1 and accepted at accept_modes."""
+    scheme = ConditionalScheme.one_photon(2, 0, [j - 1 for j in accept_modes])
+    report = verify_ns(lop, scheme)
+    return OptimizationResult(
+        best_probability=report.success_probability,
+        best_matrix=lop,
+        residual=report.condition_residual,
+        restarts=0,
+        seed=0,
+        evaluations=0,
+        max_feasible_probability=0.0,
+        kkt_defect=math.nan,
+        free_modes=2 - len(accept_modes),
+    )
+
+
+class TestWorkingVerdict:
+    """A working result meets m0 = m1 = -m2 by the entry rule, not on the
+    zero-probability branch of the sign-shift conditions."""
+
+    def test_zero_probability_branch_is_not_working(self):
+        # The mode 1-2 swap: residual 0 and p = 0, entry-rule defects
+        # (sqrt 2, 0).
+        swap = LopCircuit(np.eye(3)[[0, 2, 1]])
+        result = result_of(swap, (1,))
+        assert result.residual == 0 and result.best_probability == 0
+        assert not result.working
+        # The search's per-endpoint rule reads the same pair alike.
+        assert not _works(swap.matrix[:, :2], range(1, 2), 0.0)
+
+    def test_the_optimum_is_working(self, klm_optimum):
+        design, _ = klm_optimum
+        result = result_of(design.matrix, design.accept_modes)
+        assert result.residual <= CONDITION_TOL
+        assert result.working
+        assert _works(design.matrix.matrix[:, :2], range(1, 2), result.residual)
 
 
 class TestNumericSearch:

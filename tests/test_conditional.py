@@ -338,8 +338,9 @@ class TestKrausOperator:
         case=(ConditionalScheme(1, 1, (1,), ((0,), (1,)), (0,)), 2, [(2,), (1,), (0,)])
     )
     def test_restricted_stack_equals_full_lift_reads(self, case):
-        # The plan lifts only the columns its gathers read; each kept column
-        # is computed as in the full lift, so the stack matches bit for bit.
+        # The plan lifts only the columns its source index reads; each kept
+        # column is computed as in the full lift, so the stack matches bit
+        # for bit.
         scheme, seed, outcomes = case
         lop = haar_unitary(
             scheme.system_modes + scheme.ancilla_modes, np.random.default_rng(seed)

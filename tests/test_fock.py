@@ -6,9 +6,10 @@ import types
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nsgate.conditional
 import nsgate.fock
 from nsgate import (
     CapacityError,
@@ -25,7 +26,7 @@ from nsgate import (
     lift_to_sector,
     permanent,
 )
-from nsgate.conditional import _stack_plan
+from nsgate.conditional import _kraus_matrix, _stack_plan, completeness_defect
 from nsgate.fock import (
     _FLAT_TERMS,
     _isometry_defect,
@@ -242,6 +243,26 @@ class TestSystemBasis:
         ):
             with pytest.raises(ValueError):
                 basis.index(bad)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 6),
+        sectors=st.sets(st.integers(0, 6), max_size=4),
+    )
+    @example(modes=1, sectors={0, 2, 5})
+    @example(modes=3, sectors=set())
+    def test_occupation_table_is_the_state_table(self, modes, sectors):
+        # The int table that ladders, plans and masks read is the state
+        # tuples as one read-only int64 array, (0, modes) with no sector.
+        basis = SystemBasis(modes, sectors)
+        table = basis._occupations
+        assert table.dtype == np.int64 and table.shape == (basis.dim, modes)
+        if basis.dim:
+            expected = np.array(basis.states)
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_outcomes_are_ancilla_sectors(self, k):
@@ -484,7 +505,7 @@ def lift_cases(draw):
     """A lift: modes, top photon number and plan key (None keeps every column).
 
     Half the cases lift every column of 1 to 5 modes and 0 to 5 photons; the
-    rest take the gather plan of a random scheme (1 or 2 system modes, 0 to
+    rest take the read plan of a random scheme (1 or 2 system modes, 0 to
     3 ancilla modes with up to two photons each, a top level of at most 6
     photons and a random subset of the outcomes), keyed as _stack_plan is.
     """
@@ -581,9 +602,9 @@ class TestLiftSteps:
 
 
 def reference_plan(in_basis, ancilla, outcomes):
-    """_stack_plan's output states, dest, gathers and kept columns by the
+    """_stack_plan's output states, dest, source and kept columns by the
     per-state loop over every lift-level state and the dict lookups that the
-    rank arithmetic replaced.  Gathers hold level positions and plain ints."""
+    rank arithmetic replaced.  Source entries are plain ints."""
     modes, n_in = in_basis.modes, sum(ancilla)
     totals = {sum(mu) for mu in outcomes}
     lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
@@ -592,9 +613,10 @@ def reference_plan(in_basis, ancilla, outcomes):
         out_sectors.add(0)
     out_states = brute_force_order(modes, {n for n in out_sectors if n >= 0})
     out_at = {occ: i for i, occ in enumerate(out_states)}
-    in_at = {occ: i for i, occ in enumerate(brute_force_order(modes, in_basis.sectors))}
+    in_states = brute_force_order(modes, in_basis.sectors)
+    in_at = {occ: i for i, occ in enumerate(in_states)}
     block_of = {mu: k for k, mu in enumerate(outcomes)}
-    gathers, dest = [], []
+    reads, dest = [], []
     for level in (n + n_in for n in in_basis.sectors):
         rows, cols, inputs = [], [], []
         for r, occ in enumerate(brute_force_order(lift_modes, (level,))):
@@ -606,15 +628,27 @@ def reference_plan(in_basis, ancilla, outcomes):
                 cols.append(r)
                 inputs.append(in_at[gamma])
         if rows:
-            band, span = (len(dest) - len(rows), len(dest)), (inputs[0], inputs[-1] + 1)
-            gathers.append((level, rows, cols, band, span))
-    read = {level: cols for level, _, cols, _, _ in gathers}
+            reads.append((level, rows, cols, inputs))
+    read = {level: cols for level, _, cols, _ in reads}
     kept, parents = {0: [0], 1: list(range(lift_modes))}, []
     for n in range(top, 1, -1):
         kept[n] = sorted(set(read.get(n, [])) | set(parents))
         prev = reference_ladder(lift_modes, n)[1]
         parents = [prev[b] for b in kept[n]]
-    return out_states, dest, gathers, [kept[n] for n in range(top + 1)]
+    # Levels 0..top raveled one after another, then the zero.
+    start = [0]
+    for n in range(top + 1):
+        rows_n = len(brute_force_order(lift_modes, (n,)))
+        start.append(start[-1] + rows_n * len(kept[n]))
+    source = [[start[-1]] * len(in_states) for _ in dest]
+    i = 0
+    for level, rows, cols, inputs in reads:
+        at = {b: p for p, b in enumerate(kept[level])}
+        for r in rows:
+            for b, c in zip(cols, inputs):
+                source[i][c] = start[level] + r * len(kept[level]) + at[b]
+            i += 1
+    return out_states, dest, source, [kept[n] for n in range(top + 1)]
 
 
 @st.composite
@@ -635,7 +669,7 @@ def plan_keys(draw):
 
 
 class TestRankedTables:
-    """Ladders and gather plans, built by the combinatorial rank, against the
+    """Ladders and read plans, built by the combinatorial rank, against the
     brute-force per-state lookups it replaced."""
 
     @pytest.mark.parametrize(
@@ -662,17 +696,14 @@ class TestRankedTables:
             assert _rank(np.array([first, last])).tolist() == [0, dim - 1]
 
     def assert_plan_matches_reference(self, key):
-        out, dest, gathers, kept, _ = _stack_plan(*key)
-        out_states, ref_dest, ref_gathers, ref_kept = reference_plan(*key)
+        out, dest, source, kept, _ = _stack_plan(*key)
+        out_states, ref_dest, ref_source, ref_kept = reference_plan(*key)
         assert list(out.states) == out_states
         assert dest.dtype == np.intp and dest.tolist() == ref_dest
         assert [k.tolist() for k in kept] == ref_kept
-        assert len(gathers) == len(ref_gathers)
-        for (level, rows, cols, band, span), ref in zip(gathers, ref_gathers):
-            assert rows.dtype == cols.dtype == np.intp
-            assert rows.shape == (len(ref[1]), 1)
-            assert (level, rows[:, 0].tolist(), kept[level][cols].tolist()) == ref[:3]
-            assert ((band.start, band.stop), (span.start, span.stop)) == ref[3:]
+        assert source.dtype == np.intp and not source.flags.writeable
+        assert source.shape == (len(ref_dest), key[0].dim)
+        assert source.tolist() == ref_source
 
     @pytest.mark.parametrize(
         "key",
@@ -683,13 +714,24 @@ class TestRankedTables:
             (SystemBasis(1, (0, 1, 2, 3)), (), ((),)),
             # An outcome above the top level puts the vacuum in the output.
             (SystemBasis(1, (0, 1)), (1, 0), ((3, 0), (0, 1))),
-            # No outcome reaches any level: no gather and an empty dest.
+            # No outcome reaches any level: an empty dest and source.
             (SystemBasis(1, (0,)), (1,), ((2,),)),
         ],
         ids=["zero-ancilla", "one-mode", "unreachable-outcome", "empty-dest"],
     )
-    def test_plan_edge_cases_match_the_reference(self, key):
+    def test_plan_edge_cases_match_the_reference(self, key, rng):
         self.assert_plan_matches_reference(key)
+        # K is complex with a row per dest entry, also with none, where the
+        # completeness defect is 1.
+        basis, ancilla, outcomes = key
+        scheme = ConditionalScheme(
+            basis.modes, len(ancilla), ancilla, outcomes, basis.sectors
+        )
+        lop = haar_unitary(basis.modes + len(ancilla), rng)
+        _, kraus, dest = _kraus_matrix(scheme, lop, outcomes)
+        assert kraus.dtype == complex and kraus.shape == (len(dest), basis.dim)
+        if not len(dest):
+            assert completeness_defect(scheme, lop) == 1
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(key=plan_keys())
@@ -761,7 +803,7 @@ def permanent_formula(u, out_occ, in_occ):
 
 class TestExactLift:
     """The production lift, run on sympy symbols with exact tables, is the
-    permanent formula entry for entry, and the NS gather plan reads the
+    permanent formula entry for entry, and the NS read plan reads the
     closed forms of gate._gate_figures off it."""
 
     @pytest.mark.parametrize("flat", [True, False], ids=["flat", "loop"])
@@ -783,7 +825,7 @@ class TestExactLift:
         # System mode 0, the photon in at mode 1 and accepted at mode j.
         scheme = ConditionalScheme.one_photon(2, 0, (accept,))
         key = (scheme.system_basis, scheme.ancilla_input, scheme.outcomes)
-        _, _, gathers, kept, ladders = _stack_plan(*key)
+        _, _, source, kept, ladders = _stack_plan(*key)
         exact = []
         for n, (first, prev, _, _) in enumerate(ladders, start=2):
             _, _, scale, up, root, _ = exact_ladder(3, n, flat=True)
@@ -791,11 +833,21 @@ class TestExactLift:
             program = _term_program(up, root, first, prev, scale, len(kept[n - 1]))
             exact.append((first, prev, scale, program))
         lop = symbolic_circuit(3)
-        levels = exact_lift(lop, len(kept) - 1, True, tuple(exact))
-        diagonal = []
-        for n, (level, rows, cols, band, span) in enumerate(gathers):
-            assert (band, span) == (slice(n, n + 1), slice(n, n + 1))
-            diagonal.append(levels[level][rows, cols][0, 0])
+        # The production read, through the plan's source index, of the exact
+        # restricted lift: its appended zero takes the levels' object dtype.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                nsgate.conditional,
+                "_lift_levels",
+                lambda lop, photons, _: exact_lift(lop, photons, True, tuple(exact)),
+            )
+            _, kraus, dest = _kraus_matrix(scheme, lop, scheme.outcomes)
+        off = ~np.eye(3, dtype=bool)
+        assert kraus.dtype == object and kraus.shape == (3, 3)
+        assert dest.tolist() == [0, 1, 2]
+        assert (source[off] == source.max()).all()
+        assert all(type(entry) is int and entry == 0 for entry in kraus[off])
+        diagonal = np.diagonal(kraus).tolist()
         u, i, j = lop.matrix, 1, accept + 1
         m0, cross = u[j, i], u[0, i] * u[j, 0]
         closed = [m0, u[0, 0] * m0 + cross, u[0, 0] * (u[0, 0] * m0 + 2 * cross)]
