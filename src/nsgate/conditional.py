@@ -116,6 +116,11 @@ class ConditionalScheme:
     def system_basis(self) -> SystemBasis:
         return SystemBasis(self.system_modes, self.system_photons)
 
+    @cached_property
+    def _plan(self) -> tuple:
+        # Its outcomes' read plan (see _stack_plan): no later read hashes them.
+        return _stack_plan(self.system_basis, self.ancilla_input, self.outcomes)
+
     def all_outcomes(self) -> "ConditionalScheme":
         """Scheme accepting every ancilla occupation photon conservation allows."""
         if self.ancilla_modes == 0:
@@ -216,15 +221,15 @@ _PLAN_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
-    """Output basis, row destinations, source index, kept columns and ladders.
+    """Output basis, row destinations, source index, kept columns and layout.
 
     The basis is the union of each outcome's output sectors, or the vacuum for
     an outcome that reaches none.  K (see _kraus_matrix) has a column per
     in_basis state alpha and a row per accepted state gamma + mu of each
     input sector n's lift level n + |ancilla|, sector by sector; row i is row
     dest[i] of the flattened (outcomes * out dim, in dim) stack.  source[i, c]
-    is K[i, c]'s position in lift levels 0..top raveled in order, then one
-    zero: row gamma + mu, column alpha + ancilla of their level, or the zero
+    is K[i, c]'s position in the lift's buffer, levels 0..top then a zero:
+    row gamma + mu, column alpha + ancilla of their level, or the zero
     when alpha lies in another input sector, since an outcome takes each
     input sector to its own output sector.  It costs 8 B a K entry.
 
@@ -232,10 +237,10 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
     column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
     holds level n's read columns and the prev of every column kept one
     level up; levels 0 and 1 keep all, and level n ravels as its sector's
-    states by its kept columns.  ladders[n - 2] is level n's (first, prev,
-    scale, program) on kept[n], with prev as positions in kept[n - 1] and
-    program its term program or None (see fock._term_program).  Every array
-    is read-only.
+    states by its kept columns.  The layout is (start, ladders): start[n] is
+    where level n begins and start[-1] the zero; ladders[n - 2] is level n's
+    (first, prev, scale, program) on kept[n], prev as positions in kept[n - 1]
+    and program its term program or None.  Every array is read-only.
     """
     modes, n_in, totals = in_basis.modes, sum(ancilla), {sum(mu) for mu in outcomes}
     lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
@@ -262,22 +267,22 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
         keep = np.zeros(len(_ladder(lift_modes, n)[1]), dtype=bool)
         keep[read.get(n, parents)] = keep[parents] = True
         kept[n], parents = np.flatnonzero(keep), _ladder(lift_modes, n)[1][keep]
+    kept = tuple(kept[n] for n in range(top + 1))
+    sizes = [FockSector(lift_modes, n).dim * len(kept[n]) for n in range(top + 1)]
+    start = tuple(np.cumsum([0, *sizes]).tolist())
     ladders = []
     for n in range(2, top + 1):
         first, prev, scale, up, root, _ = _ladder(lift_modes, n)
         first, scale = first[kept[n]], scale[kept[n]]
         prev = kept[n - 1].searchsorted(prev[kept[n]])
-        program = _term_program(up, root, first, prev, scale, len(kept[n - 1]))
+        program = _term_program(up, root, first, prev, scale, *start[n - 1 : n + 1])
         ladders.append((*_frozen(first, prev, scale), program))
-    kept = tuple(kept[n] for n in range(top + 1))
-    sizes = [FockSector(lift_modes, n).dim * len(kept[n]) for n in range(top + 1)]
-    start = np.cumsum([0, *sizes])
     source = np.full((len(dest), in_basis.dim), start[-1], dtype=np.intp)
     for band, level, rows, j, cols in reads:
         at = start[level] + rows[:, None] * len(kept[level])
         source[band : band + len(rows), j] = at + kept[level].searchsorted(cols)
     _frozen(dest, source, *kept)
-    return out, dest, source, kept, tuple(ladders)
+    return out, dest, source, kept, (start, tuple(ladders))
 
 
 def _kraus_matrix(
@@ -287,22 +292,20 @@ def _kraus_matrix(
 
     K has a row per accepted (outcome, output state) pair that some input
     sector reaches and a column per input state.  It is one take of the
-    source index that the plan of the scheme's shape caches, from one lift
-    of only the columns it reads, raveled level by level with a zero for
-    the entries that break photon conservation.  So K†K is the sum of M†M
-    over the outcomes, and the stack is K's rows put at dest.
+    source index the plan of the scheme's shape caches (the scheme holds
+    its own), from the buffer of a lift of only the columns it reads, whose
+    zero fills the entries that break photon conservation.  So K†K is the
+    sum of M†M over the outcomes, and the stack is K's rows put at dest.
     """
     if lop.dim != scheme.system_modes + scheme.ancilla_modes:
         raise ValueError(
             f"mode unitary has {lop.dim} modes, scheme needs "
             f"{scheme.system_modes + scheme.ancilla_modes}"
         )
-    out_basis, dest, source, kept, ladders = _stack_plan(
-        scheme.system_basis, scheme.ancilla_input, tuple(outcomes)
-    )
-    levels = _lift_levels(lop, len(kept) - 1, ladders)
-    flat = np.concatenate([*map(np.ravel, levels), np.zeros(1, levels[0].dtype)])
-    return out_basis, flat.take(source), dest
+    key = (scheme.system_basis, scheme.ancilla_input, tuple(outcomes))
+    plan = scheme._plan if outcomes is scheme.outcomes else _stack_plan(*key)
+    out_basis, dest, source, kept, layout = plan
+    return out_basis, _lift_levels(lop, len(kept) - 1, layout).take(source), dest
 
 
 def _kraus_stack(

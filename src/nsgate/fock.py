@@ -178,10 +178,10 @@ def _isometry_residual(x: np.ndarray) -> np.ndarray:
 
     Every unitarity, completeness and orthonormality check reads this one
     residual.  It casts nothing, so it also runs on object arrays of sympy
-    expressions.
+    expressions.  Matmul's fresh result is C-contiguous, so ravel views it.
     """
     gram = x.conj().T @ x
-    gram.flat[:: gram.shape[0] + 1] -= 1
+    gram.ravel()[:: gram.shape[0] + 1] -= 1
     return gram
 
 
@@ -301,11 +301,18 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
+def _layout(modes: int, photons: int) -> tuple[int, ...]:
+    # Places of levels 0..photons of a full lift in its buffer, then its zero's.
+    squares = (math.comb(n + modes - 1, n) ** 2 for n in range(photons + 1))
+    return (0, *itertools.accumulate(squares))
+
+
+@lru_cache(maxsize=None)
 def _ladder(modes: int, photons: int):
     # Tables that build sector n = photons from sector n - 1 (see _lift_levels):
     # state b is a_j^dagger |occ_b - e_j> / sqrt(occ_b[j]) with j = first[b],
     # and a_i^dagger sends state p of sector n - 1 to up[i, p] times sqrt(p_i + 1).
-    # Last comes the term program of the full level (see _term_program).
+    # Last comes the term program of the full level at its _layout offsets.
     basis = FockSector(modes, photons)._occupations
     below = FockSector(modes, photons - 1)._occupations
     eye = np.eye(modes, dtype=int)
@@ -315,18 +322,19 @@ def _ladder(modes: int, photons: int):
     up = _rank(below + eye[:, None])
     root = np.sqrt(below.T + 1.0)[:, :, None]
     tables = _frozen(first, prev, scale, up, root)
-    return *tables, _term_program(up, root, first, prev, scale, len(below))
+    at = _layout(modes, photons)[-3:-1]
+    return *tables, _term_program(up, root, first, prev, scale, *at)
 
 
-def _term_program(up, root, first, prev, scale, below_cols):
+def _term_program(up, root, first, prev, scale, below_at, at):
     """Flat step of one lift level on the columns (first, prev, scale) keep.
 
     Five read-only 1-D arrays over the level's terms in mode-major (i, p, c)
-    order, for prev indexing the below_cols columns of the level below:
-    src = p * below_cols + prev[c] into that level raveled, scale[c],
-    root[i, p], ci = i * modes + first[c] into the raveled mode matrix, and
-    dst = up[i, p] * k + c into the raveled level of k columns.  None above
-    _FLAT_TERMS terms, where the level loops over the modes instead.
+    order, for the level below raveled in the buffer from below_at to at,
+    where the level starts, so prev indexes its bc = (at - below_at) / rows
+    columns: src = below_at + p * bc + prev[c], scale[c], root[i, p],
+    ci = i * modes + first[c] and dst = at + up[i, p] * k + c for k columns.
+    None above _FLAT_TERMS terms, where the level loops over the modes.
     """
     modes, rows = up.shape
     k = len(first)
@@ -334,19 +342,17 @@ def _term_program(up, root, first, prev, scale, below_cols):
         return None
     i, p = np.arange(modes)[:, None, None], np.arange(rows)[:, None]
     program = np.broadcast_arrays(
-        p * below_cols + prev,
+        below_at + p * ((at - below_at) // rows) + prev,
         scale,
         root,
         i * modes + first,
-        up[:, :, None] * k + np.arange(k),
+        at + up[:, :, None] * k + np.arange(k),
     )
     return _frozen(*(np.ravel(a) for a in program))
 
 
-def _lift_levels(
-    lop: LopCircuit, photons: int, ladders: tuple | None = None
-) -> list[np.ndarray]:
-    """Lifted matrices of sectors 0..photons, each in canonical basis order.
+def _lift_levels(lop: LopCircuit, photons: int, layout=None) -> np.ndarray:
+    """Sectors 0..photons lifted, in order, into one buffer ending in a zero.
 
     Column b of sector n is sum_i U[i, j] a_i^dagger applied to column prev[b]
     of sector n - 1, over sqrt(occ_b[j]), with j the first occupied mode of
@@ -354,17 +360,18 @@ def _lift_levels(
     mode's terms, each entry summed in mode order from zero; sector 0 is the
     1 x 1 identity and sector 1 the mode matrix itself.  A level with a term
     program (at most _FLAT_TERMS terms, see _term_program) gathers its terms
-    from the level below, multiplies them in place by scale, root and the
+    from the buffer, multiplies them in place by scale, root and the
     mode-matrix coefficient, and adds them with one flat np.add.at; a larger
-    level loops over the modes with the same products in the same order, so
-    either step gives the same bits.
+    level loops over the modes on matrix views of it and the level below, with
+    the same products in the same order, so either step gives the same bits.
 
-    ``ladders`` restricts the columns of sectors 2..photons: entry n - 2 is
-    the (first, prev, scale, program) of the columns sector n keeps, prev
-    giving positions among the columns kept one sector down and program
-    their term program or None.  A kept column is computed exactly as in the
-    full lift, since column b reads only column prev[b] below.  None keeps
-    every column.  Levels take u's dtype, so they also run on sympy symbols.
+    ``layout``, a read plan's (start, ladders), restricts the columns of
+    sectors 2..photons to those ladders[n - 2] = (first, prev, scale, program)
+    keeps: prev as positions among the columns kept one sector down, program
+    their term program or None; level n starts at start[n].  A kept column is
+    computed exactly as in the full lift, since column b reads only column
+    prev[b] below.  None keeps all, at _layout's places.  Levels take u's
+    dtype, so they also run on sympy symbols.
     """
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
@@ -372,27 +379,30 @@ def _lift_levels(
         raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
     _basis_table(lop.dim, (photons,))  # refuses a top sector above SECTOR_CAP
     u = lop.matrix
-    levels = [np.ones((1, 1), dtype=u.dtype), u][: photons + 1]
+    start, ladders = (_layout(lop.dim, photons), None) if layout is None else layout
+    flat = np.zeros(start[-1] + 1, dtype=u.dtype)
+    flat[0] = 1
+    if photons:
+        flat[1 : start[2]] = u.ravel()
     for n in range(2, photons + 1):
         first, prev, scale, up, root, program = _ladder(lop.dim, n)
-        dim = len(first)
         if ladders is not None:
             first, prev, scale, program = ladders[n - 2]
-        level = np.zeros((dim, len(first)), dtype=u.dtype)
         if program is not None:
             src, scale_t, root_t, ci, dst = program
-            terms = levels[-1].take(src)
+            terms = flat.take(src)
             terms *= scale_t
             terms *= root_t
             terms *= u.take(ci)
-            np.add.at(level.ravel(), dst, terms)
+            np.add.at(flat, dst, terms)
         else:
-            below = levels[-1][:, prev] * scale
+            below = flat[start[n - 1] : start[n]].reshape(len(up[0]), -1)[:, prev]
+            below *= scale
+            level = flat[start[n] : start[n + 1]].reshape(-1, len(first))
             coeff = u[:, first]
             for i in range(lop.dim):
                 level[up[i]] += root[i] * below * coeff[i]
-        levels.append(level)
-    return levels
+    return flat
 
 
 def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
@@ -400,18 +410,20 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
 
     Entry (out, in) is the amplitude <out|U|in> in the sector's canonical
     basis order, built from the sectors below by the creation-operator
-    recursion of _lift_levels.  Raises CapacityError above PHOTON_CAP photons
-    or SECTOR_CAP states.
+    recursion of _lift_levels.  The entries are a read-only view of the top
+    level in that lift's one buffer, so they keep the lower levels alive
+    too: 356 KB against the top level's 254 KB at 5 modes and 5 photons.
+    Raises CapacityError above PHOTON_CAP photons or SECTOR_CAP states.
     """
-    entries = _lift_levels(lop, photons)[-1]
+    flat, sector = _lift_levels(lop, photons), FockSector(lop.dim, photons)
+    # The top level is the last dim x dim entries before the trailing zero.
+    entries = flat[-1 - sector.dim**2 : -1].reshape(sector.dim, sector.dim)
     defect = _isometry_defect(entries)
     if not defect <= LIFT_TOL:
         raise ArithmeticError(
             f"lifted sector matrix failed unitarity (defect {defect:.3e})"
         )
-    # The top level is a fresh array, or at one photon the circuit's own
-    # read-only matrix, so it is handed over without a copy.
-    return SectorMatrix._adopt(FockSector(lop.dim, photons), entries)
+    return SectorMatrix._adopt(sector, entries)
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nsgate.conditional
 from nsgate import (
     ConditionalScheme,
     DensityMatrix,
@@ -20,6 +21,7 @@ from nsgate import (
     haar_unitary,
     kraus_operator,
     lift_to_sector,
+    verify_ns,
 )
 from nsgate.conditional import (
     _PLAN_CACHE_SIZE,
@@ -28,7 +30,7 @@ from nsgate.conditional import (
     _kraus_stack,
     _stack_plan,
 )
-from nsgate.fock import _ladder, _lift_levels, _ryser_table
+from nsgate.fock import _ladder, _layout, _lift_levels, _ryser_table
 
 
 def one_system_scheme(ancilla_modes, input_mode=0, outcome_modes=(0,)):
@@ -112,7 +114,8 @@ def random_schemes(draw):
 def full_lift_reads(scheme, lop, outcomes, out_basis):
     """The stack read entry by entry off a lift of every column."""
     ancilla = scheme.ancilla_input
-    levels = _lift_levels(lop, max(scheme.system_photons) + sum(ancilla))
+    photons = max(scheme.system_photons) + sum(ancilla)
+    flat, start = _lift_levels(lop, photons), _layout(lop.dim, photons)
     in_states = scheme.system_basis.states
     stack = np.zeros((len(outcomes), out_basis.dim, len(in_states)), dtype=complex)
     for k, mu in enumerate(outcomes):
@@ -122,7 +125,8 @@ def full_lift_reads(scheme, lop, outcomes, out_basis):
                 if sum(gamma) + sum(mu) == n:
                     sector = FockSector(lop.dim, n)
                     row, col = sector.index(gamma + mu), sector.index(alpha + ancilla)
-                    stack[k, g, a] = levels[n][row, col]
+                    level = flat[start[n] : start[n + 1]].reshape(sector.dim, -1)
+                    stack[k, g, a] = level[row, col]
     return stack
 
 
@@ -329,6 +333,31 @@ class TestKrausOperator:
         assert after.misses == before.misses
         assert after.maxsize == _PLAN_CACHE_SIZE
 
+    def test_scheme_reads_its_own_plan_once(self, klm_optimum):
+        # After a scheme's first read, reads of its own outcomes look up no
+        # plan by key (so hash no outcome tuple); one-outcome reads still do.
+        design, scheme = klm_optimum
+        scheme = dataclasses.replace(scheme)  # a fresh scheme, no plan held
+        lop = design.matrix
+        rho = DensityMatrix.pure(scheme.system_basis, np.ones(3))
+        first = completeness_defect(scheme, lop)
+        keys = []
+
+        def spy(*key):
+            keys.append(key)
+            return _stack_plan(*key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nsgate.conditional, "_stack_plan", spy)
+            assert completeness_defect(scheme, lop) == first
+            apply_conditional(scheme, lop, rho)
+            verify_ns(lop, scheme)
+            assert keys == []
+            kraus_operator(scheme, lop, scheme.outcomes[0])
+        basis, ancilla = scheme.system_basis, scheme.ancilla_input
+        assert keys == [(basis, ancilla, (scheme.outcomes[0],))]
+        assert scheme._plan is _stack_plan(basis, ancilla, scheme.outcomes)
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(case=stack_cases())
     # Top lift level 0, then 1 reached by the system or by the ancilla alone.
@@ -399,7 +428,7 @@ class TestStackPlanColumns:
     """
 
     def assert_closed_under_prev(self, scheme):
-        _, _, _, kept, ladders = plan_of(scheme)
+        _, _, _, kept, (_, ladders) = plan_of(scheme)
         lift_modes = scheme.system_modes + scheme.ancilla_modes
         assert len(kept) == max(scheme.system_photons) + sum(scheme.ancilla_input) + 1
         assert len(ladders) == max(len(kept) - 2, 0)

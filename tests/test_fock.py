@@ -30,7 +30,9 @@ from nsgate.conditional import _kraus_matrix, _stack_plan, completeness_defect
 from nsgate.fock import (
     _FLAT_TERMS,
     _isometry_defect,
+    _isometry_residual,
     _ladder,
+    _layout,
     _lift_levels,
     _phase_fixed_qr,
     _rank,
@@ -354,6 +356,33 @@ class TestIsometryDefect:
         expected = np.abs(x.conj().T @ x - np.eye(k)).max(initial=0.0)
         assert _isometry_defect(x) == expected
 
+    @pytest.mark.parametrize("n, k", [(3, 3), (11, 3), (4, 1), (3, 0)])
+    def test_residual_of_a_strided_input(self, n, k, rng):
+        # Every other row of a wider array, columns reversed: the identity
+        # is subtracted through a view of the Gram, bit for bit.
+        shape = (2 * n, k + 2)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = m[::2, ::-1][:, :k]
+        assert not x.flags.c_contiguous or k == 0
+        residual = _isometry_residual(x)
+        expected = x.conj().T @ x - np.eye(k)
+        assert residual.shape == (k, k)
+        assert residual.tobytes() == expected.tobytes()
+
+    def test_residual_of_an_object_input(self):
+        # Sympy entries stay exact: x†x - I with no cast, its (0, 0) entry
+        # |a|^2 + |c|^2 once the last row's 1 and the identity's 1 cancel.
+        a, b, c, d = sympy.symbols("a b c d")
+        x = np.array([[a, b], [c, d], [1, 0]], dtype=object)
+        residual = _isometry_residual(x)
+        expected = x.conj().T @ x - np.eye(2, dtype=int)
+        assert residual.dtype == object and residual.shape == (2, 2)
+        assert all(
+            sympy.expand(r - e) == 0 for r, e in zip(residual.ravel(), expected.ravel())
+        )
+        norm = a * sympy.conjugate(a) + c * sympy.conjugate(c)
+        assert sympy.expand(residual[0, 0] - norm) == 0
+
 
 class TestFockAmplitude:
     def test_identity_diagonal(self):
@@ -529,8 +558,23 @@ def lift_cases(draw):
     return system_modes + ancilla_modes, max(photons) + sum(ancilla_input), plan
 
 
+def buffer_levels(flat, start, rows):
+    """The levels of a lift buffer laid out by start, level n as a rows[n] x
+    (its size / rows[n]) matrix: views, not copies."""
+    return [
+        flat[start[n] : start[n + 1]].reshape(rows[n], -1) for n in range(len(rows))
+    ]
+
+
+def full_levels(lop, photons):
+    """Every level of the full lift of sectors 0..photons, as square views."""
+    rows = [FockSector(lop.dim, n).dim for n in range(photons + 1)]
+    return buffer_levels(_lift_levels(lop, photons), _layout(lop.dim, photons), rows)
+
+
 def lift_with_flat_terms(terms, lop, photons, plan):
-    """_lift_levels with ladders and plans built under _FLAT_TERMS = terms.
+    """_lift_levels' buffer and layout start, with ladders and plans built
+    under _FLAT_TERMS = terms.
 
     Both caches read the constant when they build a level's program, so they
     are emptied before and after; each level's step is checked to be the one
@@ -541,13 +585,15 @@ def lift_with_flat_terms(terms, lop, photons, plan):
         _ladder.cache_clear()
         _stack_plan.cache_clear()
         try:
-            ladders = None if plan is None else _stack_plan(*plan)[4]
-            if ladders is None:
+            layout = None if plan is None else _stack_plan(*plan)[4]
+            if layout is None:
                 programs = [_ladder(lop.dim, n)[5] for n in range(2, photons + 1)]
+                start = _layout(lop.dim, photons)
             else:
-                programs = [ladder[3] for ladder in ladders]
+                programs = [ladder[3] for ladder in layout[1]]
+                start = layout[0]
             assert all((program is None) == (terms == 0) for program in programs)
-            return _lift_levels(lop, photons, ladders)
+            return _lift_levels(lop, photons, layout), start
         finally:
             _ladder.cache_clear()
             _stack_plan.cache_clear()
@@ -562,12 +608,18 @@ class TestLiftSteps:
         # level).
         modes, photons, plan = case
         lop = haar_unitary(modes, np.random.default_rng(seed))
-        loop_levels = lift_with_flat_terms(0, lop, photons, plan)
-        flat_levels = lift_with_flat_terms(10**9, lop, photons, plan)
-        assert len(loop_levels) == len(flat_levels) == photons + 1
+        loop_buffer, loop_start = lift_with_flat_terms(0, lop, photons, plan)
+        flat_buffer, flat_start = lift_with_flat_terms(10**9, lop, photons, plan)
+        assert loop_start == flat_start and len(loop_start) == photons + 2
+        rows = [FockSector(modes, n).dim for n in range(photons + 1)]
+        loop_levels = buffer_levels(loop_buffer, loop_start, rows)
+        flat_levels = buffer_levels(flat_buffer, flat_start, rows)
         for loop, flat in zip(loop_levels, flat_levels):
             assert loop.shape == flat.shape
             assert loop.tobytes() == flat.tobytes()
+        # The whole buffers, the trailing zero included.
+        assert loop_buffer.shape == flat_buffer.shape == (loop_start[-1] + 1,)
+        assert loop_buffer.tobytes() == flat_buffer.tobytes()
 
     def test_programs_stay_within_forty_bytes_a_term(self):
         # Five 8-byte arrays a term, and none above _FLAT_TERMS terms: a full
@@ -590,7 +642,7 @@ class TestLiftSteps:
         scheme = ConditionalScheme(
             system_modes, len(ancilla), ancilla, (ancilla,), sectors
         ).all_outcomes()
-        ladders = _stack_plan(scheme.system_basis, ancilla, scheme.outcomes)[4]
+        ladders = _stack_plan(scheme.system_basis, ancilla, scheme.outcomes)[4][1]
         lift_modes = system_modes + len(ancilla)
         for n, (*_, program) in enumerate(ladders, start=2):
             full = _ladder(lift_modes, n)[5]
@@ -758,6 +810,86 @@ class TestRankedTables:
                 _stack_plan.cache_clear()
 
 
+def assert_one_buffer(lop, photons, layout, rows):
+    """Checks of one lift's buffer: each level n has rows[n] rows, every
+    term program reads level n - 1 and writes level n alone, so no step
+    writes the trailing zero, which stays +0 after the lift."""
+    start, ladders = (_layout(lop.dim, photons), None) if layout is None else layout
+    assert len(start) == photons + 2 and start[:2] == (0, 1)
+    assert all(
+        (start[n + 1] - start[n]) % rows[n] == 0 for n in range(photons + 1)
+    )
+    for n in range(2, photons + 1):
+        program = _ladder(lop.dim, n)[5] if ladders is None else ladders[n - 2][3]
+        if program is None:
+            continue
+        src, _, _, _, dst = program
+        assert ((start[n - 1] <= src) & (src < start[n])).all()
+        assert ((start[n] <= dst) & (dst < start[n + 1])).all()
+        assert not (dst == start[-1]).any()
+    flat = _lift_levels(lop, photons, layout)
+    assert flat.shape == (start[-1] + 1,)
+    zero = flat[-1]
+    assert zero == 0 and not np.signbit(zero.real) and not np.signbit(zero.imag)
+
+
+class TestLiftBuffer:
+    """A lift is one buffer, levels 0..top raveled in order and one zero,
+    addressed by term programs that hold its global offsets."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=lift_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_programs_stay_in_their_levels(self, case, seed):
+        # Full ladders (every column) and read plans of all-outcome schemes.
+        modes, photons, plan = case
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        layout = None if plan is None else _stack_plan(*plan)[4]
+        rows = [FockSector(modes, n).dim for n in range(photons + 1)]
+        assert_one_buffer(lop, photons, layout, rows)
+        if layout is None:
+            assert all(
+                _layout(modes, photons)[n + 1] - _layout(modes, photons)[n]
+                == rows[n] ** 2
+                for n in range(photons + 1)
+            )
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(key=plan_keys(), seed=st.integers(0, 2**32 - 1))
+    def test_plan_programs_stay_in_their_levels(self, key, seed):
+        # Plans whose outcomes may reach no level: level n holds its rows by
+        # its kept columns.
+        _, _, _, kept, layout = _stack_plan(*key)
+        basis, ancilla, _ = key
+        modes, photons = basis.modes + len(ancilla), len(kept) - 1
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        rows = [FockSector(modes, n).dim for n in range(photons + 1)]
+        assert_one_buffer(lop, photons, layout, rows)
+        start = layout[0]
+        assert all(
+            start[n + 1] - start[n] == rows[n] * len(kept[n])
+            for n in range(photons + 1)
+        )
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 5),
+        photons=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lifted_sector_is_a_read_only_view_of_the_top_level(
+        self, modes, photons, seed
+    ):
+        lop = haar_unitary(modes, np.random.default_rng(seed))
+        entries = lift_to_sector(lop, photons).entries
+        start, dim = _layout(modes, photons), FockSector(modes, photons).dim
+        top = _lift_levels(lop, photons)[start[-2] : start[-1]]
+        assert not entries.flags.writeable
+        assert entries.shape == (dim, dim)
+        assert entries.tobytes() == top.tobytes()
+        # A view: its base is the whole buffer, lower levels and zero too.
+        assert entries.base is not None and entries.base.shape == (start[-1] + 1,)
+
+
 def symbolic_circuit(modes):
     """A stand-in for LopCircuit whose matrix is a grid of sympy symbols."""
     u = np.array(sympy.symbols(f"u:{modes}:{modes}"), dtype=object)
@@ -775,17 +907,19 @@ def exact_ladder(modes, photons, flat):
     scale = np.array([1 / sympy.sqrt(c) for c in occupied], dtype=object)
     root = np.array([[sympy.sqrt(c + 1) for c in row] for row in below.T.tolist()])
     root = root.astype(object)[:, :, None]
-    program = _term_program(up, root, first, prev, scale, len(below)) if flat else None
+    at = _layout(modes, photons)[-3:-1]
+    program = _term_program(up, root, first, prev, scale, *at) if flat else None
     return first, prev, scale, up, root, program
 
 
-def exact_lift(lop, photons, flat, ladders=None):
-    """_lift_levels on symbols, with every ladder exact (see exact_ladder)."""
+def exact_lift(lop, photons, flat, layout=None):
+    """_lift_levels' buffer on symbols, with every ladder exact (see
+    exact_ladder)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             nsgate.fock, "_ladder", lambda modes, n: exact_ladder(modes, n, flat)
         )
-        return _lift_levels(lop, photons, ladders)
+        return _lift_levels(lop, photons, layout)
 
 
 def permanent_formula(u, out_occ, in_occ):
@@ -810,8 +944,12 @@ class TestExactLift:
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_every_entry_is_the_permanent_formula(self, modes, flat):
         lop = symbolic_circuit(modes)
-        levels = exact_lift(lop, 3, flat)
-        for n, level in enumerate(levels):
+        buffer = exact_lift(lop, 3, flat)
+        start = _layout(modes, 3)
+        assert buffer.dtype == object and buffer.shape == (start[-1] + 1,)
+        assert type(buffer[-1]) is int and buffer[-1] == 0
+        rows = [FockSector(modes, n).dim for n in range(4)]
+        for n, level in enumerate(buffer_levels(buffer, start, rows)):
             states = FockSector(modes, n).basis
             assert level.dtype == object and level.shape == (len(states),) * 2
             for (r, out_occ), (c, in_occ) in itertools.product(
@@ -825,21 +963,24 @@ class TestExactLift:
         # System mode 0, the photon in at mode 1 and accepted at mode j.
         scheme = ConditionalScheme.one_photon(2, 0, (accept,))
         key = (scheme.system_basis, scheme.ancilla_input, scheme.outcomes)
-        _, _, source, kept, ladders = _stack_plan(*key)
+        _, _, source, kept, (start, ladders) = _stack_plan(*key)
         exact = []
         for n, (first, prev, _, _) in enumerate(ladders, start=2):
             _, _, scale, up, root, _ = exact_ladder(3, n, flat=True)
             scale = scale[kept[n]]
-            program = _term_program(up, root, first, prev, scale, len(kept[n - 1]))
+            at = start[n - 1 : n + 1]
+            program = _term_program(up, root, first, prev, scale, *at)
             exact.append((first, prev, scale, program))
+        layout = (start, tuple(exact))
         lop = symbolic_circuit(3)
         # The production read, through the plan's source index, of the exact
-        # restricted lift: its appended zero takes the levels' object dtype.
+        # restricted lift: its buffer, trailing zero included, takes the
+        # symbols' object dtype.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 nsgate.conditional,
                 "_lift_levels",
-                lambda lop, photons, _: exact_lift(lop, photons, True, tuple(exact)),
+                lambda lop, photons, _: exact_lift(lop, photons, True, layout),
             )
             _, kraus, dest = _kraus_matrix(scheme, lop, scheme.outcomes)
         off = ~np.eye(3, dtype=bool)
