@@ -73,10 +73,6 @@ _mode_count = _int_flag(2, "mode count", SEARCH_MODE_CAP)
 _seed = _int_flag(0, "seed")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _emit(text: str, output: str | None) -> int:
     if output is None:
         sys.stdout.write(text)
@@ -92,7 +88,7 @@ def _emit(text: str, output: str | None) -> int:
 
 def _format_column(col: np.ndarray, fmt: str) -> list[str]:
     # Format each distinct value once and gather the text by index: CSV
-    # writes floats through _fmt, JSON writes every value as json.dumps does.
+    # writes floats as {:.12g}, JSON writes every value as json.dumps does.
     # Floats are keyed on their bit pattern, not their value, so -0.0 keeps
     # its sign instead of merging with 0.0.
     is_float = col.dtype.kind == "f"
@@ -103,8 +99,8 @@ def _format_column(col: np.ndarray, fmt: str) -> list[str]:
         # One dump of every distinct value; no number's text holds ", ".
         text = json.dumps(col[first].tolist())[1:-1].split(", ")
     else:
-        cell = _fmt if is_float else str
-        text = [cell(v) for v in col[first].tolist()]
+        cell = "{:.12g}".format if is_float else str
+        text = list(map(cell, col[first].tolist()))
     text = np.array(text, dtype=object)
     return text[inverse].tolist()
 

@@ -10,7 +10,6 @@ the unnormalized conditional state and its success probability.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -22,6 +21,7 @@ from .fock import (
     LopCircuit,
     Occupation,
     SystemBasis,
+    _adopt,
     _count,
     _frozen,
     _isometry_defect,
@@ -338,7 +338,14 @@ def kraus_operator(
             f"outcome {outcome} does not cover {scheme.ancilla_modes} ancilla modes"
         )
     out_basis, stack = _kraus_stack(scheme, lop, [outcome])
-    return MeasurementOperator(scheme, outcome, out_basis, stack[0])
+    # Row 0 of a fresh complex stack, (out dim, in dim) by the plan.
+    return _adopt(
+        MeasurementOperator,
+        scheme=scheme,
+        outcome=outcome,
+        out_basis=out_basis,
+        entries=stack[0],
+    )
 
 
 def apply_conditional(
@@ -358,9 +365,9 @@ def apply_conditional(
     if probability > NORM_EPS:
         # A positive multiple of the checked rho_bar stays finite, Hermitian
         # and PSD, and its trace is 1 by the choice of probability.
-        normalized = copy.copy(rho_bar)
-        object.__setattr__(normalized, "entries", rho_bar.entries / probability)
-        normalized.entries.setflags(write=False)
+        normalized = _adopt(
+            DensityMatrix, basis=out_basis, entries=rho_bar.entries / probability
+        )
     return ConditionalResult(rho_bar, probability, normalized)
 
 

@@ -190,6 +190,21 @@ def _isometry_defect(x: np.ndarray) -> float:
     return np.abs(_isometry_residual(x)).max(initial=0.0)
 
 
+def _adopt(cls, **fields):
+    """Instance of the frozen dataclass cls from fields its builder proved valid.
+
+    Runs no __post_init__, so it copies and checks nothing; every ndarray
+    field is frozen in place.  Only for values whose validity follows
+    exactly from an earlier check, which the caller names.
+    """
+    adopted = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(adopted, name, value)
+    return adopted
+
+
 @dataclass(frozen=True)
 class LopCircuit:
     """An N x N unitary on optical mode operators."""
@@ -230,16 +245,6 @@ class SectorMatrix:
             raise ValueError(f"entries shape {e.shape} does not match sector dim {d}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-
-    @classmethod
-    def _adopt(cls, sector: FockSector, entries: np.ndarray) -> "SectorMatrix":
-        # Wraps a complex (dim, dim) array that nothing may write to again:
-        # frozen in place, not copied.
-        entries.setflags(write=False)
-        adopted = object.__new__(cls)
-        object.__setattr__(adopted, "sector", sector)
-        object.__setattr__(adopted, "entries", entries)
-        return adopted
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +428,8 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
         raise ArithmeticError(
             f"lifted sector matrix failed unitarity (defect {defect:.3e})"
         )
-    return SectorMatrix._adopt(sector, entries)
+    # A fresh complex (dim, dim) view, unitary by the check just made.
+    return _adopt(SectorMatrix, sector=sector, entries=entries)
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .fock import (
     UNITARITY_TOL,
     LopCircuit,
     Occupation,
+    _adopt,
     _count,
     _isometry_defect,
     _isometry_residual,
@@ -417,9 +418,21 @@ def reduce_general_ancilla(chi) -> LopCircuit:
 
 
 def ancilla_block(system_modes: int, ancilla_unitary: LopCircuit) -> LopCircuit:
-    """Embed an ancilla-only unitary as identity-on-system ⊕ ancilla action."""
-    k = ancilla_unitary.dim
-    n = system_modes + k
-    out = np.eye(n, dtype=complex)
-    out[system_modes:, system_modes:] = ancilla_unitary.matrix
-    return LopCircuit(out)
+    """Embed an ancilla-only unitary as identity-on-system ⊕ ancilla action.
+
+    B = I ⊕ V is adopted without a second unitarity check: V, a checked
+    LopCircuit, is finite, and B†B − I = 0 ⊕ (V†V − I) and BB† − I =
+    0 ⊕ (VV† − I) entry for entry, so B's defects are V's (computed, they
+    differ only in the order a matmul sums V's entries).
+    """
+    if not isinstance(ancilla_unitary, LopCircuit):
+        raise ValueError(
+            "ancilla unitary must be a LopCircuit, "
+            f"got {type(ancilla_unitary).__name__}"
+        )
+    s = _count(system_modes, "mode counts")
+    if s < 0:
+        raise ValueError(f"system mode count must be non-negative, got {s}")
+    out = np.eye(s + ancilla_unitary.dim, dtype=complex)
+    out[s:, s:] = ancilla_unitary.matrix
+    return _adopt(LopCircuit, matrix=out)

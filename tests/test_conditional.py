@@ -273,6 +273,19 @@ class TestKrausOperator:
         with pytest.raises(ValueError):
             kraus_operator(one_system_scheme(2), haar_unitary(4, rng), (1, 0))
 
+    def test_entries_are_the_stack_rows_read_only(self, rng):
+        # Each operator adopts row 0 of its own one-outcome stack: no copy,
+        # and the same bits as its outcome's row of the whole stack.
+        scheme = one_system_scheme(3, outcome_modes=(0, 1, 2))
+        lop = haar_unitary(4, rng)
+        _, stack = _kraus_stack(scheme, lop, scheme.outcomes)
+        for outcome, row in zip(scheme.outcomes, stack):
+            entries = kraus_operator(scheme, lop, outcome).entries
+            assert not entries.flags.writeable
+            assert entries.dtype == complex and entries.tobytes() == row.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0, 0] = 0
+
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(case=random_schemes(), data=st.data())
     def test_entries_match_per_entry_amplitudes(self, case, data):

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsgate.fock
 from nsgate import (
     ConditionalScheme,
     DensityMatrix,
@@ -27,7 +28,7 @@ from nsgate import (
     verify_ns,
 )
 from nsgate.bounds import _K
-from nsgate.fock import _phase_fixed_qr
+from nsgate.fock import _isometry_defect, _isometry_residual, _phase_fixed_qr
 from nsgate.gate import _complete_columns, _sign_shift_defects
 
 SQRT2 = math.sqrt(2.0)
@@ -548,3 +549,52 @@ class TestAncillaBlock:
         assert np.allclose(g.matrix[:2, :2], np.eye(2))
         assert np.allclose(g.matrix[2:, 2:], v.matrix)
         assert np.abs(g.matrix[:2, 2:]).max() == 0
+
+    def test_ancilla_unitary_must_be_a_circuit(self):
+        # A raw array carries no unitarity proof for the block to rest on.
+        with pytest.raises(ValueError, match="must be a LopCircuit, got ndarray"):
+            ancilla_block(1, np.eye(2))
+
+    @pytest.mark.parametrize("system_modes", [1.5, 2.0, "1", None, -1])
+    def test_system_modes_must_be_a_non_negative_integer(self, rng, system_modes):
+        with pytest.raises(ValueError, match="mode count"):
+            ancilla_block(system_modes, haar_unitary(2, rng))
+
+    def test_block_makes_no_gram(self, rng, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return _isometry_defect(x)
+
+        v = haar_unitary(3, rng)
+        monkeypatch.setattr(nsgate.fock, "_isometry_defect", counted)
+        block = ancilla_block(2, v)
+        assert calls == []
+        LopCircuit(block.matrix)  # the patch sees the circuit's own check
+        assert calls == [(5, 5), (5, 5)]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        modes=st.integers(1, 4),
+        s=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_is_proved_by_its_ancilla_unitary(self, modes, s, seed):
+        v = haar_unitary(modes, np.random.default_rng(seed))
+        block = ancilla_block(s, v).matrix
+        eye_and_block = np.eye(s + modes, dtype=complex)
+        eye_and_block[s:, s:] = v.matrix
+        assert block.tobytes() == LopCircuit(eye_and_block).matrix.tobytes()
+        assert not block.flags.writeable
+        # B†B - I and BB† - I are 0 ⊕ (V†V - I) and 0 ⊕ (VV† - I): zeros
+        # outside V's block exactly, and V's own residual inside it up to
+        # the order in which the matmul sums each entry's `modes` terms.
+        outside = np.ones(block.shape, dtype=bool)
+        outside[s:, s:] = False
+        rounding = 4 * (modes + 1) * np.finfo(float).eps
+        for b, w in ((block, v.matrix), (block.conj().T, v.matrix.conj().T)):
+            residual = _isometry_residual(b)
+            assert not residual[outside].any()
+            assert np.abs(residual[s:, s:] - _isometry_residual(w)).max() <= rounding
+        assert np.array_equal(LopCircuit(block).matrix, block)
