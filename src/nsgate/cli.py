@@ -204,6 +204,11 @@ def _cmd_kraus_check(args) -> int:
         except (OSError, OverflowError, TypeError, ValueError) as err:
             print(f"cannot read {args.matrix_file}: {err}", file=sys.stderr)
             return EXIT_IO
+        # The file's mode count is held to the --modes range, in its words.
+        try:
+            _mode_count(str(lop.dim))
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"{args.matrix_file}: {err}") from None
     else:
         lop = haar_unitary(args.modes, np.random.default_rng(args.seed))
     scheme = ConditionalScheme.one_photon(lop.dim - 1, 0, (0,)).all_outcomes()

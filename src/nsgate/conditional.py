@@ -168,7 +168,12 @@ class DensityMatrix:
         v = np.asarray(amplitudes, dtype=complex)
         if v.shape != (basis.dim,):
             raise ValueError(f"amplitude vector must have length {basis.dim}")
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0 < norm < np.inf:
+            raise ValueError(
+                f"amplitude vector must have a positive, finite norm, got {norm}"
+            )
+        v = v / norm
         return cls(basis, np.outer(v, v.conj()))
 
 

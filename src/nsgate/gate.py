@@ -21,16 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import (
-    UNITARITY_TOL,
-    LopCircuit,
-    Occupation,
-    _adopt,
-    _count,
-    _isometry_defect,
-    _isometry_residual,
-    _phase_fixed_qr,
-)
+from .fock import LopCircuit, Occupation, _adopt, _count, _isometry_residual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -226,14 +217,18 @@ class NsReport:
 
 def _complete_columns(cols: np.ndarray, at: Sequence[int] = ()) -> LopCircuit:
     # Mode unitary whose columns at (default the first k) are exactly the
-    # given n x k orthonormal columns, the others in order the trailing
-    # columns of their phase-fixed QR, an orthonormal basis of their
-    # complement.
+    # given n x k orthonormal columns, the others in order the trailing left
+    # singular vectors of cols, an orthonormal basis of their complement.
+    # LopCircuit's check of the result is the completion's one unitarity
+    # check: it also refuses columns that are not orthonormal.
     n, k = cols.shape
-    at = list(at) or list(range(k))
-    out = np.empty((n, n), dtype=complex)
-    out[:, at] = cols
-    out[:, [c for c in range(n) if c not in at]] = _phase_fixed_qr(cols)[:, k:]
+    out = np.linalg.svd(cols)[0]
+    out[:, :k] = cols
+    at = list(at)
+    if at and at != list(range(k)):
+        # Column c of the result is column order.index(c) of out.
+        order = at + [c for c in range(n) if c not in at]
+        out = out[:, np.argsort(order)]
     return LopCircuit(out)
 
 
@@ -411,10 +406,12 @@ def reduce_general_ancilla(chi) -> LopCircuit:
         raise ValueError("chi must have at least one amplitude")
     if not np.isfinite(v).all():
         raise ValueError("chi has non-finite entries")
-    # The (0, 0) entry of the U†U - I check LopCircuit makes of the result.
-    if not _isometry_defect(v[:, None]) <= UNITARITY_TOL:
-        raise ValueError("chi must be normalized to one photon")
-    return _complete_columns(v[:, None])
+    # |chi|^2 - 1 is entry (0, 0) of the U†U - I that LopCircuit checks on
+    # the completion, so that one check also reads chi's norm.
+    try:
+        return _complete_columns(v[:, None])
+    except ValueError:
+        raise ValueError("chi must be normalized to one photon") from None
 
 
 def ancilla_block(system_modes: int, ancilla_unitary: LopCircuit) -> LopCircuit:

@@ -305,15 +305,36 @@ class TestKrausCheck:
         assert "PASS" in out
 
     def test_sector_above_cap_is_usage_error(self, capsys, tmp_path):
-        # 21 ancilla modes give a 3-photon outcome sector of 1771 states.  A
-        # --modes that large is refused at parse time, so the matrix comes
-        # from a file.
+        # 21 ancilla modes would give a 3-photon outcome sector of 1771
+        # states.  A file of that many modes is refused by the --modes range
+        # before any sector is built.
         path = tmp_path / "u.json"
         path.write_text(json.dumps(nsgate.cli._encode_matrix(LopCircuit(np.eye(22)))))
         assert main(["kraus-check", "--matrix-file", str(path)]) == 64
         out, err = capsys.readouterr()
         assert out == ""
-        assert "above the cap of 1716" in err
+        assert f"mode count must be at most {SEARCH_MODE_CAP}, got '22'" in err
+
+    @pytest.mark.parametrize(
+        "modes, message",
+        [
+            (1, "mode count must be an integer of at least 2, got '1'"),
+            (SEARCH_MODE_CAP + 5, f"mode count must be at most {SEARCH_MODE_CAP}, "
+             f"got '{SEARCH_MODE_CAP + 5}'"),
+        ],
+    )
+    def test_matrix_modes_outside_the_modes_range_is_usage_error(
+        self, capsys, tmp_path, modes, message
+    ):
+        # The wording --modes uses, after the file's name; no traceback.
+        path = tmp_path / "u.json"
+        path.write_text(
+            json.dumps(nsgate.cli._encode_matrix(LopCircuit(np.eye(modes))))
+        )
+        assert main(["kraus-check", "--matrix-file", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"nsgate: error: {path}: {message}\n"
 
     def test_missing_matrix_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "kraus-check", "--matrix-file", "/no/such/file")

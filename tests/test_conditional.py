@@ -727,6 +727,16 @@ class TestDensityMatrix:
         rho = DensityMatrix.pure(basis, np.array([2.0, 0, 0]))
         assert rho.trace == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "amps", [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]]
+    )
+    def test_pure_refuses_norm_not_positive_and_finite(self, amps):
+        # Refused before dividing: numpy warns on 0 / 0 (an error under the
+        # suite's RuntimeWarning filter) and would leave non-finite entries.
+        basis = SystemBasis(1, (0, 1, 2))
+        with pytest.raises(ValueError, match="positive, finite norm"):
+            DensityMatrix.pure(basis, np.array(amps))
+
 
 class TestDecomposeByAncillaCount:
     def test_product_state_single_component(self):

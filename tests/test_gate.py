@@ -243,8 +243,28 @@ class TestCompleteToUnitary:
         q = _phase_fixed_qr(cols)
         assert np.abs(q[:, :k] - cols).max() <= 1e-14
         assert np.abs(cols.conj().T @ q[:, k:]).max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
+    )
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_complete_columns(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        phases = np.exp(2j * np.pi * rng.random(k))
+        haar = haar_unitary(n, rng).matrix[:, :k] * phases
+        basis = np.eye(n)[:, rng.permutation(n)[:k]] * phases
         at = rng.permutation(n)[:k].tolist()
-        assert np.array_equal(_complete_columns(cols, at).matrix[:, at], cols)
+        for cols in (haar, basis):
+            for where in (at, list(range(k)), ()):
+                u = _complete_columns(cols, where).matrix
+                fixed = list(where) or list(range(k))
+                free = [c for c in range(n) if c not in fixed]
+                # Fixed columns bit-exact in place; the rest, in order, the
+                # trailing left singular vectors of the fixed columns.
+                assert np.array_equal(u[:, fixed], cols)
+                assert np.array_equal(u[:, free], np.linalg.svd(cols)[0][:, k:])
+                assert _isometry_defect(u) <= 1e-14
 
     @pytest.mark.parametrize("ys", [[0.2], [0.12, 0.16j]], ids=["rank1", "rank2"])
     def test_non_psd_gram_named(self, ys):
@@ -477,8 +497,44 @@ class TestReduceGeneralAncilla:
         assert np.abs(v.matrix.conj().T @ v.matrix - np.eye(len(chi))).max() < 1e-12
 
     def test_non_normalized_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chi must be normalized"):
             reduce_general_ancilla([1.0, 1.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "excess, accepted",
+        [(5e-11, True), (-5e-11, True), (5e-10, False), (-5e-10, False)],
+    )
+    def test_norm_at_the_unitarity_tolerance(self, rng, k, excess, accepted):
+        # |chi|^2 - 1 = excess, read off the completion's own U†U - I
+        # against UNITARITY_TOL = 1e-10.
+        chi = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        chi *= math.sqrt(1 + excess) / np.linalg.norm(chi)
+        if accepted:
+            assert np.array_equal(reduce_general_ancilla(chi).matrix[:, 0], chi)
+        else:
+            with pytest.raises(ValueError, match="chi must be normalized"):
+                reduce_general_ancilla(chi)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_vector_rejected(self, k):
+        with pytest.raises(ValueError, match="chi must be normalized"):
+            reduce_general_ancilla(np.zeros(k))
+
+    def test_one_gram_pass(self, rng, monkeypatch):
+        # The completion's LopCircuit check (U†U and UU†) is the only Gram:
+        # chi's norm is entry (0, 0) of the first.
+        calls = []
+        residual = nsgate.fock._isometry_residual
+
+        def counted(x):
+            calls.append(x.shape)
+            return residual(x)
+
+        monkeypatch.setattr(nsgate.fock, "_isometry_residual", counted)
+        chi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        reduce_general_ancilla(chi / np.linalg.norm(chi))
+        assert calls == [(4, 4), (4, 4)]
 
     @pytest.mark.parametrize("chi", [[np.nan, 0.0], [1.0, np.inf], [complex("nan+1j")]])
     def test_non_finite_rejected(self, chi):
