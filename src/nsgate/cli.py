@@ -184,7 +184,11 @@ def _encode_matrix(lop: LopCircuit) -> list:
 
 
 def _load_matrix(path: str) -> LopCircuit:
-    """Read a matrix written by _encode_matrix, bare or under a "matrix" key."""
+    """Read a matrix written by _encode_matrix, bare or under a "matrix" key.
+
+    Its row count is held to the --modes range, in that flag's words
+    (argparse.ArgumentTypeError), before its unitarity is checked.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):
@@ -194,6 +198,7 @@ def _load_matrix(path: str) -> LopCircuit:
         raise ValueError(
             f"matrix must be rows of [re, im] pairs, got shape {pairs.shape}"
         )
+    _mode_count(str(len(pairs)))
     return LopCircuit(pairs[..., 0] + 1j * pairs[..., 1])
 
 
@@ -201,14 +206,11 @@ def _cmd_kraus_check(args) -> int:
     if args.matrix_file is not None:
         try:
             lop = _load_matrix(args.matrix_file)
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"{args.matrix_file}: {err}") from None
         except (OSError, OverflowError, TypeError, ValueError) as err:
             print(f"cannot read {args.matrix_file}: {err}", file=sys.stderr)
             return EXIT_IO
-        # The file's mode count is held to the --modes range, in its words.
-        try:
-            _mode_count(str(lop.dim))
-        except argparse.ArgumentTypeError as err:
-            raise ValueError(f"{args.matrix_file}: {err}") from None
     else:
         lop = haar_unitary(args.modes, np.random.default_rng(args.seed))
     scheme = ConditionalScheme.one_photon(lop.dim - 1, 0, (0,)).all_outcomes()

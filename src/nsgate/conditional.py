@@ -27,8 +27,8 @@ from .fock import (
     _isometry_defect,
     _ladder,
     _lift_levels,
+    _lift_plan,
     _rank,
-    _term_program,
     as_occupation,
 )
 
@@ -241,11 +241,9 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
     Only the columns K reads are lifted.  Column b of level n reads
     column prev[b] of level n - 1 alone (see fock._lift_levels), so kept[n]
     holds level n's read columns and the prev of every column kept one
-    level up; levels 0 and 1 keep all, and level n ravels as its sector's
-    states by its kept columns.  The layout is (start, ladders): start[n] is
-    where level n begins and start[-1] the zero; ladders[n - 2] is level n's
-    (first, prev, scale, program) on kept[n], prev as positions in kept[n - 1]
-    and program its term program or None.  Every array is read-only.
+    level up; levels 0 and 1 keep all.  The layout is fock._lift_plan's
+    (start, ladders) of kept: start[n] is where level n begins and start[-1]
+    the zero.  Every array is read-only.
     """
     modes, n_in, totals = in_basis.modes, sum(ancilla), {sum(mu) for mu in outcomes}
     lift_modes, top = modes + len(ancilla), max(in_basis.sectors) + n_in
@@ -269,25 +267,18 @@ def _stack_plan(in_basis: SystemBasis, ancilla: Occupation, outcomes: tuple):
     read = {level: cols for _, level, _, _, cols in reads}
     kept, parents = {0: np.arange(1), 1: np.arange(lift_modes)}, np.zeros(0, int)
     for n in range(top, 1, -1):
-        keep = np.zeros(len(_ladder(lift_modes, n)[1]), dtype=bool)
+        prev = _ladder(lift_modes, n)[1]
+        keep = np.zeros(len(prev), dtype=bool)
         keep[read.get(n, parents)] = keep[parents] = True
-        kept[n], parents = np.flatnonzero(keep), _ladder(lift_modes, n)[1][keep]
-    kept = tuple(kept[n] for n in range(top + 1))
-    sizes = [FockSector(lift_modes, n).dim * len(kept[n]) for n in range(top + 1)]
-    start = tuple(np.cumsum([0, *sizes]).tolist())
-    ladders = []
-    for n in range(2, top + 1):
-        first, prev, scale, up, root, _ = _ladder(lift_modes, n)
-        first, scale = first[kept[n]], scale[kept[n]]
-        prev = kept[n - 1].searchsorted(prev[kept[n]])
-        program = _term_program(up, root, first, prev, scale, *start[n - 1 : n + 1])
-        ladders.append((*_frozen(first, prev, scale), program))
+        kept[n], parents = np.flatnonzero(keep), prev[keep]
+    kept = _frozen(*(kept[n] for n in range(top + 1)))
+    start, _ = layout = _lift_plan(lift_modes, kept)
     source = np.full((len(dest), in_basis.dim), start[-1], dtype=np.intp)
     for band, level, rows, j, cols in reads:
         at = start[level] + rows[:, None] * len(kept[level])
         source[band : band + len(rows), j] = at + kept[level].searchsorted(cols)
-    _frozen(dest, source, *kept)
-    return out, dest, source, kept, (start, tuple(ladders))
+    _frozen(dest, source)
+    return out, dest, source, kept, layout
 
 
 def _kraus_matrix(
@@ -309,8 +300,8 @@ def _kraus_matrix(
         )
     key = (scheme.system_basis, scheme.ancilla_input, tuple(outcomes))
     plan = scheme._plan if outcomes is scheme.outcomes else _stack_plan(*key)
-    out_basis, dest, source, kept, layout = plan
-    return out_basis, _lift_levels(lop, len(kept) - 1, layout).take(source), dest
+    out_basis, dest, source, _, layout = plan
+    return out_basis, _lift_levels(lop, layout).take(source), dest
 
 
 def _kraus_stack(
@@ -402,6 +393,7 @@ def decompose_by_ancilla_count(
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (sector.dim,):
         raise ValueError(f"state vector must have length {sector.dim}")
+    system_modes = _count(system_modes, "mode counts")
     if not 0 < system_modes < sector.modes:
         raise ValueError(
             f"system mode count must be in 1..{sector.modes - 1}, got {system_modes}"

@@ -38,11 +38,13 @@ SECTOR_CAP = math.comb(13, 7)
 
 #: Largest term count (modes x rows below x kept columns) of a lift level
 #: built by one flat scatter-add of its cached term program; a larger level
-#: keeps no program and scatters mode by mode.  Read when a ladder or read
-#: plan is built, not per call.  A program is five 8-byte arrays, 40 B a
-#: term, so at most 40 x _FLAT_TERMS bytes (164 KB).  Over every sector of
-#: at most 21 modes and 8 photons within SECTOR_CAP, the full-lift programs
-#: total about 0.9 MB; a plan's programs are at most its full ladder's.
+#: keeps no program and scatters mode by mode.  Read when a lift plan is
+#: built, not per call.  A program is five 8-byte arrays, 40 B a term, so at
+#: most 40 x _FLAT_TERMS bytes (164 KB).  Full plans are cached per (modes,
+#: photons), each with programs for all of its levels: one plan holds at
+#: most 257 KB of them, and the full plans of all 125 shapes of at most 21
+#: modes and 8 photons within SECTOR_CAP hold 3.9 MB (0.87 MB of distinct
+#: levels).  A read plan's programs are at most its full plan's.
 #: Measured one level at a time on a 2-vCPU VM, the program took 0.2-0.6x
 #: the loop's time up to 3584 terms, 0.8x at 7840 and 2.6-3.4x at 24 500 and
 #: 44 100.  Inside the lift workload the one benchmark level between 4096
@@ -306,18 +308,10 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _layout(modes: int, photons: int) -> tuple[int, ...]:
-    # Places of levels 0..photons of a full lift in its buffer, then its zero's.
-    squares = (math.comb(n + modes - 1, n) ** 2 for n in range(photons + 1))
-    return (0, *itertools.accumulate(squares))
-
-
-@lru_cache(maxsize=None)
 def _ladder(modes: int, photons: int):
     # Tables that build sector n = photons from sector n - 1 (see _lift_levels):
     # state b is a_j^dagger |occ_b - e_j> / sqrt(occ_b[j]) with j = first[b],
     # and a_i^dagger sends state p of sector n - 1 to up[i, p] times sqrt(p_i + 1).
-    # Last comes the term program of the full level at its _layout offsets.
     basis = FockSector(modes, photons)._occupations
     below = FockSector(modes, photons - 1)._occupations
     eye = np.eye(modes, dtype=int)
@@ -326,9 +320,7 @@ def _ladder(modes: int, photons: int):
     scale = 1.0 / np.sqrt(basis[np.arange(len(basis)), first])
     up = _rank(below + eye[:, None])
     root = np.sqrt(below.T + 1.0)[:, :, None]
-    tables = _frozen(first, prev, scale, up, root)
-    at = _layout(modes, photons)[-3:-1]
-    return *tables, _term_program(up, root, first, prev, scale, *at)
+    return _frozen(first, prev, scale, up, root)
 
 
 def _term_program(up, root, first, prev, scale, below_at, at):
@@ -356,43 +348,75 @@ def _term_program(up, root, first, prev, scale, below_at, at):
     return _frozen(*(np.ravel(a) for a in program))
 
 
-def _lift_levels(lop: LopCircuit, photons: int, layout=None) -> np.ndarray:
-    """Sectors 0..photons lifted, in order, into one buffer ending in a zero.
+def _lift_plan(modes: int, kept):
+    """Layout and level tables of a lift that keeps columns kept[n] of level n.
 
-    Column b of sector n is sum_i U[i, j] a_i^dagger applied to column prev[b]
-    of sector n - 1, over sqrt(occ_b[j]), with j the first occupied mode of
-    basis state b (see _ladder).  Each sector is one scatter-add of every
-    mode's terms, each entry summed in mode order from zero; sector 0 is the
-    1 x 1 identity and sector 1 the mode matrix itself.  A level with a term
+    kept, an iterable from level 0 up, holds every column of levels 0 and 1;
+    each later kept[n] is ascending and holds the prev of every column kept
+    one level up, since column b of level n reads column prev[b] of level
+    n - 1 alone (see _lift_levels).  Returns (start, ladders): level n, its
+    sector's states by its kept columns, ravels in the lift's buffer from
+    start[n], and start[-1] is the place of the trailing zero; ladders[n - 2]
+    is level n's (first, prev, scale, up, root, program), _ladder's tables
+    on kept[n] with prev as positions in kept[n - 1], and program its term
+    program or None.  The photon and sector caps are checked before anything
+    of the plan's size is built, and at most one level past the photon cap
+    is read.
+    """
+    kept = tuple(itertools.islice(kept, PHOTON_CAP + 2))
+    top = len(kept) - 1
+    if top > PHOTON_CAP:
+        raise CapacityError(f"{top} or more photons exceed the cap of {PHOTON_CAP}")
+    _basis_table(modes, (top,))  # refuses a top sector above SECTOR_CAP
+    sizes = (math.comb(n + modes - 1, n) * len(kept[n]) for n in range(top + 1))
+    start = tuple(itertools.accumulate(sizes, initial=0))
+    ladders = []
+    for n in range(2, top + 1):
+        first, prev, scale, up, root = _ladder(modes, n)
+        first, scale = first[kept[n]], scale[kept[n]]
+        prev = np.searchsorted(kept[n - 1], prev[kept[n]])
+        program = _term_program(up, root, first, prev, scale, *start[n - 1 : n + 1])
+        ladders.append((*_frozen(first, prev, scale), up, root, program))
+    return start, tuple(ladders)
+
+
+@lru_cache(maxsize=None)
+def _full_plan(modes: int, photons: int):
+    """_lift_plan keeping every column of levels 0..photons.
+
+    Each level's columns are a range, listed lazily, so neither an index
+    array nor a level past the photon cap is built before the cap checks.
+    """
+    dims = (math.comb(n + modes - 1, n) for n in range(photons + 1))
+    return _lift_plan(modes, map(range, dims))
+
+
+def _lift_levels(lop: LopCircuit, plan) -> np.ndarray:
+    """Levels 0..top of a lift plan, in order, in one buffer ending in a zero.
+
+    Column b of level n is sum_i U[i, j] a_i^dagger applied to column prev[b]
+    of level n - 1, over sqrt(occ_b[j]), with j the first occupied mode of
+    basis state b (see _ladder).  Each level is one scatter-add of every
+    mode's terms, each entry summed in mode order from zero; level 0 is the
+    1 x 1 identity and level 1 the mode matrix itself.  A level with a term
     program (at most _FLAT_TERMS terms, see _term_program) gathers its terms
     from the buffer, multiplies them in place by scale, root and the
     mode-matrix coefficient, and adds them with one flat np.add.at; a larger
     level loops over the modes on matrix views of it and the level below, with
     the same products in the same order, so either step gives the same bits.
 
-    ``layout``, a read plan's (start, ladders), restricts the columns of
-    sectors 2..photons to those ladders[n - 2] = (first, prev, scale, program)
-    keeps: prev as positions among the columns kept one sector down, program
-    their term program or None; level n starts at start[n].  A kept column is
-    computed exactly as in the full lift, since column b reads only column
-    prev[b] below.  None keeps all, at _layout's places.  Levels take u's
-    dtype, so they also run on sympy symbols.
+    ``plan`` is a _lift_plan's (start, ladders): level n holds the columns
+    its ladder keeps and starts at start[n].  A kept column is computed
+    exactly as in the full lift, since column b reads only column prev[b]
+    below.  Levels take u's dtype, so they also run on sympy symbols.
     """
-    if photons < 0:
-        raise ValueError(f"photon number must be non-negative, got {photons}")
-    if photons > PHOTON_CAP:
-        raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
-    _basis_table(lop.dim, (photons,))  # refuses a top sector above SECTOR_CAP
+    start, ladders = plan
     u = lop.matrix
-    start, ladders = (_layout(lop.dim, photons), None) if layout is None else layout
     flat = np.zeros(start[-1] + 1, dtype=u.dtype)
     flat[0] = 1
-    if photons:
+    if len(start) > 2:
         flat[1 : start[2]] = u.ravel()
-    for n in range(2, photons + 1):
-        first, prev, scale, up, root, program = _ladder(lop.dim, n)
-        if ladders is not None:
-            first, prev, scale, program = ladders[n - 2]
+    for n, (first, prev, scale, up, root, program) in enumerate(ladders, start=2):
         if program is not None:
             src, scale_t, root_t, ci, dst = program
             terms = flat.take(src)
@@ -420,9 +444,15 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     too: 356 KB against the top level's 254 KB at 5 modes and 5 photons.
     Raises CapacityError above PHOTON_CAP photons or SECTOR_CAP states.
     """
-    flat, sector = _lift_levels(lop, photons), FockSector(lop.dim, photons)
-    # The top level is the last dim x dim entries before the trailing zero.
-    entries = flat[-1 - sector.dim**2 : -1].reshape(sector.dim, sector.dim)
+    # Counted first, as the plan cache would take 2.0 as the key 2, and the
+    # plan's cap checks come before any state of the sector is enumerated.
+    photons = _count(photons)
+    if photons < 0:
+        raise ValueError(f"photon number must be non-negative, got {photons}")
+    start, _ = plan = _full_plan(lop.dim, photons)
+    sector = FockSector(lop.dim, photons)
+    top = _lift_levels(lop, plan)[start[-2] : start[-1]]
+    entries = top.reshape(sector.dim, sector.dim)
     defect = _isometry_defect(entries)
     if not defect <= LIFT_TOL:
         raise ArithmeticError(
@@ -449,6 +479,7 @@ def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> LopCircuit:
     """Haar-distributed random mode unitary via QR with a phase-fixed diagonal."""
+    dim = _count(dim, "dimensions")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

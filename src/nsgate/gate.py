@@ -298,7 +298,7 @@ def generalized_design(
     placements are mode permutations of this one.  The predicted success
     probability is (|x|^2 / 2) * sum(|y_j|^2).
     """
-    s = len(y_list)
+    s, total_modes = len(y_list), _count(total_modes, "mode counts")
     if s < 1:
         raise ValueError("at least one accepted mode is required")
     if total_modes < s + 1:

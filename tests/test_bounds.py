@@ -213,6 +213,23 @@ class TestExactCertificate:
             for entry, exact in identities:
                 assert sympy.expand(entry - exact) == 0
 
+    def test_no_free_mode_admits_no_gate(self):
+        # Step 3 of the bounds docstring: f = 0 free modes need rank G <= 0,
+        # so G = 0.  On the rank-1 block at x = sqrt(s) and
+        # y = sqrt(t), s, t >= 0 (G depends on the y_j only through t):
+        # G00 = 0 forces t = c; there G01 G10 = s (3 - 2 sqrt 2)^2, zero only
+        # at s = 0; and there G11 = 1, not 0.
+        s, t = sympy.symbols("s t", nonnegative=True)
+        (x, y), f = self.symbolic_block(1)
+        at = {x: sympy.sqrt(s), y: sympy.sqrt(t)}
+        g = -_isometry_residual(np.vectorize(lambda e: sympy.sympify(e).subs(at))(f))
+        g00 = sympy.expand(g[0, 0])
+        assert sympy.diff(g00, t) == -1 and g00.subs(t, self.c) == 0
+        cross = sympy.expand(g[0, 1] * g[1, 0]).subs(t, self.c)
+        assert sympy.expand(cross - s * (3 - 2 * self.r2) ** 2) == 0
+        assert (3 - 2 * self.r2).is_zero is False
+        assert sympy.expand(g[1, 1]).subs({t: self.c, s: 0}) == 1
+
     def test_symbolic_block_is_the_design_block(self, rng):
         # The block proved on above is the one generalized_design builds.
         for rank in (1, 2, 3):

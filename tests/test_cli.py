@@ -326,15 +326,17 @@ class TestKrausCheck:
     def test_matrix_modes_outside_the_modes_range_is_usage_error(
         self, capsys, tmp_path, modes, message
     ):
-        # The wording --modes uses, after the file's name; no traceback.
+        # The wording --modes uses, after the file's name; no traceback.  The
+        # count is held before the unitarity check, so the file is refused
+        # whatever its entries: the identity, 2 I (not unitary) or NaN.
         path = tmp_path / "u.json"
-        path.write_text(
-            json.dumps(nsgate.cli._encode_matrix(LopCircuit(np.eye(modes))))
-        )
-        assert main(["kraus-check", "--matrix-file", str(path)]) == 64
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"nsgate: error: {path}: {message}\n"
+        for entry in (1.0, 2.0, math.nan):
+            rows = (entry * np.eye(modes)).tolist()
+            path.write_text(json.dumps([[[z, 0.0] for z in row] for row in rows]))
+            assert main(["kraus-check", "--matrix-file", str(path)]) == 64
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"nsgate: error: {path}: {message}\n"
 
     def test_missing_matrix_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "kraus-check", "--matrix-file", "/no/such/file")
@@ -348,8 +350,9 @@ class TestKrausCheck:
             '{"matrix": [1, 2]}',
             '{"other": 1}',
             '[[["a", "b"]]]',
-            "[[[NaN, 0]]]",
-            "[[[2, 0]]]",
+            # Two modes, in the --modes range: not unitary, and not finite.
+            "[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]",
+            "[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]",
             "[[[1" + "0" * 400 + ", 0]]]",
             "not json",
         ],

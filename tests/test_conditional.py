@@ -30,7 +30,7 @@ from nsgate.conditional import (
     _kraus_stack,
     _stack_plan,
 )
-from nsgate.fock import _ladder, _layout, _lift_levels, _ryser_table
+from nsgate.fock import _full_plan, _ladder, _lift_levels, _ryser_table
 
 
 def one_system_scheme(ancilla_modes, input_mode=0, outcome_modes=(0,)):
@@ -115,7 +115,8 @@ def full_lift_reads(scheme, lop, outcomes, out_basis):
     """The stack read entry by entry off a lift of every column."""
     ancilla = scheme.ancilla_input
     photons = max(scheme.system_photons) + sum(ancilla)
-    flat, start = _lift_levels(lop, photons), _layout(lop.dim, photons)
+    start, _ = plan = _full_plan(lop.dim, photons)
+    flat = _lift_levels(lop, plan)
     in_states = scheme.system_basis.states
     stack = np.zeros((len(outcomes), out_basis.dim, len(in_states)), dtype=complex)
     for k, mu in enumerate(outcomes):
@@ -811,6 +812,7 @@ class TestCachedTablesAreReadOnly:
         [
             lambda: _ladder(3, 3),
             lambda: _ladder(4, 2),
+            lambda: _full_plan(3, 3),
             lambda: _stack_plan(
                 SystemBasis(2, (0, 1, 2)),
                 (2, 0),
@@ -822,8 +824,8 @@ class TestCachedTablesAreReadOnly:
             lambda: _ryser_table(3),
             lambda: _ancilla_masks(FockSector(3, 2), 1),
         ],
-        ids=["ladder", "ladder-one-photon-below", "plan", "plan-one-photon",
-             "ryser", "ancilla-masks"],
+        ids=["ladder", "ladder-one-photon-below", "full-plan", "plan",
+             "plan-one-photon", "ryser", "ancilla-masks"],
     )
     def test_writing_raises(self, build):
         arrays = list(cached_arrays(build()))

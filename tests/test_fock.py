@@ -21,8 +21,11 @@ from nsgate import (
     SECTOR_CAP,
     SectorMatrix,
     SystemBasis,
+    decompose_by_ancilla_count,
     fock_amplitude,
+    generalized_design,
     haar_unitary,
+    klm_design,
     lift_to_sector,
     permanent,
 )
@@ -31,12 +34,12 @@ from nsgate.fock import (
     _FLAT_TERMS,
     _isometry_defect,
     _isometry_residual,
+    _full_plan,
     _ladder,
-    _layout,
     _lift_levels,
+    _lift_plan,
     _phase_fixed_qr,
     _rank,
-    _term_program,
     as_occupation,
 )
 from nsgate.gate import _gate_figures
@@ -522,6 +525,12 @@ class TestLiftToSector:
     def test_photons_above_cap_rejected(self, rng):
         with pytest.raises(CapacityError):
             lift_to_sector(haar_unitary(2, rng), PHOTON_CAP + 1)
+        with pytest.raises(CapacityError):
+            lift_to_sector(LopCircuit(np.eye(1)), 10**9)
+
+    def test_negative_photons_rejected(self, rng):
+        with pytest.raises(ValueError, match="must be non-negative, got -1"):
+            lift_to_sector(haar_unitary(2, rng), -1)
 
     def test_sector_above_cap_rejected_before_lifting(self, rng):
         # 8 photons pass the photon cap, but the (8, 8) sector has 6435 states.
@@ -569,33 +578,34 @@ def buffer_levels(flat, start, rows):
 def full_levels(lop, photons):
     """Every level of the full lift of sectors 0..photons, as square views."""
     rows = [FockSector(lop.dim, n).dim for n in range(photons + 1)]
-    return buffer_levels(_lift_levels(lop, photons), _layout(lop.dim, photons), rows)
+    plan = _full_plan(lop.dim, photons)
+    return buffer_levels(_lift_levels(lop, plan), plan[0], rows)
 
 
-def lift_with_flat_terms(terms, lop, photons, plan):
-    """_lift_levels' buffer and layout start, with ladders and plans built
-    under _FLAT_TERMS = terms.
+def lift_plan(modes, photons, key):
+    """The plan of a lift case: the full plan, or the read plan of key."""
+    return _full_plan(modes, photons) if key is None else _stack_plan(*key)[4]
 
-    Both caches read the constant when they build a level's program, so they
-    are emptied before and after; each level's step is checked to be the one
-    the constant picks.
+
+def lift_with_flat_terms(terms, lop, photons, key):
+    """_lift_levels' buffer and plan start, with the case's plan built under
+    _FLAT_TERMS = terms.
+
+    Both plan caches read the constant when they build a level's program, so
+    they are emptied before and after; each level's step is checked to be
+    the one the constant picks.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nsgate.fock, "_FLAT_TERMS", terms)
-        _ladder.cache_clear()
+        _full_plan.cache_clear()
         _stack_plan.cache_clear()
         try:
-            layout = None if plan is None else _stack_plan(*plan)[4]
-            if layout is None:
-                programs = [_ladder(lop.dim, n)[5] for n in range(2, photons + 1)]
-                start = _layout(lop.dim, photons)
-            else:
-                programs = [ladder[3] for ladder in layout[1]]
-                start = layout[0]
+            plan = lift_plan(lop.dim, photons, key)
+            programs = [ladder[5] for ladder in plan[1]]
             assert all((program is None) == (terms == 0) for program in programs)
-            return _lift_levels(lop, photons, layout), start
+            return _lift_levels(lop, plan), plan[0]
         finally:
-            _ladder.cache_clear()
+            _full_plan.cache_clear()
             _stack_plan.cache_clear()
 
 
@@ -606,10 +616,10 @@ class TestLiftSteps:
         # Every level formed by the per-mode loop alone (a size constant of
         # 0) and by the flat scatter-add of its program alone (one above any
         # level).
-        modes, photons, plan = case
+        modes, photons, key = case
         lop = haar_unitary(modes, np.random.default_rng(seed))
-        loop_buffer, loop_start = lift_with_flat_terms(0, lop, photons, plan)
-        flat_buffer, flat_start = lift_with_flat_terms(10**9, lop, photons, plan)
+        loop_buffer, loop_start = lift_with_flat_terms(0, lop, photons, key)
+        flat_buffer, flat_start = lift_with_flat_terms(10**9, lop, photons, key)
         assert loop_start == flat_start and len(loop_start) == photons + 2
         rows = [FockSector(modes, n).dim for n in range(photons + 1)]
         loop_levels = buffer_levels(loop_buffer, loop_start, rows)
@@ -625,7 +635,7 @@ class TestLiftSteps:
         # Five 8-byte arrays a term, and none above _FLAT_TERMS terms: a full
         # level keeps a program exactly when it has at most that many terms.
         for modes, photons in itertools.product(range(1, 7), range(2, 7)):
-            first, _, _, up, _, program = _ladder(modes, photons)
+            first, _, _, up, _, program = _full_plan(modes, photons)[1][-1]
             terms = up.size * len(first)
             assert (program is None) == (terms > _FLAT_TERMS)
             if program is not None:
@@ -643,9 +653,8 @@ class TestLiftSteps:
             system_modes, len(ancilla), ancilla, (ancilla,), sectors
         ).all_outcomes()
         ladders = _stack_plan(scheme.system_basis, ancilla, scheme.outcomes)[4][1]
-        lift_modes = system_modes + len(ancilla)
-        for n, (*_, program) in enumerate(ladders, start=2):
-            full = _ladder(lift_modes, n)[5]
+        full_ladders = _full_plan(system_modes + len(ancilla), len(ladders) + 1)[1]
+        for (*_, program), (*_, full) in zip(ladders, full_ladders):
             assert program is not None
             size = sum(a.nbytes for a in program)
             assert size <= 40 * _FLAT_TERMS
@@ -810,47 +819,93 @@ class TestRankedTables:
                 _stack_plan.cache_clear()
 
 
-def assert_one_buffer(lop, photons, layout, rows):
+def assert_one_buffer(lop, plan, rows):
     """Checks of one lift's buffer: each level n has rows[n] rows, every
     term program reads level n - 1 and writes level n alone, so no step
     writes the trailing zero, which stays +0 after the lift."""
-    start, ladders = (_layout(lop.dim, photons), None) if layout is None else layout
-    assert len(start) == photons + 2 and start[:2] == (0, 1)
-    assert all(
-        (start[n + 1] - start[n]) % rows[n] == 0 for n in range(photons + 1)
-    )
-    for n in range(2, photons + 1):
-        program = _ladder(lop.dim, n)[5] if ladders is None else ladders[n - 2][3]
+    start, ladders = plan
+    assert len(start) == len(rows) + 1 and start[:2] == (0, 1)
+    assert all((start[n + 1] - start[n]) % rows[n] == 0 for n in range(len(rows)))
+    for n, (*_, program) in enumerate(ladders, start=2):
         if program is None:
             continue
         src, _, _, _, dst = program
         assert ((start[n - 1] <= src) & (src < start[n])).all()
         assert ((start[n] <= dst) & (dst < start[n + 1])).all()
         assert not (dst == start[-1]).any()
-    flat = _lift_levels(lop, photons, layout)
+    flat = _lift_levels(lop, plan)
     assert flat.shape == (start[-1] + 1,)
     zero = flat[-1]
     assert zero == 0 and not np.signbit(zero.real) and not np.signbit(zero.imag)
+
+
+@pytest.mark.parametrize("value", [2.0, "2", 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: lift_to_sector(haar_unitary(3, np.random.default_rng(0)), n),
+        lambda n: haar_unitary(n, np.random.default_rng(0)),
+        lambda n: generalized_design(0.5, [0.5], n),
+        lambda n: decompose_by_ancilla_count(np.eye(6)[0], FockSector(3, 2), n),
+    ],
+    ids=["lift-photons", "haar-dim", "design-modes", "decompose-system-modes"],
+)
+def test_integer_arguments_refuse_other_types(call, value):
+    # A ValueError, never a TypeError from deeper down; 2.0 is refused, not
+    # read as 2, also where a cache key would equal 2's.
+    with pytest.raises(ValueError, match=f"must be integers, got {value!r}"):
+        call(value)
 
 
 class TestLiftBuffer:
     """A lift is one buffer, levels 0..top raveled in order and one zero,
     addressed by term programs that hold its global offsets."""
 
+    def test_full_plan_start_is_the_running_sum_of_squared_dims(self):
+        # A full lift keeps every column: level n is its dim x dim sector.
+        for modes, photons in itertools.product(range(1, 7), range(7)):
+            squares = [math.comb(n + modes - 1, n) ** 2 for n in range(photons + 1)]
+            start = _full_plan(modes, photons)[0]
+            assert start == tuple(itertools.accumulate(squares, initial=0))
+            assert all(type(at) is int for at in start)
+
+    @pytest.mark.parametrize(
+        "modes, photons, match",
+        [
+            (2, 9, "9 or more photons exceed the cap of 8"),
+            (8, 8, "6435 states"),
+            # One-state sectors: only the photon cap bounds the levels listed.
+            (1, 10**9, "9 or more photons exceed the cap of 8"),
+        ],
+    )
+    def test_plan_refuses_above_the_caps_before_any_ladder(
+        self, modes, photons, match
+    ):
+        # Both caps are checked before the plan builds a level's tables.
+        def refuse(modes, n):
+            raise AssertionError(f"_ladder({modes}, {n}) built above a cap")
+
+        kept = (range(math.comb(n + modes - 1, n)) for n in range(photons + 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nsgate.fock, "_ladder", refuse)
+            with pytest.raises(CapacityError, match=match):
+                _lift_plan(modes, kept)
+            with pytest.raises(CapacityError, match=match):
+                _full_plan(modes, photons)
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(case=lift_cases(), seed=st.integers(0, 2**32 - 1))
     def test_programs_stay_in_their_levels(self, case, seed):
         # Full ladders (every column) and read plans of all-outcome schemes.
-        modes, photons, plan = case
+        modes, photons, key = case
         lop = haar_unitary(modes, np.random.default_rng(seed))
-        layout = None if plan is None else _stack_plan(*plan)[4]
+        plan = lift_plan(modes, photons, key)
         rows = [FockSector(modes, n).dim for n in range(photons + 1)]
-        assert_one_buffer(lop, photons, layout, rows)
-        if layout is None:
+        assert_one_buffer(lop, plan, rows)
+        if key is None:
+            start = plan[0]
             assert all(
-                _layout(modes, photons)[n + 1] - _layout(modes, photons)[n]
-                == rows[n] ** 2
-                for n in range(photons + 1)
+                start[n + 1] - start[n] == rows[n] ** 2 for n in range(photons + 1)
             )
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -858,13 +913,13 @@ class TestLiftBuffer:
     def test_plan_programs_stay_in_their_levels(self, key, seed):
         # Plans whose outcomes may reach no level: level n holds its rows by
         # its kept columns.
-        _, _, _, kept, layout = _stack_plan(*key)
+        _, _, _, kept, plan = _stack_plan(*key)
         basis, ancilla, _ = key
         modes, photons = basis.modes + len(ancilla), len(kept) - 1
         lop = haar_unitary(modes, np.random.default_rng(seed))
         rows = [FockSector(modes, n).dim for n in range(photons + 1)]
-        assert_one_buffer(lop, photons, layout, rows)
-        start = layout[0]
+        assert_one_buffer(lop, plan, rows)
+        start = plan[0]
         assert all(
             start[n + 1] - start[n] == rows[n] * len(kept[n])
             for n in range(photons + 1)
@@ -881,8 +936,9 @@ class TestLiftBuffer:
     ):
         lop = haar_unitary(modes, np.random.default_rng(seed))
         entries = lift_to_sector(lop, photons).entries
-        start, dim = _layout(modes, photons), FockSector(modes, photons).dim
-        top = _lift_levels(lop, photons)[start[-2] : start[-1]]
+        plan, dim = _full_plan(modes, photons), FockSector(modes, photons).dim
+        start = plan[0]
+        top = _lift_levels(lop, plan)[start[-2] : start[-1]]
         assert not entries.flags.writeable
         assert entries.shape == (dim, dim)
         assert entries.tobytes() == top.tobytes()
@@ -896,30 +952,39 @@ def symbolic_circuit(modes):
     return types.SimpleNamespace(dim=modes, matrix=u.reshape(modes, modes))
 
 
-def exact_ladder(modes, photons, flat):
+def exact_ladder(modes, photons):
     """_ladder with scale = 1/sqrt(occ_b[first_b]) and root = sqrt(p_i + 1) as
-    sympy numbers, read off the sector states at the ladder's integer tables,
-    and the term program built from them (None forces the per-mode loop)."""
-    first, prev, _, up, _, _ = _ladder(modes, photons)
+    sympy numbers, read off the sector states at the ladder's integer tables."""
+    first, prev, _, up, _ = _ladder(modes, photons)
     basis = np.array(FockSector(modes, photons).basis)
     below = np.array(FockSector(modes, photons - 1).basis)
     occupied = basis[np.arange(len(basis)), first].tolist()
     scale = np.array([1 / sympy.sqrt(c) for c in occupied], dtype=object)
     root = np.array([[sympy.sqrt(c + 1) for c in row] for row in below.T.tolist()])
-    root = root.astype(object)[:, :, None]
-    at = _layout(modes, photons)[-3:-1]
-    program = _term_program(up, root, first, prev, scale, *at) if flat else None
-    return first, prev, scale, up, root, program
+    return first, prev, scale, up, root.astype(object)[:, :, None]
 
 
-def exact_lift(lop, photons, flat, layout=None):
-    """_lift_levels' buffer on symbols, with every ladder exact (see
-    exact_ladder)."""
+def exact_plan(build, *args, flat):
+    """The lift plan build(*args) makes on exact ladders (see exact_ladder),
+    every level stepped by its term program (flat) or by the per-mode loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nsgate.fock, "_ladder", exact_ladder)
+        patch.setattr(nsgate.fock, "_FLAT_TERMS", 10**9 if flat else 0)
+        plan = build(*args)
+    assert all((ladder[5] is not None) == flat for ladder in plan[1])
+    return plan
+
+
+def exact_kraus(scheme, lop):
+    """_kraus_matrix of a scheme's outcomes through its read plan's source
+    index, the lift run on the exact plan of the read plan's kept columns."""
+    plan = exact_plan(_lift_plan, lop.dim, scheme._plan[3], flat=True)
+    assert plan[0] == scheme._plan[4][0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            nsgate.fock, "_ladder", lambda modes, n: exact_ladder(modes, n, flat)
+            nsgate.conditional, "_lift_levels", lambda lop, _: _lift_levels(lop, plan)
         )
-        return _lift_levels(lop, photons, layout)
+        return _kraus_matrix(scheme, lop, scheme.outcomes)
 
 
 def permanent_formula(u, out_occ, in_occ):
@@ -944,8 +1009,9 @@ class TestExactLift:
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_every_entry_is_the_permanent_formula(self, modes, flat):
         lop = symbolic_circuit(modes)
-        buffer = exact_lift(lop, 3, flat)
-        start = _layout(modes, 3)
+        start, _ = plan = exact_plan(_full_plan.__wrapped__, modes, 3, flat=flat)
+        assert start == _full_plan(modes, 3)[0]
+        buffer = _lift_levels(lop, plan)
         assert buffer.dtype == object and buffer.shape == (start[-1] + 1,)
         assert type(buffer[-1]) is int and buffer[-1] == 0
         rows = [FockSector(modes, n).dim for n in range(4)]
@@ -962,27 +1028,12 @@ class TestExactLift:
     def test_ns_plan_diagonal_is_the_closed_form(self, rng, accept):
         # System mode 0, the photon in at mode 1 and accepted at mode j.
         scheme = ConditionalScheme.one_photon(2, 0, (accept,))
-        key = (scheme.system_basis, scheme.ancilla_input, scheme.outcomes)
-        _, _, source, kept, (start, ladders) = _stack_plan(*key)
-        exact = []
-        for n, (first, prev, _, _) in enumerate(ladders, start=2):
-            _, _, scale, up, root, _ = exact_ladder(3, n, flat=True)
-            scale = scale[kept[n]]
-            at = start[n - 1 : n + 1]
-            program = _term_program(up, root, first, prev, scale, *at)
-            exact.append((first, prev, scale, program))
-        layout = (start, tuple(exact))
+        source = scheme._plan[2]
         lop = symbolic_circuit(3)
         # The production read, through the plan's source index, of the exact
         # restricted lift: its buffer, trailing zero included, takes the
         # symbols' object dtype.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                nsgate.conditional,
-                "_lift_levels",
-                lambda lop, photons, _: exact_lift(lop, photons, True, layout),
-            )
-            _, kraus, dest = _kraus_matrix(scheme, lop, scheme.outcomes)
+        _, kraus, dest = exact_kraus(scheme, lop)
         off = ~np.eye(3, dtype=bool)
         assert kraus.dtype == object and kraus.shape == (3, 3)
         assert dest.tolist() == [0, 1, 2]
@@ -1002,6 +1053,37 @@ class TestExactLift:
         assert max(abs(m[1] - m[0]), abs(m[2] + m[0])) == pytest.approx(
             residual, abs=1e-14
         )
+
+    def test_klm_optimum_is_attained_exactly(self):
+        # The canonical 3-mode optimum of Knill, Laflamme and Milburn (Nature
+        # 409, 46 (2001)) in closed form: column 0 = (1 - sqrt 2, q, a) and
+        # column 1 = (q, 1/2, b), q = 2^(-1/4), a = sqrt(3 sqrt(2)/2 - 2),
+        # b = -q (3/2 - sqrt 2) / a, column 2 their cross product (all real).
+        r2, q = sympy.sqrt(2), 2 ** sympy.Rational(-1, 4)
+        a = sympy.sqrt(3 * r2 / 2 - 2)
+        b = -q * (sympy.Rational(3, 2) - r2) / a
+        c0, c1 = [1 - r2, q, a], [q, sympy.Rational(1, 2), b]
+        c2 = [c0[i - 2] * c1[i - 1] - c0[i - 1] * c1[i - 2] for i in range(3)]
+        u = np.array([c0, c1, c2], dtype=object).T
+        # Unitary exactly: the residual every unitarity check reads is 0.
+        residual = _isometry_residual(u).ravel()
+        assert [sympy.expand(sympy.radsimp(e)) for e in residual] == [0] * 9
+        # The production NS read (photon in at mode 1, accepted there) of the
+        # exact lift: the sign-shift diagonal (1/2, 1/2, -1/2), so p = 1/4.
+        scheme = ConditionalScheme.one_photon(2, 0, (0,))
+        kraus = exact_kraus(scheme, types.SimpleNamespace(dim=3, matrix=u))[1]
+        half = sympy.Rational(1, 2)
+        m = [sympy.expand(sympy.radsimp(e)) for e in np.diagonal(kraus)]
+        assert m == [half, half, -half] and m[0] ** 2 == sympy.Rational(1, 4)
+        # klm_design fixes rows 0 and 1 of columns 0 and 1 to these values;
+        # its completion picks the phase of row 2, a mode never accepted, so
+        # the whole matrix is U with that row times one unit phase.
+        numeric = klm_design(2**-0.25, 2**-0.25).matrix.matrix
+        exact = np.array(u.tolist(), dtype=complex)
+        assert np.abs(numeric[:2, :2] - exact[:2, :2]).max() <= 1e-15
+        phase = numeric[2, 0] / exact[2, 0]
+        assert abs(abs(phase) - 1) <= 1e-15
+        assert np.abs(numeric - np.diag([1, 1, phase]) @ exact).max() <= 1e-15
 
 
 class TestSectorMatrix:
