@@ -338,6 +338,20 @@ class TestKrausCheck:
             assert out == ""
             assert err == f"nsgate: error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("content", ["[[[2, 0]]]", "[[[NaN, 0]]]"])
+    def test_one_mode_file_exits_64(self, capsys, tmp_path, content):
+        # One mode is below the --modes range, so the file is refused as a
+        # usage error before its entry is read as not unitary or not finite.
+        path = tmp_path / "u.json"
+        path.write_text(content)
+        assert main(["kraus-check", "--matrix-file", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"nsgate: error: {path}: mode count must be an integer of at least 2, "
+            "got '1'\n"
+        )
+
     def test_missing_matrix_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "kraus-check", "--matrix-file", "/no/such/file")
         assert code == 2
