@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalScheme
-from .fock import CapacityError, LopCircuit, _count, _isometry_defect, _phase_fixed_qr
+from .fock import CapacityError, LopCircuit, _count, _isometry_defect
+from .fock import _polar_completion
 from .gate import (
     _gate_figures,
     _sign_shift_defects,
@@ -302,9 +303,9 @@ def numeric_search(
     ``restarts`` random starts, each seeded independently from the master
     seed so the outcome does not depend on evaluation order.
 
-    Each endpoint's pair goes through one phase-fixed QR: the first two
-    columns of its unitary are the pair made exactly orthonormal, which its
-    figures are read from, and the whole unitary is the pair's completion.
+    Each endpoint's pair goes through fock._polar_completion: its polar
+    factor, the orthonormal pair nearest it (Löwdin), is scored, as the
+    first two columns of the unitary that completes it.
     The best working unitary's figures are recomputed from Fock amplitudes.
     At every working endpoint the first-order KKT condition
     grad f = J^T lambda is checked, and the largest defect is reported as
@@ -370,7 +371,7 @@ def numeric_search(
             constraints=constraint,
             options={"maxiter": 200, "ftol": 1e-12},
         ).x
-        u = _phase_fixed_qr(_pair(x, n))
+        u = _polar_completion(_pair(x, n))
         pair = u[:, :2]
         prob, residual = figures(pair)
         working = _works(pair, accept, residual)

@@ -105,10 +105,11 @@ def _basis_table(
             )
     # Stars and bars: itertools.combinations' bar positions (ends -1, slots),
     # reversed into canonical, lexicographically decreasing order, differenced.
+    # One mode has no bars, and combinations would copy its pool of n slots.
     states, offsets, tables = [], {}, [np.zeros((0, modes), dtype=np.int64)]
     for n in sectors:
         offsets[n], slots = len(states), n + modes - 1
-        bars = itertools.combinations(range(slots), modes - 1)
+        bars = itertools.combinations(range(slots), modes - 1) if modes > 1 else [()]
         edges = np.array([(-1, *b, slots) for b in bars], dtype=np.int64)[::-1]
         tables.append(edges[:, 1:] - edges[:, :-1] - 1)
         states += map(tuple, tables[-1].tolist())
@@ -462,26 +463,23 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     return _adopt(SectorMatrix, sector=sector, entries=entries)
 
 
-def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
-    """Unitary Q of the complete QR of z, with R's diagonal phases moved into Q.
+def _polar_completion(z: np.ndarray) -> np.ndarray:
+    """Unitary whose leading k columns are the polar factor of the n x k z.
 
-    For z of full column rank, its leading min(z.shape) columns span z's
-    columns (orthonormal columns come back as themselves up to rounding) and
-    the rest are an orthonormal basis of their complement.  On a square
-    complex Gaussian z it is Haar distributed (Mezzadri,
-    arXiv:math-ph/0609050).  The phase is exp(i arg d), which stays finite
-    at a zero pivot d where d/|d| does not.
+    One SVD z = P S Q†: the leading columns are P[:, :k] Q†, the isometry
+    nearest z (z itself, up to rounding, if its columns are orthonormal), the
+    rest P's trailing columns.  It needs no phase convention: the polar factor
+    of AZ is A times Z's, so a square complex Gaussian z gives a Haar draw.
     """
-    q, r = np.linalg.qr(z, mode="complete")
-    q[:, : min(z.shape)] *= np.exp(1j * np.angle(np.diagonal(r)))
-    return q
+    p, _, qh = np.linalg.svd(z)
+    p[:, : z.shape[1]] = p[:, : z.shape[1]] @ qh
+    return p
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> LopCircuit:
-    """Haar-distributed random mode unitary via QR with a phase-fixed diagonal."""
+    """Haar-distributed random mode unitary: the polar factor of a Gaussian."""
     dim = _count(dim, "dimensions")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= math.sqrt(2.0)
-    return LopCircuit(_phase_fixed_qr(z))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return LopCircuit(_polar_completion(z))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
 from .fock import LopCircuit, Occupation, _adopt, _count, _isometry_residual
+from .fock import _polar_completion
 
 SQRT2 = math.sqrt(2.0)
 
@@ -218,11 +219,11 @@ class NsReport:
 def _complete_columns(cols: np.ndarray, at: Sequence[int] = ()) -> LopCircuit:
     # Mode unitary whose columns at (default the first k) are exactly the
     # given n x k orthonormal columns, the others in order the trailing left
-    # singular vectors of cols, an orthonormal basis of their complement.
+    # singular vectors of cols, as fock._polar_completion leaves them.
     # LopCircuit's check of the result is the completion's one unitarity
     # check: it also refuses columns that are not orthonormal.
     n, k = cols.shape
-    out = np.linalg.svd(cols)[0]
+    out = _polar_completion(cols)
     out[:, :k] = cols
     at = list(at)
     if at and at != list(range(k)):
@@ -401,9 +402,9 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     U @ V on the ancilla block) reduces any one-photon ancilla input to the
     basis-state input, leaving all post-selected probabilities unchanged.
     """
-    v = np.asarray(chi, dtype=complex).reshape(-1)
-    if v.size < 1:
-        raise ValueError("chi must have at least one amplitude")
+    v = np.asarray(chi, dtype=complex)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"chi must be a non-empty vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("chi has non-finite entries")
     # |chi|^2 - 1 is entry (0, 0) of the U†U - I that LopCircuit checks on

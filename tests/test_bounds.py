@@ -42,7 +42,7 @@ from nsgate.bounds import (
     _search_constraints,
     _works,
 )
-from nsgate.fock import LopCircuit, _isometry_residual, _phase_fixed_qr
+from nsgate.fock import LopCircuit, _isometry_residual, _polar_completion
 from nsgate.gate import _fixed_block
 
 SQRT2 = math.sqrt(2.0)
@@ -229,6 +229,34 @@ class TestExactCertificate:
         assert sympy.expand(cross - s * (3 - 2 * self.r2) ** 2) == 0
         assert (3 - 2 * self.r2).is_zero is False
         assert sympy.expand(g[1, 1]).subs({t: self.c, s: 0}) == 1
+
+    def test_one_free_mode_admits_exactly_the_boundary(self):
+        # Step 2's f = 1 case: one free mode needs rank G <= 1, which for the
+        # 2 x 2 G is det G = c - s - t + k s t = 0, the hyperbola
+        # t = (c - s)/(1 - k s) of boundary_y2.  On the rank-1 block at
+        # x = sqrt(s), y = sqrt(t) with that t, det G is identically 0 and
+        # G00 = s (3 - 2 sqrt 2)^2 / (1 - k s), as 1 - k c = 17 - 12 sqrt 2
+        # = (3 - 2 sqrt 2)^2.  For 0 < s <= c, 1 - k s >= 1 - k c > 0, so
+        # G00 > 0; at s = 0, G11 = 1.  So G != 0 and rank G = 1 on the whole
+        # boundary: one free mode completes it, and no point off it.
+        s, t = sympy.symbols("s t", nonnegative=True)
+        boundary = (self.c - s) / (1 - self.k * s)
+        for x2 in np.linspace(0.0, X2_MAX, 7):
+            exact = boundary.subs(s, sympy.Float(x2, 30))
+            assert boundary_y2(x2) == pytest.approx(float(exact), abs=1e-12)
+        (x, y), f = self.symbolic_block(1)
+        at = {x: sympy.sqrt(s), y: sympy.sqrt(t)}
+        g = -_isometry_residual(np.vectorize(lambda e: sympy.sympify(e).subs(at))(f))
+
+        def on_boundary(e):
+            return sympy.simplify(sympy.expand(e).subs(t, boundary))
+
+        assert on_boundary(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) == 0
+        assert sympy.expand(1 - self.k * self.c - (3 - 2 * self.r2) ** 2) == 0
+        g00 = s * (3 - 2 * self.r2) ** 2 / (1 - self.k * s)
+        assert on_boundary(g[0, 0] - g00) == 0
+        assert (1 - self.k * self.c).is_positive
+        assert on_boundary(g[1, 1]).subs(s, 0) == 1
 
     def test_symbolic_block_is_the_design_block(self, rng):
         # The block proved on above is the one generalized_design builds.
@@ -449,16 +477,16 @@ class TestGateFigures:
                 assert _gate_figures(u.matrix[:, :2], accept) == fast
 
     def test_parameterization_produces_unitaries(self, rng):
-        # The endpoint map: a phase-fixed QR makes any pair orthonormal, as
-        # the first two columns of a unitary that completes it.
+        # The endpoint map: the polar completion makes any pair orthonormal,
+        # as the first two columns of a unitary that completes it.
         for n in (3, 4, 5):
-            u = _phase_fixed_qr(_pair(rng.standard_normal(4 * n), n))
+            u = _polar_completion(_pair(rng.standard_normal(4 * n), n))
             assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14
 
     def test_endpoint_map_keeps_an_orthonormal_pair(self, rng):
         for n in (3, 4, 5):
             pair = haar_unitary(n, rng).matrix[:, :2]
-            assert np.abs(_phase_fixed_qr(pair)[:, :2] - pair).max() <= 1e-14
+            assert np.abs(_polar_completion(pair)[:, :2] - pair).max() <= 1e-14
 
     def test_search_result_completes_a_working_pair(self):
         for n, rank in [(3, 1), (4, 2)]:

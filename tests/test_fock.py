@@ -1,7 +1,12 @@
 import functools
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +43,13 @@ from nsgate.fock import (
     _ladder,
     _lift_levels,
     _lift_plan,
-    _phase_fixed_qr,
+    _polar_completion,
     _rank,
     as_occupation,
 )
 from nsgate.gate import _gate_figures
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def naive_permanent(m):
@@ -269,6 +276,31 @@ class TestSystemBasis:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
 
+    def test_one_mode_basis_of_any_photon_count_is_one_state(self):
+        # One mode holds one state however many photons it carries, within
+        # SECTOR_CAP, so each basis builds it at once.  A fresh interpreter
+        # held to 1 GB of address space runs the builds: a basis that copied
+        # a pool of 10**9 slots fails there with MemoryError, not the host.
+        script = """
+import nsgate
+big = (10**9,)
+scheme = nsgate.ConditionalScheme(1, 1, (1,), ((1,),), system_photons=big)
+for basis in (nsgate.SystemBasis(1, big), nsgate.FockSector(1, 10**9),
+              scheme.system_basis):
+    assert basis.states == (big,) and basis.index(big) == 0, basis
+"""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30,) * 2),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_outcomes_are_ancilla_sectors(self, k):
         scheme = ConditionalScheme(1, k, (1,) + (0,) * (k - 1), ((0,) * k,))
@@ -333,6 +365,19 @@ class TestLopCircuit:
         defect = np.abs(u1.matrix.conj().T @ u1.matrix - np.eye(4)).max()
         assert defect < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_haar_unitary_trace_moments(self, n):
+        # Diaconis and Shahshahani (J. Appl. Probab. 31A, 49, 1994): for Haar
+        # U on n >= j modes, E (tr U)^j conj(tr U)^l is j! if j = l, else 0.
+        # So E tr U = E (tr U)^2 = 0, E |tr U|^2 = 1 and E |tr U|^4 = 2.
+        # Each sample mean of 4000 draws is held to 5 standard errors.
+        rng = np.random.default_rng(1994)
+        tr = np.array([np.trace(haar_unitary(n, rng).matrix) for _ in range(4000)])
+        moments = ((tr, 0), (tr**2, 0), (np.abs(tr) ** 2, 1), (np.abs(tr) ** 4, 2))
+        for sample, target in moments:
+            stderr = np.sqrt(np.mean(np.abs(sample - sample.mean()) ** 2) / len(sample))
+            assert abs(sample.mean() - target) <= 5 * stderr
+
 
 class TestIsometryDefect:
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -352,7 +397,7 @@ class TestIsometryDefect:
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if unitary and n:
-            m = _phase_fixed_qr(m)
+            m = _polar_completion(m)
         x = m[:, ::-1][:, :k] if layout == "reversed" else m[:, :k]
         if layout == "copy":
             x = np.ascontiguousarray(x)

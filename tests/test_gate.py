@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from nsgate import (
     verify_ns,
 )
 from nsgate.bounds import _K
-from nsgate.fock import _isometry_defect, _isometry_residual, _phase_fixed_qr
+from nsgate.fock import _isometry_defect, _isometry_residual, _polar_completion
 from nsgate.gate import _complete_columns, _sign_shift_defects
 
 SQRT2 = math.sqrt(2.0)
@@ -234,13 +235,20 @@ class TestCompleteToUnitary:
     @settings(max_examples=10, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_phase_fixed_qr(self, n, k, seed):
+        # fock._polar_completion, which every unitary built from columns
+        # goes through, keeps orthonormal columns with their phases.
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        q = _phase_fixed_qr(z)
+        q = _polar_completion(z)
         assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
-        # Random column phases, so the pivots of R carry arbitrary phases.
+        # Its leading columns are z's polar factor W: W†z is Hermitian and
+        # positive semidefinite.
+        h = q[:, :k].conj().T @ z
+        assert np.abs(h - h.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh((h + h.conj().T) / 2)[0] >= -1e-12
+        # Orthonormal columns with random phases come back as themselves.
         cols = haar_unitary(n, rng).matrix[:, :k] * np.exp(2j * np.pi * rng.random(k))
-        q = _phase_fixed_qr(cols)
+        q = _polar_completion(cols)
         assert np.abs(q[:, :k] - cols).max() <= 1e-14
         assert np.abs(cols.conj().T @ q[:, k:]).max(initial=0.0) <= 1e-14
 
@@ -515,6 +523,18 @@ class TestReduceGeneralAncilla:
         else:
             with pytest.raises(ValueError, match="chi must be normalized"):
                 reduce_general_ancilla(chi)
+
+    @pytest.mark.parametrize(
+        "chi",
+        [[[0.6, 0.0], [0.0, 0.8]], [[1.0]], [[math.nan, 0.0]], 1.0, []],
+        ids=["2x2", "1x1", "non-finite-1x2", "0-d", "empty"],
+    )
+    def test_non_vector_rejected(self, chi):
+        # Only a non-empty 1-D chi is read: a matrix is not flattened into
+        # amplitudes, and its shape is refused before its entries are read.
+        shape = np.shape(chi)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            reduce_general_ancilla(chi)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_zero_vector_rejected(self, k):
