@@ -60,6 +60,10 @@ _K = 4 - 2 * SQRT2
 # Slack of the feasibility inequalities.
 _REGION_TOL = 1e-12
 
+# Success probabilities of working search endpoints this close to the best
+# count as tied; the tie goes to the smallest residual.
+_TIE_TOL = 1e-12
+
 #: Sign-shift residual and entry-rule defect under which a search point
 #: counts as working (for max_feasible_probability, the residual and the
 #: orthonormality defect of the column pair).
@@ -93,12 +97,6 @@ class BoundCurveSample:
     B: float
     C: float
     p: float
-
-    @classmethod
-    def on_boundary(cls, x2: float) -> "BoundCurveSample":
-        y2 = boundary_y2(x2)
-        a = abs((1 - SQRT2) + x2 / SQRT2)
-        return cls(x2=x2, y2=y2, A=a, B=X2_MAX - x2, C=1 + x2 / 2, p=x2 * y2 / 2)
 
 
 @dataclass(frozen=True)
@@ -163,17 +161,33 @@ def feasible(x2: float, y2: float) -> bool:
     return bool(_feasible(x2, y2))
 
 
-def boundary_y2(x2: float) -> float:
-    """Largest feasible y^2 at x^2 = s: the hyperbola (X2_MAX - s)/(1 - k s)."""
+def _curve_figures(s):
+    # y2, A, B, C and p of BoundCurveSample at x^2 = s, a float or an array
+    # already in [0, X2_MAX]; every boundary figure is written here once.
+    b = X2_MAX - s
+    y2 = b / (1 - _K * s)
+    return y2, abs((1 - SQRT2) + s / SQRT2), b, 1 + s / 2, s * y2 / 2
+
+
+def _clamp(x2: float) -> float:
+    # x^2 held to [0, X2_MAX], once it lies within _REGION_TOL of it.
     if not -_REGION_TOL <= x2 <= X2_MAX + _REGION_TOL:
         raise ValueError(f"x2 must lie in [0, {X2_MAX}], got {x2}")
-    x2 = min(max(x2, 0.0), X2_MAX)
-    return (X2_MAX - x2) / (1 - _K * x2)
+    return min(max(x2, 0.0), X2_MAX)
+
+
+def boundary_y2(x2: float) -> float:
+    """Largest feasible y^2 at x^2 = s: the hyperbola (X2_MAX - s)/(1 - k s)."""
+    return _curve_figures(_clamp(x2))[0]
 
 
 def probability_on_boundary(x2: float) -> float:
-    """Success probability along the boundary curve, (x^2 / 2) * y^2(x^2)."""
-    return x2 / 2 * boundary_y2(x2)
+    """Success probability along the boundary curve, s y^2(s) / 2 at s = x^2.
+
+    Like boundary_y2 it reads x^2 clamped to [0, X2_MAX], so within the
+    domain slack p is 0 beyond either end of the curve, never negative.
+    """
+    return _curve_figures(_clamp(x2))[-1]
 
 
 def maximize_boundary(
@@ -203,10 +217,20 @@ def _grid_size(grid_n) -> int:
     return grid_n
 
 
+def _curve_grid(grid_n: int) -> tuple[np.ndarray, ...]:
+    # The x2, y2, A, B, C and p columns of scan_curve.
+    x2 = np.linspace(0.0, X2_MAX, _grid_size(grid_n))
+    return (x2, *_curve_figures(x2))
+
+
 def scan_curve(grid_n: int) -> list[BoundCurveSample]:
-    """Boundary-curve samples at grid_n evenly spaced x^2 values."""
-    x2_values = np.linspace(0.0, X2_MAX, _grid_size(grid_n))
-    return [BoundCurveSample.on_boundary(x2) for x2 in x2_values]
+    """Boundary-curve samples at grid_n evenly spaced x^2 values in [0, X2_MAX].
+
+    Each field is the figure boundary_y2 and probability_on_boundary give at
+    its x^2, bit for bit: one function writes the figures for both the
+    scalar calls and these columns.
+    """
+    return list(map(BoundCurveSample, *(col.tolist() for col in _curve_grid(grid_n))))
 
 
 def _region_grid(grid_n: int) -> tuple[np.ndarray, ...]:
@@ -306,7 +330,9 @@ def numeric_search(
     Each endpoint's pair goes through fock._polar_completion: its polar
     factor, the orthonormal pair nearest it (Löwdin), is scored, as the
     first two columns of the unitary that completes it.
-    The best working unitary's figures are recomputed from Fock amplitudes.
+    The reported endpoint is, among the working ones whose probability lies
+    within _TIE_TOL of the best, the one with the smallest residual, and
+    its figures are recomputed from Fock amplitudes.
     At every working endpoint the first-order KKT condition
     grad f = J^T lambda is checked, and the largest defect is reported as
     ``kkt_defect``.  This is a falsification oracle for the 0.25 bound, not
@@ -359,9 +385,8 @@ def numeric_search(
     for child in np.random.SeedSequence(seed).spawn(restarts):
         starts.append(np.random.default_rng(child).standard_normal(4 * n))
 
-    # Highest probability among working endpoints; failing that, the
-    # endpoint nearest to working.
-    best_key, best_u, kkt_defects = None, None, []
+    # (p, residual, unitary) of each endpoint, in start order.
+    working, failing, kkt_defects = [], [], []
     for x0 in starts:
         x = minimize(
             objective,
@@ -374,13 +399,20 @@ def numeric_search(
         u = _polar_completion(_pair(x, n))
         pair = u[:, :2]
         prob, residual = figures(pair)
-        working = _works(pair, accept, residual)
-        if working:
+        if _works(pair, accept, residual):
             kkt_defects.append(_kkt_defect(pair, accept))
-        key = (working, prob if working else -residual)
-        if best_key is None or key > best_key:
-            best_key, best_u = key, u
+            working.append((prob, residual, u))
+        else:
+            failing.append((prob, residual, u))
 
+    # The smallest residual among the working endpoints whose p is within
+    # _TIE_TOL of the best, else among all: the report does not hang on
+    # rounding of p.  min keeps the earlier start on a tie.
+    pool = failing
+    if working:
+        top = max(prob for prob, _, _ in working)
+        pool = [end for end in working if end[0] >= top - _TIE_TOL]
+    best_u = min(pool, key=lambda end: end[1])[2]
     circuit = LopCircuit(best_u)
     report = verify_ns(circuit, ConditionalScheme.one_photon(n - 1, 0, range(rank_s)))
     return OptimizationResult(

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .bounds import SEARCH_MODE_CAP, _region_grid, numeric_search, scan_curve
+from .bounds import SEARCH_MODE_CAP, _curve_grid, _region_grid, numeric_search
 from .conditional import (
     ConditionalScheme,
     DensityMatrix,
@@ -140,8 +140,8 @@ def _cmd_verify_klm(args) -> int:
 
 
 def _cmd_scan_curve(args) -> int:
-    samples = np.array([(s.x2, s.y2, s.p) for s in scan_curve(args.grid_n)])
-    return _emit(_table(["x2", "y2", "p"], list(samples.T), args.format), args.output)
+    x2, y2, *_, p = _curve_grid(args.grid_n)
+    return _emit(_table(["x2", "y2", "p"], [x2, y2, p], args.format), args.output)
 
 
 def _cmd_region(args) -> int:

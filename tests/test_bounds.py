@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from nsgate import (
     KKT_TOL,
     SEARCH_MODE_CAP,
     SECTOR_CAP,
-    BoundCurveSample,
     CapacityError,
     ConditionalScheme,
     InfeasibleDesignError,
@@ -32,10 +32,13 @@ from nsgate import (
     scan_curve,
     verify_ns,
 )
+from nsgate import bounds
 from nsgate.bounds import (
     _K,
+    _TIE_TOL,
     OptimizationResult,
     _constraint_jacobian,
+    _curve_grid,
     _gate_figures,
     _objective_gradient,
     _pair,
@@ -102,8 +105,8 @@ class TestBoundaryCurve:
             assert boundary_y2(boundary_y2(x2)) == pytest.approx(x2, abs=1e-9)
 
     def test_sample_invariants(self):
-        for x2 in np.linspace(0.0, X2_MAX, 50):
-            s = BoundCurveSample.on_boundary(x2)
+        for s in scan_curve(50):
+            x2 = s.x2
             assert s.A == pytest.approx(abs((1 - SQRT2) + x2 / SQRT2), abs=1e-14)
             assert s.B == pytest.approx(X2_MAX - x2, abs=1e-14)
             assert s.C == pytest.approx(1 + x2 / 2, abs=1e-14)
@@ -119,6 +122,15 @@ class TestProbabilityOnBoundary:
 
     def test_frozen_value_at_half(self):
         assert probability_on_boundary(0.5) == pytest.approx(P_AT_HALF, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x2",
+        [-1e-12, -1e-13, -5e-324, np.nextafter(X2_MAX, 1.0), X2_MAX + 1e-12],
+    )
+    def test_zero_within_the_domain_slack(self, x2):
+        # x^2 is clamped before any figure, so p is 0, not a small negative
+        # number, just below 0 and just above X2_MAX.
+        assert probability_on_boundary(x2) == 0.0
 
 
 class TestMaximizeBoundary:
@@ -248,15 +260,15 @@ class TestExactCertificate:
         at = {x: sympy.sqrt(s), y: sympy.sqrt(t)}
         g = -_isometry_residual(np.vectorize(lambda e: sympy.sympify(e).subs(at))(f))
 
-        def on_boundary(e):
+        def on_curve(e):
             return sympy.simplify(sympy.expand(e).subs(t, boundary))
 
-        assert on_boundary(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) == 0
+        assert on_curve(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) == 0
         assert sympy.expand(1 - self.k * self.c - (3 - 2 * self.r2) ** 2) == 0
         g00 = s * (3 - 2 * self.r2) ** 2 / (1 - self.k * s)
-        assert on_boundary(g[0, 0] - g00) == 0
+        assert on_curve(g[0, 0] - g00) == 0
         assert (1 - self.k * self.c).is_positive
-        assert on_boundary(g[1, 1]).subs(s, 0) == 1
+        assert on_curve(g[1, 1]).subs(s, 0) == 1
 
     def test_symbolic_block_is_the_design_block(self, rng):
         # The block proved on above is the one generalized_design builds.
@@ -428,6 +440,25 @@ class TestScanCurve:
     def test_non_integral_grid_rejected(self, bad):
         with pytest.raises(ValueError, match=f"grid sizes must be integers, got {bad}"):
             scan_curve(bad)
+
+    @pytest.mark.parametrize("grid_n", [2, 50, 201, 1001])
+    def test_columns_are_the_scalar_figures(self, grid_n):
+        # The array and scalar views of the boundary agree bit for bit.
+        columns = _curve_grid(grid_n)
+        assert np.array_equal(columns[0], np.linspace(0.0, X2_MAX, grid_n))
+        expected = [
+            (
+                x2,
+                boundary_y2(x2),
+                abs((1 - SQRT2) + x2 / SQRT2),
+                X2_MAX - x2,
+                1 + x2 / 2,
+                probability_on_boundary(x2),
+            )
+            for x2 in columns[0].tolist()
+        ]
+        assert [tuple(row) for row in zip(*(c.tolist() for c in columns))] == expected
+        assert [astuple(s) for s in scan_curve(grid_n)] == expected
 
 
 class TestCurveCompletionAgreement:
@@ -680,6 +711,29 @@ class TestNumericSearch:
                     numeric_search(*args)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             numeric_search(3, 1, restarts=0, seed=-1)
+
+    def test_ties_go_to_the_smallest_residual(self, monkeypatch):
+        # Every endpoint of this search works at p = 1/4 within rounding;
+        # the report is the one with the smallest residual, not the one
+        # whose rounding lifts p most.
+        endpoints = []
+
+        def recorded(z):
+            endpoints.append(_polar_completion(z))
+            return endpoints[-1]
+
+        monkeypatch.setattr(bounds, "_polar_completion", recorded)
+        r = numeric_search(3, 1, restarts=10, seed=0)
+        accept = range(1, 2)
+        figures = [_gate_figures(u[:, :2], accept) for u in endpoints]
+        for u, (_, residual) in zip(endpoints, figures):
+            assert _works(u[:, :2], accept, residual)
+        top = max(p for p, _ in figures)
+        tied = [i for i, (p, _) in enumerate(figures) if p >= top - _TIE_TOL]
+        assert len(tied) > 1
+        pick = min(tied, key=lambda i: figures[i][1])
+        assert np.array_equal(r.best_matrix.matrix, endpoints[pick])
+        assert figures[pick][1] < figures[max(tied, key=lambda i: figures[i][0])][1]
 
     def test_best_matrix_matches_reported_figures(self):
         r = numeric_search(3, 1, restarts=2, seed=5)

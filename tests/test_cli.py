@@ -56,7 +56,7 @@ class TestTable:
     HEADER = ["a", "flag", "b"]
 
     def columns(self):
-        # The reversed view is strided, as the columns of scan-curve are.
+        # The reversed view is strided: a column need not be contiguous.
         return [self.FLOATS, self.FLAGS, self.FLOATS[::-1]]
 
     def rows(self):
@@ -123,6 +123,26 @@ class TestScanCurve:
         header = ["x2", "y2", "p"]
         expected = json.dumps({"header": header, "rows": rows}, sort_keys=True)
         assert out == expected + "\n"
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(grid_n=st.integers(2, GRID_CAP))
+    @example(grid_n=2)
+    @example(grid_n=GRID_CAP)
+    def test_text_renders_scan_curve(self, grid_n):
+        # At any grid size, the CSV and JSON text of the rows of scan_curve,
+        # as the fixed-size tests above read them.
+        header = ["x2", "y2", "p"]
+        rows = [[s.x2, s.y2, s.p] for s in scan_curve(grid_n)]
+        expected = {
+            "csv": per_cell_csv(header, rows),
+            "json": json.dumps({"header": header, "rows": rows}, sort_keys=True) + "\n",
+        }
+        for fmt, text in expected.items():
+            argv = ["scan-curve", "--grid-n", str(grid_n), "--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            assert out.getvalue() == text
 
     def test_json_format(self, capsys):
         code, out = run_cli(capsys, "scan-curve", "--grid-n", "3", "--format", "json")
