@@ -33,6 +33,7 @@ and its gradient over the search reals (Re z, Im z) is (Re G, Im G).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -209,9 +210,7 @@ def maximize_boundary(
 
 
 def _grid_size(grid_n) -> int:
-    grid_n = _count(grid_n, "grid sizes")
-    if grid_n < 2:
-        raise ValueError("grid needs at least two points")
+    grid_n = _count(grid_n, "grid sizes", 2)
     if grid_n > GRID_CAP:
         raise CapacityError(f"grid size {grid_n} exceeds the cap of {GRID_CAP}")
     return grid_n
@@ -325,7 +324,8 @@ def numeric_search(
     function is a polynomial of degree at most 2, and SLSQP gets its exact
     gradient and constraint Jacobian.  One fixed deterministic start plus
     ``restarts`` random starts, each seeded independently from the master
-    seed so the outcome does not depend on evaluation order.
+    seed so the outcome does not depend on evaluation order, and each drawn
+    only when its turn comes, so no start is held before it runs.
 
     Each endpoint's pair goes through fock._polar_completion: its polar
     factor, the orthonormal pair nearest it (Löwdin), is scored, as the
@@ -338,26 +338,15 @@ def numeric_search(
     ``kkt_defect``.  This is a falsification oracle for the 0.25 bound, not
     an optimality prover.
     """
-    total_modes = _count(total_modes, "mode counts")
-    rank_s = _count(rank_s, "ranks")
+    n = _count(total_modes, "mode counts", 3)
+    rank_s = _count(rank_s, "ranks", 1, n - 1)
     restarts = _count(restarts, "restart counts")
     seed = _count(seed, "seeds")
-    if total_modes < 3:
-        raise ValueError("the search needs at least three modes")
-    if total_modes > SEARCH_MODE_CAP:
-        raise CapacityError(
-            f"{total_modes} modes exceed the search cap of {SEARCH_MODE_CAP}"
-        )
-    if not 1 <= rank_s <= total_modes - 1:
-        raise ValueError(f"rank must lie in 1..{total_modes - 1}, got {rank_s}")
-    if restarts < 0:
-        raise ValueError("restart count cannot be negative")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if n > SEARCH_MODE_CAP:
+        raise CapacityError(f"{n} modes exceed the search cap of {SEARCH_MODE_CAP}")
     # Imported here: keeps scipy's 0.6 s import off every path that does not search.
     from scipy.optimize import minimize
 
-    n = total_modes
     accept = range(1, rank_s + 1)
     tracker = {"max_feasible": 0.0, "evals": 0}
 
@@ -381,9 +370,15 @@ def numeric_search(
         "fun": on_reals(_search_constraints),
         "jac": on_reals(_constraint_jacobian),
     }
-    starts = [0.4 + 0.03 * np.arange(4 * n)]
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        starts.append(np.random.default_rng(child).standard_normal(4 * n))
+
+    def draw(i: int) -> np.ndarray:
+        # Start i + 1, drawn when its turn comes: the seed's child i, equal
+        # to SeedSequence(seed).spawn(restarts)[i] with no list of children.
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        return np.random.default_rng(child).standard_normal(4 * n)
+
+    fixed = 0.4 + 0.03 * np.arange(4 * n)
+    starts = itertools.chain([fixed], map(draw, range(restarts)))
 
     # (p, residual, unitary) of each endpoint, in start order.
     working, failing, kkt_defects = [], [], []

@@ -55,17 +55,15 @@ class ConditionalScheme:
     system_photons: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
-        for name in ("system_modes", "ancilla_modes"):
-            object.__setattr__(self, name, _count(getattr(self, name), "mode counts"))
-        object.__setattr__(self, "ancilla_input", as_occupation(self.ancilla_input))
-        object.__setattr__(self, "outcomes", tuple(map(as_occupation, self.outcomes)))
-        object.__setattr__(
-            self, "system_photons", tuple(map(_count, self.system_photons))
-        )
-        if self.system_modes < 1:
-            raise ValueError("a scheme needs at least one system mode")
-        if self.ancilla_modes < 0:
-            raise ValueError("ancilla mode count cannot be negative")
+        fields = {
+            "system_modes": _count(self.system_modes, "system mode counts", 1),
+            "ancilla_modes": _count(self.ancilla_modes, "ancilla mode counts"),
+            "ancilla_input": as_occupation(self.ancilla_input),
+            "outcomes": tuple(map(as_occupation, self.outcomes)),
+            "system_photons": tuple(map(_count, self.system_photons)),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         if len(self.ancilla_input) != self.ancilla_modes:
             raise ValueError(
                 f"ancilla input covers {len(self.ancilla_input)} modes, "
@@ -80,8 +78,8 @@ class ConditionalScheme:
                 raise ValueError(
                     f"outcome {occ} does not cover {self.ancilla_modes} ancilla modes"
                 )
-        if not self.system_photons or any(n < 0 for n in self.system_photons):
-            raise ValueError("system photon sectors must be non-negative")
+        if not self.system_photons:
+            raise ValueError("a scheme needs at least one system photon sector")
 
     @classmethod
     def one_photon(
@@ -93,19 +91,16 @@ class ConditionalScheme:
         when it exits in any of ``accept_modes``; indices are zero-based over
         the ancilla modes only.
         """
-        ancilla_modes = _count(ancilla_modes, "mode counts")
-        input_mode = _count(input_mode, "mode indices")
-        accept_modes = tuple(_count(m, "mode indices") for m in accept_modes)
-        for m in (input_mode, *accept_modes):
-            if not 0 <= m < ancilla_modes:
-                raise ValueError(f"ancilla mode {m} outside 0..{ancilla_modes - 1}")
+        k = _count(ancilla_modes, "ancilla mode counts", 1)
+        input_mode = _count(input_mode, "input mode indices", 0, k - 1)
+        accepted = [_count(m, "accepted mode indices", 0, k - 1) for m in accept_modes]
 
-        one_hot = FockSector(ancilla_modes, 1).states  # one_hot[m]: the photon in m
+        one_hot = FockSector(k, 1).states  # one_hot[m]: the photon in m
         return cls(
             system_modes=1,
-            ancilla_modes=ancilla_modes,
+            ancilla_modes=k,
             ancilla_input=one_hot[input_mode],
-            outcomes=tuple(one_hot[j] for j in accept_modes),
+            outcomes=tuple(one_hot[j] for j in accepted),
         )
 
     @property
@@ -393,11 +388,7 @@ def decompose_by_ancilla_count(
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (sector.dim,):
         raise ValueError(f"state vector must have length {sector.dim}")
-    system_modes = _count(system_modes, "mode counts")
-    if not 0 < system_modes < sector.modes:
-        raise ValueError(
-            f"system mode count must be in 1..{sector.modes - 1}, got {system_modes}"
-        )
+    system_modes = _count(system_modes, "system mode counts", 1, sector.modes - 1)
     return dict(enumerate(np.where(_ancilla_masks(sector, system_modes), vec, 0)))
 
 

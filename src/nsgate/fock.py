@@ -59,21 +59,32 @@ class CapacityError(ValueError):
     """Raised when a computation would exceed the photon or sector budget."""
 
 
-def _count(value, what: str = "photon numbers") -> int:
-    # Python or numpy integers only: a float such as 1.5, or even 2.0, is
-    # refused rather than truncated.
+def _count(value, what: str = "photon numbers", low=0, high=math.inf) -> int:
+    # The one rule for integer arguments: a Python or numpy integer (a float
+    # such as 1.5, or even 2.0, is refused, not truncated) in low..high, with
+    # floor 0 unless given, as each is a count, an index or a seed.  A cap is
+    # a budget, not a range: it raises CapacityError where work is sized.
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be integers, got {value!r}") from None
+    if low <= n <= high:
+        return n
+    if high < math.inf:
+        span = f"in {low}..{high}"
+    else:
+        span = "non-negative" if low == 0 else f"at least {low}"
+    raise ValueError(f"{what} must be {span}, got {n}")
 
 
 def as_occupation(counts: Iterable[int]) -> Occupation:
     """Normalize a sequence of photon counts to a validated tuple."""
-    occ = tuple(map(_count, counts))
-    if any(c < 0 for c in occ):
-        raise ValueError(f"occupation entries must be non-negative, got {occ}")
-    return occ
+    try:
+        return tuple(map(_count, counts))
+    except TypeError:
+        raise ValueError(
+            f"occupations must be sequences of photon numbers, got {counts!r}"
+        ) from None
 
 
 def _rank(occ: np.ndarray) -> np.ndarray:
@@ -125,14 +136,8 @@ class SystemBasis:
     """
 
     def __init__(self, modes: int, photon_sectors: Iterable[int]):
-        modes = _count(modes, "mode counts")
-        if modes < 1:
-            raise ValueError(f"mode count must be positive, got {modes}")
-        sectors = tuple(sorted(set(map(_count, photon_sectors))))
-        if sectors and sectors[0] < 0:
-            raise ValueError(f"photon numbers must be non-negative, got {sectors}")
-        self.modes = modes
-        self.sectors = sectors
+        self.modes = modes = _count(modes, "mode counts", 1)
+        self.sectors = sectors = tuple(sorted(set(map(_count, photon_sectors))))
         self.states, self._offsets, self._occupations = _basis_table(modes, sectors)
 
     @property
@@ -448,8 +453,6 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     # Counted first, as the plan cache would take 2.0 as the key 2, and the
     # plan's cap checks come before any state of the sector is enumerated.
     photons = _count(photons)
-    if photons < 0:
-        raise ValueError(f"photon number must be non-negative, got {photons}")
     start, _ = plan = _full_plan(lop.dim, photons)
     sector = FockSector(lop.dim, photons)
     top = _lift_levels(lop, plan)[start[-2] : start[-1]]
@@ -478,8 +481,6 @@ def _polar_completion(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> LopCircuit:
     """Haar-distributed random mode unitary: the polar factor of a Gaussian."""
-    dim = _count(dim, "dimensions")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    dim = _count(dim, "dimensions", 1)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return LopCircuit(_polar_completion(z))

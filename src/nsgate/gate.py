@@ -132,12 +132,25 @@ def _gate_figures(u: np.ndarray, accept: Sequence[int]) -> tuple[float, float]:
     return prob, residual
 
 
+def _accepted(modes, total_modes: int) -> tuple[int, ...]:
+    # Distinct modes in 1..total_modes - 1: a mode listed twice would count
+    # its photon's probability twice.
+    accept = tuple(_count(j, "accepted modes", 1, total_modes - 1) for j in modes)
+    if not accept or len(set(accept)) < len(accept):
+        raise ValueError(f"accepted modes must be distinct and non-empty, got {accept}")
+    return accept
+
+
 @dataclass(frozen=True)
 class GeneralizedDesign:
     """Constrained entries of a rank-s sign-shift design, before completion."""
 
     partial: PartialMatrix
     accept_modes: tuple[int, ...]
+
+    def __post_init__(self):
+        accept = _accepted(self.accept_modes, self.partial.dim)
+        object.__setattr__(self, "accept_modes", accept)
 
     @property
     def predicted_probability(self) -> float:
@@ -149,18 +162,17 @@ class NsDesign:
     """A completed sign-shift design: a full unitary and its accepted modes.
 
     Mode 0 is the system mode; the single ancilla photon enters at mode 1
-    and the run is accepted when it exits in any of ``accept_modes`` (all
-    indices zero-based, on the global circuit).  Every other figure is read
-    off the matrix.
+    and the run is accepted when it exits in any of ``accept_modes``,
+    distinct modes in 1..n - 1 (zero-based, on the global circuit), as in
+    GeneralizedDesign.  Every other figure is read off the matrix.
     """
 
     matrix: LopCircuit
     accept_modes: tuple[int, ...]
 
     def __post_init__(self):
-        accept, n = self.accept_modes, self.total_modes
-        if not accept or not all(1 <= j < n for j in accept):
-            raise ValueError(f"accepted modes must lie in 1..{n - 1}, got {accept}")
+        accept = _accepted(self.accept_modes, self.total_modes)
+        object.__setattr__(self, "accept_modes", accept)
         defects = _sign_shift_defects(self.matrix.matrix, accept)
         if not np.abs(defects).max() <= _DESIGN_TOL:
             raise ValueError(
@@ -299,17 +311,11 @@ def generalized_design(
     placements are mode permutations of this one.  The predicted success
     probability is (|x|^2 / 2) * sum(|y_j|^2).
     """
-    s, total_modes = len(y_list), _count(total_modes, "mode counts")
-    if s < 1:
-        raise ValueError("at least one accepted mode is required")
-    if total_modes < s + 1:
-        raise ValueError(
-            f"need at least {s + 1} modes for {s} accepted modes, got {total_modes}"
-        )
+    s = len(y_list)
+    n = _count(total_modes, "mode counts", s + 1)
     if not abs(x) <= 1 or any(not abs(y) <= 1 for y in y_list):
         raise ValueError("coupling moduli must lie in [0, 1]")
 
-    n = total_modes
     values = np.zeros((n, n), dtype=complex)
     mask = np.zeros((n, n), dtype=bool)
     ux = complex(x)
@@ -331,9 +337,7 @@ def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDe
 
     G is the fixed columns' Gram; at most max_extra_modes vacuum modes are added.
     """
-    max_extra_modes = _count(max_extra_modes, "mode counts")
-    if max_extra_modes < 0:
-        raise ValueError(f"max_extra_modes must be non-negative, got {max_extra_modes}")
+    max_extra_modes = _count(max_extra_modes, "max_extra_modes")
     base = design.partial.dim
     circuit = _complete_block(
         *_fixed_block(design.partial), base, base + max_extra_modes
@@ -428,9 +432,7 @@ def ancilla_block(system_modes: int, ancilla_unitary: LopCircuit) -> LopCircuit:
             "ancilla unitary must be a LopCircuit, "
             f"got {type(ancilla_unitary).__name__}"
         )
-    s = _count(system_modes, "mode counts")
-    if s < 0:
-        raise ValueError(f"system mode count must be non-negative, got {s}")
+    s = _count(system_modes, "system mode counts")
     out = np.eye(s + ancilla_unitary.dim, dtype=complex)
     out[s:, s:] = ancilla_unitary.matrix
     return _adopt(LopCircuit, matrix=out)

@@ -1,9 +1,16 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+import types
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +56,7 @@ from nsgate.fock import LopCircuit, _isometry_residual, _polar_completion
 from nsgate.gate import _fixed_block
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # frozen by direct evaluation of the curve formulas
 Y2_AT_HALF = 0.7928932188134524
@@ -709,8 +717,69 @@ class TestNumericSearch:
                 args[i] = bad
                 with pytest.raises(ValueError, match=f"integers, got {bad}"):
                     numeric_search(*args)
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        with pytest.raises(ValueError, match="seeds must be non-negative, got -1"):
             numeric_search(3, 1, restarts=0, seed=-1)
+
+    @pytest.mark.parametrize("n, restarts", [(3, 0), (3, 1), (4, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_starts_are_the_spawned_children(self, monkeypatch, n, restarts, seed):
+        # Start i + 1 is drawn from child i of the seed, as a list spawned
+        # up front would give it, bit for bit.
+        starts = []
+
+        def recorded(fun, x0, **kwargs):
+            starts.append(x0)
+            return types.SimpleNamespace(x=x0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        numeric_search(n, 1, restarts=restarts, seed=seed)
+        children = np.random.SeedSequence(seed).spawn(restarts)
+        expected = [0.4 + 0.03 * np.arange(4 * n)] + [
+            np.random.default_rng(c).standard_normal(4 * n) for c in children
+        ]
+        assert len(starts) == len(expected)
+        for got, want in zip(starts, expected):
+            assert np.array_equal(got, want)
+
+    def test_no_start_is_drawn_before_its_turn(self):
+        # A fresh interpreter held to 1 GB of address space runs a search of
+        # 10**9 restarts whose second start raises.  Drawing every start (or
+        # spawning every child) first fails there with MemoryError.
+        script = """
+import types
+import scipy.optimize
+from nsgate import numeric_search
+
+class Reached(Exception):
+    pass
+
+calls = []
+
+def minimize(fun, x0, **kwargs):
+    calls.append(x0)
+    if len(calls) == 2:
+        raise Reached
+    return types.SimpleNamespace(x=x0)
+
+scipy.optimize.minimize = minimize
+try:
+    numeric_search(3, 1, restarts=10**9, seed=0)
+except Reached:
+    pass
+else:
+    raise SystemExit("the second start never ran")
+"""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30,) * 2),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_ties_go_to_the_smallest_residual(self, monkeypatch):
         # Every endpoint of this search works at p = 1/4 within rounding;

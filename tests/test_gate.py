@@ -11,6 +11,7 @@ import nsgate.fock
 from nsgate import (
     ConditionalScheme,
     DensityMatrix,
+    GeneralizedDesign,
     InfeasibleDesignError,
     LopCircuit,
     NsDesign,
@@ -131,6 +132,25 @@ class TestNsDesign:
         design, _ = klm_optimum
         with pytest.raises(ValueError, match="accepted modes"):
             NsDesign(design.matrix, accept)
+
+    @pytest.mark.parametrize("accept", [(1, 1), (1.0,)])
+    def test_repeated_or_non_integer_accept_modes_rejected(self, klm_optimum, accept):
+        # (1, 1) would count the photon's probability twice: 1/2 at the
+        # canonical optimum, whose bound is 1/4.  A rank-2 design's
+        # entries, checked before completion, refuse it too.
+        design, _ = klm_optimum
+        partial = generalized_design(0.5, [0.5, 0.5], total_modes=4).partial
+        for build in (
+            lambda: NsDesign(design.matrix, accept),
+            lambda: GeneralizedDesign(partial, accept),
+        ):
+            with pytest.raises(ValueError, match="accepted modes must be"):
+                build()
+
+    def test_accept_modes_normalized_to_ints(self, klm_optimum):
+        design, _ = klm_optimum
+        again = NsDesign(design.matrix, [np.int64(1)])
+        assert again.accept_modes == (1,) and type(again.accept_modes[0]) is int
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
     def test_entry_defect_above_tolerance_rejected(self, klm_optimum, entry):
