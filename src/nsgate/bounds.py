@@ -14,7 +14,8 @@ any of m modes, t = sum_j |y_j|^2, and f = n - 1 - m count the free modes
 so a completion exists iff the Gram G = I - F†F of their fixed block F is
 positive semidefinite with rank G <= f (``gate``).
   1. G00 = c - t, G11 = 1 - s - s t/2, |G01|^2 = s ((1 - sqrt 2) + t/sqrt 2)^2
-     and det G = c - s - t + k s t: the region and p <= 1/4 hold at any rank.
+     and det G = c - s - t + k s t, so G >= 0 is the region and p <= 1/4 on
+     it at any rank (exact proofs: TestExactCertificate, tests/test_bounds.py).
   2. f >= 2 admits the whole region, f = 1 only its boundary (rank G = 1).
   3. f = 0 (every ancilla mode accepted) needs G = 0, but G00 = 0 forces
      t = c, and then |G01| = |x| (3 - 2 sqrt 2) is 0 only at x = 0, where
@@ -42,7 +43,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme
 from .fock import CapacityError, LopCircuit, _count, _isometry_defect
-from .fock import _polar_completion
+from .fock import _polar_completion, _tolerance
 from .gate import (
     _gate_figures,
     _sign_shift_defects,
@@ -199,10 +200,9 @@ def maximize_boundary(
     On the boundary 1/4 - p = (sqrt(2) s - 1)^2 / (4 (1 - k s)) with s = x^2,
     and p rises up to s = 1/sqrt(2) and falls after it, so the maximum is
     1/sqrt(2) clipped to the interval.  It is exact: ``tol`` is only
-    validated.
+    validated, by the rule of the CLI's --tol (finite and positive).
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _tolerance(tol)
     if not 0 <= lo < hi <= X2_MAX + _REGION_TOL:
         raise ValueError(f"interval must satisfy 0 <= lo < hi <= {X2_MAX}")
     x_star = min(max(1 / SQRT2, lo), hi)

@@ -18,7 +18,7 @@ from .conditional import (
     completeness_defect,
     kraus_operator,
 )
-from .fock import LopCircuit, haar_unitary
+from .fock import LopCircuit, _count, _tolerance, haar_unitary
 from .gate import (
     CONDITION_TOL,
     ancilla_block,
@@ -39,38 +39,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance(text: str) -> float:
-    # --tol must be finite and positive, the rule maximize_boundary applies.
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if 0 < value < math.inf:
-        return value
-    raise argparse.ArgumentTypeError(
-        f"tolerance must be finite and positive, got {text!r}"
-    )
-
-
-def _int_flag(floor: int, what: str, cap: float = math.inf):
-    # An integer flag in [floor, cap], refused at parse time with its name.
-    def parse(text: str) -> int:
+def _flag(convert, rule):
+    # Flag text through a library argument rule while parsing: the value
+    # convert reads, else the text itself, so the rule's words refuse both.
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = math.nan
-        if floor <= value <= cap:
-            return value
-        bound = f"at most {cap}" if value > cap else f"an integer of at least {floor}"
-        raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {text!r}")
+            value = text
+        try:
+            return rule(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
     return parse
 
 
+def _int_flag(what: str, low: float = -math.inf, high: float = math.inf):
+    # An integer flag, in low..high by fock._count.  A flag with no range here
+    # is held to the library's own on its last value, so a flag given twice
+    # still runs at the last; a cap that sizes work stays a CapacityError.
+    return _flag(int, functools.partial(_count, what=what, low=low, high=high))
+
+
 #: One system mode plus at least one ancilla mode, and at most the modes of
 #: an optimize run, whose three-photon lift stays within SECTOR_CAP.
-_mode_count = _int_flag(2, "mode count", SEARCH_MODE_CAP)
-_seed = _int_flag(0, "seed")
+_mode_count = _int_flag("mode counts", 2, SEARCH_MODE_CAP)
+_seed = _int_flag("seeds", 0)
+_tol = _flag(float, _tolerance)
 
 
 def _emit(text: str, output: str | None) -> int:
@@ -264,26 +260,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-klm", help="verify the canonical 3-mode design")
-    p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
+    p.add_argument("--tol", type=_tol, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_verify_klm)
 
     p = sub.add_parser("scan-curve", help="emit boundary-curve samples")
-    p.add_argument("--grid-n", type=int, default=201)
+    p.add_argument("--grid-n", type=_int_flag("grid sizes"), default=201)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_scan_curve)
 
     p = sub.add_parser("region", help="emit the feasibility-region grid")
-    p.add_argument("--grid-n", type=int, default=101)
+    p.add_argument("--grid-n", type=_int_flag("grid sizes"), default=101)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("optimize", help="run the numeric bound search")
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--modes", type=_int_flag("mode counts"), default=3)
+    p.add_argument("--rank", type=_int_flag("ranks"), default=1)
+    p.add_argument("--restarts", type=_int_flag("restart counts"), default=50)
+    p.add_argument("--seed", type=_int_flag("seeds"), default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
 
@@ -291,13 +287,13 @@ def build_parser() -> _Parser:
     p.add_argument("--modes", type=_mode_count, default=3)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--matrix-file", default=None)
-    p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
+    p.add_argument("--tol", type=_tol, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_kraus_check)
 
     p = sub.add_parser("reduce-demo", help="one-photon input reduction check")
     p.add_argument("--modes", type=_mode_count, default=3)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=_tolerance, default=CONDITION_TOL)
+    p.add_argument("--tol", type=_tol, default=CONDITION_TOL)
     p.set_defaults(func=_cmd_reduce_demo)
 
     return parser

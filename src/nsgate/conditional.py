@@ -23,6 +23,7 @@ from .fock import (
     SystemBasis,
     _adopt,
     _count,
+    _entries,
     _frozen,
     _isometry_defect,
     _ladder,
@@ -137,12 +138,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=complex)
         d = self.basis.dim
-        if e.shape != (d, d):
-            raise ValueError(f"entries shape {e.shape} does not match basis dim {d}")
-        if not np.isfinite(e).all():
-            raise ValueError("density matrix has non-finite entries")
+        e = _entries(self.entries, "density matrices", (d, d))
         if not np.abs(e - e.conj().T).max(initial=0.0) <= _HERM_TOL:
             raise ValueError("density matrix must be Hermitian")
         if not np.linalg.eigvalsh(e).min(initial=0.0) >= -_PSD_TOL:
@@ -150,7 +147,6 @@ class DensityMatrix:
         tr = e.trace().real
         if not -_HERM_TOL <= tr <= 1 + _HERM_TOL:
             raise ValueError(f"trace {tr} outside [0, 1]")
-        e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
     @property
@@ -160,9 +156,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, basis: SystemBasis, amplitudes) -> "DensityMatrix":
         """Rank-1 state from a (normalized) amplitude vector."""
-        v = np.asarray(amplitudes, dtype=complex)
-        if v.shape != (basis.dim,):
-            raise ValueError(f"amplitude vector must have length {basis.dim}")
+        v = _entries(amplitudes, "amplitude vectors", (basis.dim,))
         norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:
             raise ValueError(
@@ -187,13 +181,8 @@ class MeasurementOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=complex)
-        if e.shape != (self.out_basis.dim, self.in_basis.dim):
-            raise ValueError(
-                f"entries shape {e.shape} does not match bases "
-                f"({self.out_basis.dim}, {self.in_basis.dim})"
-            )
-        e.setflags(write=False)
+        shape = (self.out_basis.dim, self.in_basis.dim)
+        e = _entries(self.entries, "measurement operators", shape)
         object.__setattr__(self, "entries", e)
 
     @property
@@ -385,9 +374,7 @@ def decompose_by_ancilla_count(
     the sector total; the components sum back to the state and their squared
     norms add up to the state's squared norm.
     """
-    vec = np.asarray(state, dtype=complex)
-    if vec.shape != (sector.dim,):
-        raise ValueError(f"state vector must have length {sector.dim}")
+    vec = _entries(state, "state vectors", (sector.dim,))
     system_modes = _count(system_modes, "system mode counts", 1, sector.modes - 1)
     return dict(enumerate(np.where(_ancilla_masks(sector, system_modes), vec, 0)))
 

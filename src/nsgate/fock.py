@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -75,6 +77,36 @@ def _count(value, what: str = "photon numbers", low=0, high=math.inf) -> int:
     else:
         span = "non-negative" if low == 0 else f"at least {low}"
     raise ValueError(f"{what} must be {span}, got {n}")
+
+
+def _tolerance(value) -> float:
+    # The one rule for tolerances: a real number, finite and positive.
+    if isinstance(value, numbers.Real) and 0 < value < math.inf:
+        return float(value)
+    raise ValueError(f"tolerance must be finite and positive, got {value!r}")
+
+
+def _entries(value, what: str, shape: tuple) -> np.ndarray:
+    # The one rule for array arguments: a frozen complex copy of value, finite
+    # numbers of the given shape, where a None is a free length of at least 1,
+    # the same for every None.  Each fault has one wording: not numeric,
+    # another shape (read before any entry), or non-finite entries.
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting, which has no shape
+        a = None
+    if a is None or a.dtype.kind not in "iufc":
+        raise ValueError(f"{what} must be numeric, got {reprlib.repr(value)}")
+    free = a.shape[shape.index(None)] if None in shape and a.ndim == len(shape) else 1
+    want = tuple(free if w is None else w for w in shape) if None in shape else shape
+    if a.shape != want or free < 1:
+        spec = str(shape).replace("None", "n") + " with n >= 1" * (None in shape)
+        raise ValueError(f"{what} must have shape {spec}, got shape {a.shape}")
+    a = np.array(a, dtype=complex)
+    if np.count_nonzero(np.isfinite(a)) < a.size:  # cheaper than .all() here
+        raise ValueError(f"{what} must be finite, got non-finite entries")
+    a.setflags(write=False)
+    return a
 
 
 def as_occupation(counts: Iterable[int]) -> Occupation:
@@ -220,16 +252,11 @@ class LopCircuit:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"mode matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("mode matrix has non-finite entries")
+        m = _entries(self.matrix, "mode matrices", (None, None))
         # U†U - I and, with x = U†, UU† - I.
         defect = max(_isometry_defect(m), _isometry_defect(m.conj().T))
         if not defect <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -239,19 +266,17 @@ class LopCircuit:
 
 @dataclass(frozen=True)
 class SectorMatrix:
-    """A mode unitary lifted to one photon-number sector."""
+    """A mode unitary lifted to one photon-number sector, unitary to LIFT_TOL."""
 
     sector: FockSector
     entries: np.ndarray
 
     def __post_init__(self):
-        # A caller's array is copied, so the matrix neither aliases it nor
-        # freezes its flags.
-        e = np.array(self.entries, dtype=complex)
         d = self.sector.dim
-        if e.shape != (d, d):
-            raise ValueError(f"entries shape {e.shape} does not match sector dim {d}")
-        e.setflags(write=False)
+        e = _entries(self.entries, "sector matrices", (d, d))
+        defect = _isometry_defect(e)
+        if not defect <= LIFT_TOL:
+            raise ValueError(f"sector matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "entries", e)
 
 
@@ -271,12 +296,10 @@ def permanent(m) -> complex:
     (-1)^(n - |S|) prod_i sum_{j in S} m_ij, evaluated for all 2^n subsets at
     once; sizes above PHOTON_CAP raise CapacityError.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if getattr(m, "shape", None) == (0, 0):  # no nesting of lists is 0 x 0
         return 1 + 0j
+    a = _entries(m, "permanent matrices", (None, None))
+    n = len(a)
     if n > PHOTON_CAP:
         raise CapacityError(f"permanent of size {n} exceeds the cap of {PHOTON_CAP}")
     subsets, signs = _ryser_table(n)

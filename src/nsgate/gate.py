@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import LopCircuit, Occupation, _adopt, _count, _isometry_residual
-from .fock import _polar_completion
+from .fock import LopCircuit, Occupation, _adopt, _count, _entries
+from .fock import _isometry_residual, _polar_completion
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,15 +63,10 @@ class PartialMatrix:
     fixed: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
+        v = _entries(self.values, "partial matrices", (None, None))
         f = np.array(self.fixed, dtype=bool)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"partial matrix must be square, got shape {v.shape}")
         if f.shape != v.shape:
             raise ValueError("fixed-entry mask must match the matrix shape")
-        if not np.isfinite(v).all():
-            raise ValueError("partial matrix has non-finite entries")
-        v.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "fixed", f)
@@ -406,11 +401,7 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     U @ V on the ancilla block) reduces any one-photon ancilla input to the
     basis-state input, leaving all post-selected probabilities unchanged.
     """
-    v = np.asarray(chi, dtype=complex)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"chi must be a non-empty vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("chi has non-finite entries")
+    v = _entries(chi, "chi", (None,))
     # |chi|^2 - 1 is entry (0, 0) of the U†U - I that LopCircuit checks on
     # the completion, so that one check also reads chi's norm.
     try:

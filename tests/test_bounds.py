@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -167,6 +168,13 @@ class TestMaximizeBoundary:
         with pytest.raises(ValueError, match="tolerance"):
             maximize_boundary(math.nan)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, -1.0, "1e-10", None])
+    def test_tolerance_follows_the_cli_rule(self, tol):
+        # fock._tolerance, which --tol parses through: a finite, positive real.
+        message = f"tolerance must be finite and positive, got {tol!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            maximize_boundary(tol)
+
 
 class TestExactCertificate:
     # A = (1 - sqrt(2)) + s/sqrt(2), B = c - s, C = 1 + s/2 with
@@ -209,6 +217,13 @@ class TestExactCertificate:
         rows = [[1 - self.r2, x]] + [[y, x * y / self.r2] for y in ys]
         return (x, *ys), np.array(rows, dtype=object)
 
+    def gram_at(self, s, t):
+        # G of the rank-1 block at x = sqrt(s), y = sqrt(t); G depends on the
+        # y_j only through t, so this is G at every rank.
+        (x, y), f = self.symbolic_block(1)
+        at = {x: sympy.sqrt(s), y: sympy.sqrt(t)}
+        return -_isometry_residual(np.vectorize(lambda e: sympy.sympify(e).subs(at))(f))
+
     def test_design_gram_entries(self):
         # The Gram G = I - F†F of the two fixed columns of a design with
         # s = |x|^2 and t = sum |y_j|^2, at every rank, is A, B, C read at t:
@@ -240,9 +255,7 @@ class TestExactCertificate:
         # G00 = 0 forces t = c; there G01 G10 = s (3 - 2 sqrt 2)^2, zero only
         # at s = 0; and there G11 = 1, not 0.
         s, t = sympy.symbols("s t", nonnegative=True)
-        (x, y), f = self.symbolic_block(1)
-        at = {x: sympy.sqrt(s), y: sympy.sqrt(t)}
-        g = -_isometry_residual(np.vectorize(lambda e: sympy.sympify(e).subs(at))(f))
+        g = self.gram_at(s, t)
         g00 = sympy.expand(g[0, 0])
         assert sympy.diff(g00, t) == -1 and g00.subs(t, self.c) == 0
         cross = sympy.expand(g[0, 1] * g[1, 0]).subs(t, self.c)
@@ -264,9 +277,7 @@ class TestExactCertificate:
         for x2 in np.linspace(0.0, X2_MAX, 7):
             exact = boundary.subs(s, sympy.Float(x2, 30))
             assert boundary_y2(x2) == pytest.approx(float(exact), abs=1e-12)
-        (x, y), f = self.symbolic_block(1)
-        at = {x: sympy.sqrt(s), y: sympy.sqrt(t)}
-        g = -_isometry_residual(np.vectorize(lambda e: sympy.sympify(e).subs(at))(f))
+        g = self.gram_at(s, t)
 
         def on_curve(e):
             return sympy.simplify(sympy.expand(e).subs(t, boundary))
@@ -277,6 +288,47 @@ class TestExactCertificate:
         assert on_curve(g[0, 0] - g00) == 0
         assert (1 - self.k * self.c).is_positive
         assert on_curve(g[1, 1]).subs(s, 0) == 1
+
+    def test_region_is_the_positive_semidefinite_gram(self):
+        # Step 1's "the region is {G >= 0}": for s, t >= 0, G >= 0 iff s <= c,
+        # t <= c and det G >= 0, which is feasible without its slack, as
+        # det G = c - (s + t - k s t).  A 2 x 2 Hermitian G is PSD iff G00,
+        # G11 and det G are >= 0; G00 = c - t and G01 G10 = s A(t)^2 >= 0.
+        # If: for t < c, G00 > 0 and G00 G11 = det G + G01 G10 >= 0 give
+        # G11 >= 0; at t = c, det G = -s (3 - 2 sqrt 2)^2 forces s = 0, where
+        # G11 = 1.  Only if: t <= c by G00, and were s > c, det G =
+        # t (k c - 1) + (c - s)(1 - k t) < 0, as k c - 1 = -(3 - 2 sqrt 2)^2
+        # and 1 - k t >= 1 - k c > 0 (k > 0).
+        s, t = sympy.symbols("s t", nonnegative=True)
+        g = self.gram_at(s, t)
+        det = sympy.expand(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+        c, k, square = self.c, self.k, (3 - 2 * self.r2) ** 2
+        assert sympy.expand(det - (c - (s + t - k * s * t))) == 0
+        assert sympy.expand(g[0, 0] - (c - t)) == 0
+        assert sympy.expand(g[0, 1] * g[1, 0] - s * self.A.subs(self.s, t) ** 2) == 0
+        assert sympy.expand(det.subs(t, c) + s * square) == 0
+        assert sympy.expand(g[1, 1]).subs({t: c, s: 0}) == 1
+        assert sympy.expand(det - (t * (k * c - 1) + (c - s) * (1 - k * t))) == 0
+        assert sympy.expand(k * c - 1 + square) == 0
+        assert square.is_positive and k.is_positive and (1 - k * c).is_positive
+
+    def test_quarter_bounds_the_whole_region(self):
+        # Step 1's "p <= 1/4 on the region": for s <= c, 1 - k s >= 1 - k c
+        # = (3 - 2 sqrt 2)^2 > 0 and det G = (c - s) - (1 - k s) t, so
+        # det G >= 0 iff t <= (c - s)/(1 - k s), the boundary's y^2 at s.
+        # So p = s t / 2 is at most the boundary's p at s, which
+        # test_gap_to_quarter_is_a_square bounds by 1/4.  In one identity:
+        # 4 (1 - k s)(1/4 - p) = (sqrt 2 s - 1)^2 + 2 s det G >= 0.
+        s, t = sympy.symbols("s t", nonnegative=True)
+        g = self.gram_at(s, t)
+        det = sympy.expand(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+        c, k = self.c, self.k
+        den, p = 1 - k * s, s * t / 2
+        assert sympy.expand(det - ((c - s) - den * t)) == 0
+        gap = (self.r2 * s - 1) ** 2 + 2 * s * det
+        assert sympy.expand(4 * den * (sympy.Rational(1, 4) - p) - gap) == 0
+        assert sympy.expand(1 - k * c - (3 - 2 * self.r2) ** 2) == 0
+        assert k.is_positive and (1 - k * c).is_positive
 
     def test_symbolic_block_is_the_design_block(self, rng):
         # The block proved on above is the one generalized_design builds.
@@ -400,10 +452,6 @@ class TestCompletionMatchesRegion:
 
 
 class TestSampleRegion:
-    def test_non_integral_grid_rejected(self):
-        with pytest.raises(ValueError, match="grid sizes must be integers, got 2.5"):
-            sample_region(2.5)
-
     def test_two_point_grid(self):
         rows = sample_region(2)
         assert len(rows) == 4
@@ -443,11 +491,6 @@ class TestScanCurve:
     def test_boundary_probability_consistency(self):
         for s in scan_curve(41):
             assert s.p == pytest.approx(probability_on_boundary(s.x2), abs=1e-14)
-
-    @pytest.mark.parametrize("bad", [2.5, 3.0])
-    def test_non_integral_grid_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"grid sizes must be integers, got {bad}"):
-            scan_curve(bad)
 
     @pytest.mark.parametrize("grid_n", [2, 50, 201, 1001])
     def test_columns_are_the_scalar_figures(self, grid_n):

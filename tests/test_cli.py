@@ -333,14 +333,14 @@ class TestKrausCheck:
         assert main(["kraus-check", "--matrix-file", str(path)]) == 64
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"mode count must be at most {SEARCH_MODE_CAP}, got '22'" in err
+        assert f"mode counts must be in 2..{SEARCH_MODE_CAP}, got 22" in err
 
     @pytest.mark.parametrize(
         "modes, message",
         [
-            (1, "mode count must be an integer of at least 2, got '1'"),
-            (SEARCH_MODE_CAP + 5, f"mode count must be at most {SEARCH_MODE_CAP}, "
-             f"got '{SEARCH_MODE_CAP + 5}'"),
+            (1, f"mode counts must be in 2..{SEARCH_MODE_CAP}, got 1"),
+            (SEARCH_MODE_CAP + 5, f"mode counts must be in 2..{SEARCH_MODE_CAP}, "
+             f"got {SEARCH_MODE_CAP + 5}"),
         ],
     )
     def test_matrix_modes_outside_the_modes_range_is_usage_error(
@@ -368,8 +368,8 @@ class TestKrausCheck:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"nsgate: error: {path}: mode count must be an integer of at least 2, "
-            "got '1'\n"
+            f"nsgate: error: {path}: mode counts must be in 2..{SEARCH_MODE_CAP}, "
+            "got 1\n"
         )
 
     def test_missing_matrix_file_exits_2(self, capsys):
@@ -439,20 +439,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["kraus-check", "--modes", "1"], "--modes: mode count must be an "
-             "integer of at least 2, got '1'"),
-            (["reduce-demo", "--modes", "0"], "--modes: mode count must be an "
-             "integer of at least 2, got '0'"),
-            (["kraus-check", "--seed", "-1"], "--seed: seed must be an integer "
-             "of at least 0, got '-1'"),
-            (["reduce-demo", "--seed", "-1"], "--seed: seed must be an integer "
-             "of at least 0, got '-1'"),
+            (["kraus-check", "--modes", "1"], "--modes: mode counts must be in "
+             f"2..{SEARCH_MODE_CAP}, got 1"),
+            (["reduce-demo", "--modes", "0"], "--modes: mode counts must be in "
+             f"2..{SEARCH_MODE_CAP}, got 0"),
+            (["kraus-check", "--seed", "-1"], "--seed: seeds must be non-negative, "
+             "got -1"),
+            (["reduce-demo", "--seed", "-1"], "--seed: seeds must be non-negative, "
+             "got -1"),
             # Three photons on SEARCH_MODE_CAP + 1 modes exceed SECTOR_CAP;
             # refused while parsing, before any unitary is built.
             (["kraus-check", "--modes", str(SEARCH_MODE_CAP + 1)], "--modes: mode "
-             f"count must be at most {SEARCH_MODE_CAP}, got '{SEARCH_MODE_CAP + 1}'"),
+             f"counts must be in 2..{SEARCH_MODE_CAP}, got {SEARCH_MODE_CAP + 1}"),
             (["reduce-demo", "--modes", str(SEARCH_MODE_CAP + 1)], "--modes: mode "
-             f"count must be at most {SEARCH_MODE_CAP}, got '{SEARCH_MODE_CAP + 1}'"),
+             f"counts must be in 2..{SEARCH_MODE_CAP}, got {SEARCH_MODE_CAP + 1}"),
         ],
     )
     def test_bad_mode_count_or_seed_is_usage_error(self, capsys, argv, message):
@@ -462,6 +462,35 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: argument {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize", "--modes", "2"], "mode counts must be at least 3, got 2"),
+            (["optimize", "--rank", "0"], "ranks must be in 1..2, got 0"),
+            (["optimize", "--restarts", "-1"], "restart counts must be non-negative, "
+             "got -1"),
+            (["optimize", "--seed", "1.5"], "argument --seed: seeds must be integers, "
+             "got '1.5'"),
+            (["kraus-check", "--modes", "1"], "argument --modes: mode counts must be "
+             f"in 2..{SEARCH_MODE_CAP}, got 1"),
+            (["reduce-demo", "--seed", "x"], "argument --seed: seeds must be "
+             "integers, got 'x'"),
+            (["region", "--grid-n", "1.5"], "argument --grid-n: grid sizes must be "
+             "integers, got '1.5'"),
+            (["scan-curve", "--grid-n", "1"], "grid sizes must be at least 2, got 1"),
+        ],
+    )
+    def test_every_integer_flag_speaks_the_rule(self, capsys, argv, message):
+        # One wording, fock._count's: while parsing, after the flag's name,
+        # or, for a range the library holds, as the library refuses it.
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        out, err = capsys.readouterr()
+        assert code == 64 and out == ""
+        assert err.endswith(f"error: {message}\n")
 
     def test_semantic_value_errors_map_to_usage(self, capsys):
         assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64

@@ -729,13 +729,19 @@ class TestDensityMatrix:
         assert rho.trace == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
-        "amps", [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]]
+        "amps, message",
+        [
+            pytest.param([0.0, 0.0, 0.0], "positive, finite norm", id="amps0"),
+            pytest.param([0.0, np.nan, 0.0], "non-finite", id="amps1"),
+            pytest.param([np.inf, 0.0, 0.0], "non-finite", id="amps2"),
+        ],
     )
-    def test_pure_refuses_norm_not_positive_and_finite(self, amps):
+    def test_pure_refuses_norm_not_positive_and_finite(self, amps, message):
         # Refused before dividing: numpy warns on 0 / 0 (an error under the
         # suite's RuntimeWarning filter) and would leave non-finite entries.
+        # A NaN or inf entry is refused by the array rule, before any norm.
         basis = SystemBasis(1, (0, 1, 2))
-        with pytest.raises(ValueError, match="positive, finite norm"):
+        with pytest.raises(ValueError, match=message):
             DensityMatrix.pure(basis, np.array(amps))
 
 

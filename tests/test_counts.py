@@ -2,7 +2,8 @@
 
 Every public integer argument is a Python or numpy integer in a range, and
 anything else is one ValueError naming the argument, the range and the
-value.  A float is refused even when it is integral: 2.0 is not read as 2.
+value.  A float is refused even when it is integral: 2.0 is not read as 2,
+and neither is the string "2".
 """
 
 import os
@@ -188,7 +189,7 @@ def _refusals(what, low, high):
         span = "non-negative" if low == 0 else f"at least {low}"
     outside = [low - 1] if high is None else [low - 1, high + 1]
     return [(v, f"{what} must be {span}, got {v}") for v in outside] + [
-        (v, f"{what} must be integers, got {v!r}") for v in (1.5, 2.0)
+        (v, f"{what} must be integers, got {v!r}") for v in (1.5, 2.0, "2")
     ]
 
 
@@ -221,7 +222,7 @@ def test_search_refuses_before_importing_scipy():
             args = [4, 1, 0, 0]
             args[i] = value
             bad.append(args)
-    assert len(bad) == 13
+    assert len(bad) == 17
     script = f"""
 import sys
 from nsgate import numeric_search

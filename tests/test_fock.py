@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -348,6 +349,13 @@ class TestLopCircuit:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             LopCircuit(np.ones((2, 3)))
+
+    def test_rejects_zero_modes(self):
+        # A circuit has at least one mode; the empty permanent stays 1.
+        message = "mode matrices must have shape (n, n) with n >= 1, got shape (0, 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LopCircuit(np.zeros((0, 0)))
+        assert permanent(np.zeros((0, 0))) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -1143,8 +1151,19 @@ class TestSectorMatrix:
         assert not matrix.entries.flags.writeable
 
     def test_shape_must_match_the_sector(self):
-        with pytest.raises(ValueError, match="does not match sector dim 3"):
+        message = "sector matrices must have shape (3, 3), got shape (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             SectorMatrix(FockSector(2, 2), np.eye(2))
+
+    @pytest.mark.parametrize("excess, accepted", [(2e-10, True), (1e-9, False)])
+    def test_entries_held_to_lift_tol(self, excess, accepted):
+        # diag(1, 1 + e) has U†U - I = diag(0, 2e + e^2) against LIFT_TOL.
+        entries = np.diag([1.0, 1.0 + excess])
+        if accepted:
+            SectorMatrix(FockSector(2, 1), entries)
+        else:
+            with pytest.raises(ValueError, match="sector matrix is not unitary"):
+                SectorMatrix(FockSector(2, 1), entries)
 
     @pytest.mark.parametrize("photons", [0, 1, 3])
     def test_lifted_entries_are_read_only(self, rng, photons):
