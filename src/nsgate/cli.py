@@ -195,7 +195,8 @@ def _load_matrix(path: str) -> LopCircuit:
             f"matrix must be rows of [re, im] pairs, got shape {pairs.shape}"
         )
     _mode_count(str(len(pairs)))
-    return LopCircuit(pairs[..., 0] + 1j * pairs[..., 1])
+    # A view, not re + 1j * im, which warns on an infinite part before refusal.
+    return LopCircuit(pairs.view(complex)[..., 0])
 
 
 def _cmd_kraus_check(args) -> int:

@@ -40,13 +40,20 @@ _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
+#: Scheme shapes whose read plans, system bases and one-photon schemes stay
+#: cached.  None holds anything of a unitary, so every unitary shares them.
+_PLAN_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class ConditionalScheme:
     """System/ancilla split, ancilla input, and accepted measurement outcomes.
 
     The ancilla input is a pure Fock occupation; outcomes are the occupation
     patterns whose observation makes the run count as a success.  The system
-    state space is the direct sum of the listed photon-number sectors.
+    state space, ``system_basis``, is the direct sum of the listed
+    photon-number sectors: one SystemBasis shared by every scheme of those
+    (modes, sectors), looked up once when the scheme is built, not a field.
     """
 
     system_modes: int
@@ -56,15 +63,13 @@ class ConditionalScheme:
     system_photons: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
-        fields = {
-            "system_modes": _count(self.system_modes, "system mode counts", 1),
-            "ancilla_modes": _count(self.ancilla_modes, "ancilla mode counts"),
-            "ancilla_input": as_occupation(self.ancilla_input),
-            "outcomes": tuple(map(as_occupation, self.outcomes)),
-            "system_photons": tuple(map(_count, self.system_photons)),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(
+            system_modes=_count(self.system_modes, "system mode counts", 1),
+            ancilla_modes=_count(self.ancilla_modes, "ancilla mode counts"),
+            ancilla_input=as_occupation(self.ancilla_input),
+            outcomes=tuple(map(as_occupation, self.outcomes)),
+            system_photons=tuple(map(_count, self.system_photons)),
+        )
         if len(self.ancilla_input) != self.ancilla_modes:
             raise ValueError(
                 f"ancilla input covers {len(self.ancilla_input)} modes, "
@@ -81,6 +86,8 @@ class ConditionalScheme:
                 )
         if not self.system_photons:
             raise ValueError("a scheme needs at least one system photon sector")
+        sectors = tuple(sorted(set(self.system_photons)))
+        self.__dict__["system_basis"] = _system_basis(self.system_modes, sectors)
 
     @classmethod
     def one_photon(
@@ -90,27 +97,18 @@ class ConditionalScheme:
 
         The photon enters ancilla mode ``input_mode`` and the run is accepted
         when it exits in any of ``accept_modes``; indices are zero-based over
-        the ancilla modes only.
+        the ancilla modes only.  The arguments are checked on every call,
+        then the one scheme of their shape is returned from a cache of
+        _PLAN_CACHE_SIZE shapes, so its read plan is built once.
         """
         k = _count(ancilla_modes, "ancilla mode counts", 1)
         input_mode = _count(input_mode, "input mode indices", 0, k - 1)
         accepted = [_count(m, "accepted mode indices", 0, k - 1) for m in accept_modes]
-
-        one_hot = FockSector(k, 1).states  # one_hot[m]: the photon in m
-        return cls(
-            system_modes=1,
-            ancilla_modes=k,
-            ancilla_input=one_hot[input_mode],
-            outcomes=tuple(one_hot[j] for j in accepted),
-        )
+        return _one_photon_scheme(cls, k, input_mode, tuple(accepted))
 
     @property
     def rank(self) -> int:
         return len(self.outcomes)
-
-    @cached_property
-    def system_basis(self) -> SystemBasis:
-        return SystemBasis(self.system_modes, self.system_photons)
 
     @cached_property
     def _plan(self) -> tuple:
@@ -157,7 +155,8 @@ class DensityMatrix:
     def pure(cls, basis: SystemBasis, amplitudes) -> "DensityMatrix":
         """Rank-1 state from a (normalized) amplitude vector."""
         v = _entries(amplitudes, "amplitude vectors", (basis.dim,))
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # an overflow is the inf refused below
+            norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:
             raise ValueError(
                 f"amplitude vector must have a positive, finite norm, got {norm}"
@@ -203,9 +202,22 @@ class ConditionalResult:
     normalized: Optional[DensityMatrix]
 
 
-#: Scheme shapes whose read plans stay cached.  A plan holds a basis and
-#: index arrays, nothing of the unitary, so every unitary shares it.
-_PLAN_CACHE_SIZE = 64
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _system_basis(modes: int, sectors: tuple[int, ...]) -> SystemBasis:
+    # The system basis every scheme of these (modes, sectors) shares.
+    return SystemBasis(modes, sectors)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _one_photon_scheme(cls, k: int, input_mode: int, accepted: tuple[int, ...]):
+    # The scheme of one_photon's checked arguments; a refusal is not cached.
+    one_hot = FockSector(k, 1).states  # one_hot[m]: the photon in m
+    return cls(
+        system_modes=1,
+        ancilla_modes=k,
+        ancilla_input=one_hot[input_mode],
+        outcomes=tuple(one_hot[j] for j in accepted),
+    )
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)

@@ -230,18 +230,32 @@ def _isometry_defect(x: np.ndarray) -> float:
     return np.abs(_isometry_residual(x)).max(initial=0.0)
 
 
+def _unitary(m: np.ndarray) -> np.ndarray:
+    """m itself, once max|U†U - I| and max|UU† - I| are within UNITARITY_TOL.
+
+    The one unitarity check of a mode matrix: LopCircuit runs it after
+    _entries, and gate._complete_columns on the array it built.
+    """
+    # U†U - I and, with x = U†, UU† - I.
+    defect = max(_isometry_defect(m), _isometry_defect(m.conj().T))
+    if not defect <= UNITARITY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+    return m
+
+
 def _adopt(cls, **fields):
     """Instance of the frozen dataclass cls from fields its builder proved valid.
 
     Runs no __post_init__, so it copies and checks nothing; every ndarray
-    field is frozen in place.  Only for values whose validity follows
+    field is frozen in place, and all fields are written in one __dict__
+    update (setattr still raises).  Only for values whose validity follows
     exactly from an earlier check, which the caller names.
     """
     adopted = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(adopted, name, value)
+    adopted.__dict__.update(fields)
     return adopted
 
 
@@ -252,11 +266,7 @@ class LopCircuit:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _entries(self.matrix, "mode matrices", (None, None))
-        # U†U - I and, with x = U†, UU† - I.
-        defect = max(_isometry_defect(m), _isometry_defect(m.conj().T))
-        if not defect <= UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        m = _unitary(_entries(self.matrix, "mode matrices", (None, None)))
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
 from .fock import LopCircuit, Occupation, _adopt, _count, _entries
-from .fock import _isometry_residual, _polar_completion
+from .fock import _isometry_residual, _polar_completion, _unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -227,8 +227,10 @@ def _complete_columns(cols: np.ndarray, at: Sequence[int] = ()) -> LopCircuit:
     # Mode unitary whose columns at (default the first k) are exactly the
     # given n x k orthonormal columns, the others in order the trailing left
     # singular vectors of cols, as fock._polar_completion leaves them.
-    # LopCircuit's check of the result is the completion's one unitarity
-    # check: it also refuses columns that are not orthonormal.
+    # fock._unitary on the result is the completion's one check: it also
+    # refuses columns that are not orthonormal.  The array is fresh, complex
+    # and square, and a non-finite entry would fail that check too, so the
+    # circuit adopts it with no copy.
     n, k = cols.shape
     out = _polar_completion(cols)
     out[:, :k] = cols
@@ -237,7 +239,7 @@ def _complete_columns(cols: np.ndarray, at: Sequence[int] = ()) -> LopCircuit:
         # Column c of the result is column order.index(c) of out.
         order = at + [c for c in range(n) if c not in at]
         out = out[:, np.argsort(order)]
-    return LopCircuit(out)
+    return _adopt(LopCircuit, matrix=_unitary(out))
 
 
 def _fixed_block(partial: PartialMatrix) -> tuple[list[int], list[int], np.ndarray]:
@@ -402,8 +404,8 @@ def reduce_general_ancilla(chi) -> LopCircuit:
     basis-state input, leaving all post-selected probabilities unchanged.
     """
     v = _entries(chi, "chi", (None,))
-    # |chi|^2 - 1 is entry (0, 0) of the U†U - I that LopCircuit checks on
-    # the completion, so that one check also reads chi's norm.
+    # |chi|^2 - 1 is entry (0, 0) of the U†U - I that the completion's one
+    # check reads, so that check also reads chi's norm.
     try:
         return _complete_columns(v[:, None])
     except ValueError:

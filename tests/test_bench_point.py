@@ -1,0 +1,135 @@
+"""The paired-run recorder's file, with perfbench/run.py stubbed out.
+
+No test here runs the benchmark: each tree's run.py is a stub that logs how
+it was called and prints a fixed result in run.py's output format.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_point.py"
+
+STUB = """import json, os, sys
+with open({log!r}, "a") as fh:
+    fh.write(json.dumps({{"cwd": os.getcwd(), "argv": sys.argv}}) + "\\n")
+print("passes: 3")
+print(json.dumps({{"env": {{"commit": "unknown", "seed": 1}}}}))
+metrics = {{"wall_s": {{"value": {wall}, "unit": "s"}},
+            "check_p90_ms": {{"value": {p90}, "unit": "ms"}}}}
+print(json.dumps({{"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}}))
+"""
+
+SPEC = {
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "check_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    ]
+}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_point", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root: Path, log: Path, wall: float, p90: float) -> Path:
+    (root / "src" / "nsgate").mkdir(parents=True)
+    (root / "src" / "nsgate" / "__init__.py").write_text(f"# {wall} {p90}\n")
+    (root / "perfbench").mkdir()
+    stub = STUB.format(log=str(log), wall=wall, p90=p90)
+    (root / "perfbench" / "run.py").write_text(stub)
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    return root
+
+
+@pytest.fixture
+def recorded(tmp_path):
+    log = tmp_path / "calls.jsonl"
+    parent = _tree(tmp_path / "parent", log, wall=0.03, p90=0.2)
+    change = _tree(tmp_path / "change", log, wall=0.03, p90=0.1)
+    out = tmp_path / "BENCH.json"
+    tool = _load_tool()
+    argv = ["compare", str(parent), str(change), "--output", str(out)]
+    assert tool.main(argv + ["--pairs", "4", "--seconds", "0.5", "--seed", "7"]) == 0
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    return json.loads(out.read_text()), calls, parent, change
+
+
+def test_each_side_is_one_unchanged_run_py_call_per_pair(recorded):
+    data, calls, _, _ = recorded
+    assert len(calls) == 8 and len(data["runs"]) == 8
+    for call in calls:
+        assert call["argv"][0] == "perfbench/run.py"
+        assert call["argv"][1:] == [
+            "--workload", "verify", "--seed", "7", "--seconds", "0.5", "--trace", "0"
+        ]
+    firsts = [r["side"] for r in data["runs"] if r["position"] == 0]
+    assert firsts == ["parent", "change", "parent", "change"]
+
+
+def test_paths_differ_within_each_pair_and_vary_per_side(recorded):
+    data, calls, parent, change = recorded
+    for pair in range(4):
+        runs = [r for r in data["runs"] if r["pair"] == pair]
+        assert runs[0]["path_length"] != runs[1]["path_length"]
+    for side in ("parent", "change"):
+        assert len({r["path_length"] for r in data["runs"] if r["side"] == side}) == 4
+    # Every run is from a fresh copy, never from the checkouts themselves.
+    assert not {c["cwd"] for c in calls} & {str(parent), str(change)}
+
+
+def test_sides_are_identified_by_commit_and_source_hash(recorded):
+    data, _, parent, _ = recorded
+    side = data["sides"]["parent"]
+    assert side["name"] == "parent" and side["commit"] is None
+    text = (parent / "src" / "nsgate" / "__init__.py").read_bytes()
+    assert side["src_sha256"] == hashlib.sha256(b"__init__.py\0" + text).hexdigest()
+    assert data["sides"]["change"]["src_sha256"] != side["src_sha256"]
+
+
+def test_summary_gives_quartiles_and_wins_per_metric(recorded):
+    data, _, _, _ = recorded
+    assert data["settings"] == {"pairs": 4, "seconds": 0.5, "trace": 0}
+    rows = data["summary"]["verify seed 7"]
+    p90 = rows["check_p90_ms"]
+    assert p90["parent"] == {"median": 0.2, "q1": 0.2, "q3": 0.2}
+    assert p90["change"] == {"median": 0.1, "q1": 0.1, "q3": 0.1}
+    assert (p90["wins"], p90["pairs"], p90["gap_exceeds_parent_iqr"]) == (4, 4, True)
+    # Equal values are ties, which count for neither side.
+    wall = rows["wall_s"]
+    assert (wall["wins"], wall["gap_exceeds_parent_iqr"]) == (0, False)
+    for run in data["runs"]:
+        assert run["env"]["seed"] == 1 and run["correct"] and run["failed"] == 0
+
+
+def test_rows_print_the_comparison_format():
+    tool = _load_tool()
+    summary = tool.summarize(
+        [
+            {"workload": "lift", "seed": 1, "pair": i, "side": side,
+             "metrics": {"lift_s": {"value": v, "unit": "s"}}}
+            for i, (a, b) in enumerate([(2.0, 1.0), (3.0, 3.0), (4.0, 5.0)])
+            for side, v in (("parent", a), ("change", b))
+        ],
+        {"lift_s": "lower"},
+    )
+    row = summary["lift seed 1"]["lift_s"]
+    assert row["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    assert row["wins"] == 1
+    assert tool.rows(summary) == ["lift seed 1 lift_s: 3 -> 3 s, 1/3 wins"]
+
+
+def test_a_failing_run_stops_the_comparison(tmp_path):
+    log = tmp_path / "calls.jsonl"
+    parent = _tree(tmp_path / "parent", log, wall=0.03, p90=0.2)
+    change = _tree(tmp_path / "change", log, wall=0.03, p90=0.1)
+    (change / "perfbench" / "run.py").write_text("import sys; sys.exit(2)\n")
+    argv = ["compare", str(parent), str(change), "--output", str(tmp_path / "o.json")]
+    with pytest.raises(RuntimeError, match="exited 2"):
+        _load_tool().main(argv + ["--pairs", "1", "--seconds", "0"])

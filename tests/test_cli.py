@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,22 @@ class TestKrausCheck:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"cannot read {path}")
+
+
+    def test_infinite_imaginary_part_is_one_line(self, capsys, tmp_path):
+        # The pairs become entries with no arithmetic, so numpy has nothing
+        # to warn on (1j * inf is nan + inf j, "invalid value") before
+        # LopCircuit refuses the entry.
+        path = tmp_path / "inf.json"
+        path.write_text("[[[1, 0], [0, 0]], [[0, 0], [1e400, 1e400]]]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["kraus-check", "--matrix-file", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"cannot read {path}: mode matrices must be finite, "
+            "got non-finite entries\n"
+        )
 
 
 class TestReduceDemo:

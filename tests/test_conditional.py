@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nsgate.conditional
 from nsgate import (
+    CapacityError,
     ConditionalScheme,
     DensityMatrix,
     FockSector,
@@ -239,6 +240,63 @@ class TestSchemeValidation:
         # totals 0..3 on two ancilla modes: 1 + 2 + 3 + 4 occupations
         assert scheme.rank == 10
         assert len(set(scheme.outcomes)) == 10
+
+
+class TestSchemeStatePerShape:
+    """A scheme's system basis, and a one-photon scheme, exist once per shape."""
+
+    def test_equal_schemes_share_one_system_basis(self):
+        a = ConditionalScheme(1, 2, (1, 0), ((1, 0),))
+        b = ConditionalScheme(1, 2, (1, 0), ((1, 0),))
+        permuted = ConditionalScheme(1, 2, (1, 0), ((0, 1),), (2, 0, 1, 2))
+        assert a == b and a is not b
+        assert a.system_basis is b.system_basis is permuted.system_basis
+        assert a.system_basis == SystemBasis(1, (0, 1, 2))
+        # A plain attribute, set when the scheme is built; not a field.
+        assert vars(a)["system_basis"] is a.system_basis
+        assert "system_basis" not in {f.name for f in dataclasses.fields(a)}
+        assert "system_basis" not in repr(a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.system_basis = SystemBasis(1, (0,))
+        cache = nsgate.conditional._system_basis.cache_info()
+        assert cache.maxsize == _PLAN_CACHE_SIZE
+
+    def test_a_basis_above_the_sector_cap_is_refused_when_built(self):
+        # The basis is looked up with the scheme, not at its first read.
+        with pytest.raises(CapacityError, match="6435 states"):
+            ConditionalScheme(8, 1, (1,), ((1,),), (8,))
+
+    def test_one_photon_returns_the_one_scheme_of_its_shape(self):
+        scheme = ConditionalScheme.one_photon(3, 1, (0, 2))
+        assert scheme is ConditionalScheme.one_photon(3, 1, [0, 2])
+        assert scheme is ConditionalScheme.one_photon(np.int64(3), 1, range(0, 3, 2))
+        assert scheme is not ConditionalScheme.one_photon(3, 1, (2, 0))
+        cache = nsgate.conditional._one_photon_scheme.cache_info()
+        assert cache.maxsize == _PLAN_CACHE_SIZE
+
+    def test_a_design_reads_a_warm_scheme(self, klm_optimum):
+        design, _ = klm_optimum
+        verify_ns(design.matrix, design.scheme())
+        scheme = design.scheme()
+        assert scheme is design.scheme()
+        assert "_plan" in vars(scheme)  # its read plan, built by the first read
+
+    def test_one_photon_refuses_on_every_call(self):
+        # Arguments are checked before the cache, and a refusal is not
+        # cached: 2.0 would hash as 2, whose scheme is already cached.
+        bad = [
+            ((2.0, 0, (0,)), "ancilla mode counts must be integers, got 2.0"),
+            ((2, -1, (0,)), "input mode indices must be in 0..1, got -1"),
+            ((2, 0, (2,)), "accepted mode indices must be in 0..1, got 2"),
+            ((2, 0, (0, 0)), "accepted outcomes must be distinct"),
+        ]
+        for _ in range(2):
+            ConditionalScheme.one_photon(2, 0, (0,))
+            for args, message in bad:
+                with pytest.raises(ValueError) as err:
+                    ConditionalScheme.one_photon(*args)
+                assert str(err.value) == message
+
 
 
 class TestKrausOperator:
@@ -734,12 +792,14 @@ class TestDensityMatrix:
             pytest.param([0.0, 0.0, 0.0], "positive, finite norm", id="amps0"),
             pytest.param([0.0, np.nan, 0.0], "non-finite", id="amps1"),
             pytest.param([np.inf, 0.0, 0.0], "non-finite", id="amps2"),
+            pytest.param([1e308, 1e308, 0.0], "positive, finite norm", id="amps3"),
         ],
     )
     def test_pure_refuses_norm_not_positive_and_finite(self, amps, message):
         # Refused before dividing: numpy warns on 0 / 0 (an error under the
         # suite's RuntimeWarning filter) and would leave non-finite entries.
-        # A NaN or inf entry is refused by the array rule, before any norm.
+        # A NaN or inf entry is refused by the array rule, before any norm,
+        # and finite entries whose norm overflows by the rule, not a warning.
         basis = SystemBasis(1, (0, 1, 2))
         with pytest.raises(ValueError, match=message):
             DensityMatrix.pure(basis, np.array(amps))

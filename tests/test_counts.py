@@ -64,6 +64,12 @@ RULES = [
     ),
     _rule("FockSector.modes", lambda v: FockSector(v, 1), "mode counts", 1),
     _rule("FockSector.photons", lambda v: FockSector(2, v), "photon numbers", 0),
+    _rule(
+        "FockSector.index",
+        lambda v: FockSector(2, 2).index((1, v)),
+        "photon numbers",
+        0,
+    ),
     _rule("as_occupation", lambda v: as_occupation((1, v)), "photon numbers", 0),
     _rule(
         "fock_amplitude",
@@ -187,7 +193,8 @@ def _refusals(what, low, high):
         span = f"in {low}..{high}"
     else:
         span = "non-negative" if low == 0 else f"at least {low}"
-    outside = [low - 1] if high is None else [low - 1, high + 1]
+    # Just below the floor and further below it, and just above a top end.
+    outside = [low - 1, low - 5] + ([] if high is None else [high + 1])
     return [(v, f"{what} must be {span}, got {v}") for v in outside] + [
         (v, f"{what} must be integers, got {v!r}") for v in (1.5, 2.0, "2")
     ]
@@ -222,7 +229,7 @@ def test_search_refuses_before_importing_scipy():
             args = [4, 1, 0, 0]
             args[i] = value
             bad.append(args)
-    assert len(bad) == 17
+    assert len(bad) == 21
     script = f"""
 import sys
 from nsgate import numeric_search

@@ -27,9 +27,7 @@ from nsgate import (
     SECTOR_CAP,
     SectorMatrix,
     SystemBasis,
-    decompose_by_ancilla_count,
     fock_amplitude,
-    generalized_design,
     haar_unitary,
     klm_design,
     lift_to_sector,
@@ -890,24 +888,6 @@ def assert_one_buffer(lop, plan, rows):
     assert flat.shape == (start[-1] + 1,)
     zero = flat[-1]
     assert zero == 0 and not np.signbit(zero.real) and not np.signbit(zero.imag)
-
-
-@pytest.mark.parametrize("value", [2.0, "2", 1.5])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda n: lift_to_sector(haar_unitary(3, np.random.default_rng(0)), n),
-        lambda n: haar_unitary(n, np.random.default_rng(0)),
-        lambda n: generalized_design(0.5, [0.5], n),
-        lambda n: decompose_by_ancilla_count(np.eye(6)[0], FockSector(3, 2), n),
-    ],
-    ids=["lift-photons", "haar-dim", "design-modes", "decompose-system-modes"],
-)
-def test_integer_arguments_refuse_other_types(call, value):
-    # A ValueError, never a TypeError from deeper down; 2.0 is refused, not
-    # read as 2, also where a cache key would equal 2's.
-    with pytest.raises(ValueError, match=f"must be integers, got {value!r}"):
-        call(value)
 
 
 class TestLiftBuffer:

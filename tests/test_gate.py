@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsgate.fock
+import nsgate.gate
 from nsgate import (
     ConditionalScheme,
     DensityMatrix,
@@ -636,6 +638,61 @@ class TestPermutationEquivalence:
         )
         p_swapped = apply_conditional(swapped, swapped_lop, rho).probability
         assert p_swapped == pytest.approx(p_base, abs=1e-14)
+
+
+class TestCompletionIsCheckedOnce:
+    """A completion runs one unitarity check on the array it built and
+    adopts that array, bit for bit, as its circuit."""
+
+    @staticmethod
+    def completions():
+        fixed = np.zeros((3, 3), dtype=bool)
+        fixed[:, 2] = True  # one fixed column, not the first: a permutation
+        values = np.zeros((3, 3), dtype=complex)
+        values[:, 2] = [0.6, 0.0, 0.8j]
+        chi = np.array([0.6, 0.0, 0.8j])
+        return [
+            complete_to_unitary(PartialMatrix(values, fixed)),
+            reduce_general_ancilla(chi),
+            klm_design(2**-0.25, 2**-0.25).matrix,
+            klm_design(0.3, 0.9).matrix,
+        ]
+
+    def test_completions_are_read_only_checked_circuits(self):
+        for lop in self.completions():
+            m = lop.matrix
+            assert m.dtype == complex and not m.flags.writeable
+            checked = LopCircuit(m).matrix  # the copy the circuit check makes
+            assert m.tobytes() == checked.tobytes() and m.strides == checked.strides
+        assert np.array_equal(self.completions()[0].matrix[:, 2], [0.6, 0, 0.8j])
+
+    def test_completions_run_no_circuit_check(self, monkeypatch):
+        # fock._unitary is the check; LopCircuit's __post_init__ would copy
+        # and scan the fresh array first, and check it a second time.
+        runs, checks = [], []
+        post_init, unitary = LopCircuit.__post_init__, nsgate.gate._unitary
+
+        def counted_post_init(self):
+            runs.append(1)
+            post_init(self)
+
+        def counted_unitary(m):
+            checks.append(m.shape)
+            return unitary(m)
+
+        monkeypatch.setattr(LopCircuit, "__post_init__", counted_post_init)
+        monkeypatch.setattr(nsgate.gate, "_unitary", counted_unitary)
+        self.completions()
+        assert runs == []
+        assert checks == [(3, 3), (3, 3), (3, 3), (4, 4)]
+
+    def test_refusals_keep_their_words(self):
+        with pytest.raises(ValueError, match="^chi must be normalized to one photon$"):
+            reduce_general_ancilla([1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(defect "):
+            _complete_columns(np.array([[1.0], [1.0]], dtype=complex))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.completions()[1].matrix = np.eye(3)
 
 
 class TestAncillaBlock:
