@@ -38,6 +38,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -156,7 +157,7 @@ def feasible(x2: float, y2: float) -> bool:
     True iff s + t - k s t <= X2_MAX with s = x^2, t = y^2 both at most
     X2_MAX, where k = 4 - 2 sqrt(2); every inequality has slack _REGION_TOL.
     """
-    if not (0 <= x2 < math.inf and 0 <= y2 < math.inf):
+    if not all(isinstance(v, Real) and 0 <= v < math.inf for v in (x2, y2)):
         raise ValueError(
             f"squared couplings must be finite and non-negative, got {x2}, {y2}"
         )
@@ -173,7 +174,7 @@ def _curve_figures(s):
 
 def _clamp(x2: float) -> float:
     # x^2 held to [0, X2_MAX], once it lies within _REGION_TOL of it.
-    if not -_REGION_TOL <= x2 <= X2_MAX + _REGION_TOL:
+    if not (isinstance(x2, Real) and -_REGION_TOL <= x2 <= X2_MAX + _REGION_TOL):
         raise ValueError(f"x2 must lie in [0, {X2_MAX}], got {x2}")
     return min(max(x2, 0.0), X2_MAX)
 
@@ -203,7 +204,8 @@ def maximize_boundary(
     validated, by the rule of the CLI's --tol (finite and positive).
     """
     _tolerance(tol)
-    if not 0 <= lo < hi <= X2_MAX + _REGION_TOL:
+    real = isinstance(lo, Real) and isinstance(hi, Real)
+    if not (real and 0 <= lo < hi <= X2_MAX + _REGION_TOL):
         raise ValueError(f"interval must satisfy 0 <= lo < hi <= {X2_MAX}")
     x_star = min(max(1 / SQRT2, lo), hi)
     return x_star, probability_on_boundary(x_star)

@@ -55,10 +55,9 @@ def _flag(convert, rule):
     return parse
 
 
-def _int_flag(what: str, low: float = -math.inf, high: float = math.inf):
-    # An integer flag, in low..high by fock._count.  A flag with no range here
-    # is held to the library's own on its last value, so a flag given twice
-    # still runs at the last; a cap that sizes work stays a CapacityError.
+def _int_flag(what: str, low: float, high: float = math.inf):
+    # An integer flag, in low..high by fock._count on every value given; a
+    # cap that sizes work stays the library's CapacityError.
     return _flag(int, functools.partial(_count, what=what, low=low, high=high))
 
 
@@ -265,22 +264,23 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify_klm)
 
     p = sub.add_parser("scan-curve", help="emit boundary-curve samples")
-    p.add_argument("--grid-n", type=_int_flag("grid sizes"), default=201)
+    p.add_argument("--grid-n", type=_int_flag("grid sizes", 2), default=201)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_scan_curve)
 
     p = sub.add_parser("region", help="emit the feasibility-region grid")
-    p.add_argument("--grid-n", type=_int_flag("grid sizes"), default=101)
+    p.add_argument("--grid-n", type=_int_flag("grid sizes", 2), default=101)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("optimize", help="run the numeric bound search")
-    p.add_argument("--modes", type=_int_flag("mode counts"), default=3)
-    p.add_argument("--rank", type=_int_flag("ranks"), default=1)
-    p.add_argument("--restarts", type=_int_flag("restart counts"), default=50)
-    p.add_argument("--seed", type=_int_flag("seeds"), default=0)
+    p.add_argument("--modes", type=_int_flag("mode counts", 3), default=3)
+    # Held to 1..n - 1 by the library, for the last --modes given.
+    p.add_argument("--rank", type=_int_flag("ranks", -math.inf), default=1)
+    p.add_argument("--restarts", type=_int_flag("restart counts", 0), default=50)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
 

@@ -23,6 +23,7 @@ from .fock import (
     SystemBasis,
     _adopt,
     _count,
+    _counts,
     _entries,
     _frozen,
     _isometry_defect,
@@ -30,7 +31,7 @@ from .fock import (
     _lift_levels,
     _lift_plan,
     _rank,
-    as_occupation,
+    _sequence,
 )
 
 #: Probabilities below this are treated as zero when normalizing states.
@@ -54,6 +55,8 @@ class ConditionalScheme:
     state space, ``system_basis``, is the direct sum of the listed
     photon-number sectors: one SystemBasis shared by every scheme of those
     (modes, sectors), looked up once when the scheme is built, not a field.
+    ``system_photons`` is stored as those sectors, sorted and distinct, so
+    schemes that list them in another order or with repeats are equal.
     """
 
     system_modes: int
@@ -63,31 +66,22 @@ class ConditionalScheme:
     system_photons: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
+        outcomes = _sequence(self.outcomes, "outcome lists", "occupations")
         self.__dict__.update(
             system_modes=_count(self.system_modes, "system mode counts", 1),
-            ancilla_modes=_count(self.ancilla_modes, "ancilla mode counts"),
-            ancilla_input=as_occupation(self.ancilla_input),
-            outcomes=tuple(map(as_occupation, self.outcomes)),
-            system_photons=tuple(map(_count, self.system_photons)),
+            ancilla_modes=(k := _count(self.ancilla_modes, "ancilla mode counts")),
+            ancilla_input=_counts(self.ancilla_input, "ancilla inputs", length=k),
+            outcomes=tuple([_counts(mu, "outcomes", length=k) for mu in outcomes]),
         )
-        if len(self.ancilla_input) != self.ancilla_modes:
-            raise ValueError(
-                f"ancilla input covers {len(self.ancilla_input)} modes, "
-                f"scheme has {self.ancilla_modes}"
-            )
+        sectors = tuple(sorted(set(_counts(self.system_photons, "photon sectors"))))
         if not self.outcomes:
             raise ValueError("a scheme needs at least one accepted outcome")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("accepted outcomes must be distinct")
-        for occ in self.outcomes:
-            if len(occ) != self.ancilla_modes:
-                raise ValueError(
-                    f"outcome {occ} does not cover {self.ancilla_modes} ancilla modes"
-                )
-        if not self.system_photons:
+        if not sectors:
             raise ValueError("a scheme needs at least one system photon sector")
-        sectors = tuple(sorted(set(self.system_photons)))
-        self.__dict__["system_basis"] = _system_basis(self.system_modes, sectors)
+        basis = _system_basis(self.system_modes, sectors)
+        self.__dict__.update(system_photons=sectors, system_basis=basis)
 
     @classmethod
     def one_photon(
@@ -103,8 +97,8 @@ class ConditionalScheme:
         """
         k = _count(ancilla_modes, "ancilla mode counts", 1)
         input_mode = _count(input_mode, "input mode indices", 0, k - 1)
-        accepted = [_count(m, "accepted mode indices", 0, k - 1) for m in accept_modes]
-        return _one_photon_scheme(cls, k, input_mode, tuple(accepted))
+        modes = _counts(accept_modes, "accept_modes", "accepted mode indices", 0, k - 1)
+        return _one_photon_scheme(cls, k, input_mode, modes)
 
     @property
     def rank(self) -> int:
@@ -324,11 +318,7 @@ def kraus_operator(
     of the mode unitary lifted to that total-photon sector; entries that
     would break photon conservation are exact zeros.
     """
-    outcome = as_occupation(outcome)
-    if len(outcome) != scheme.ancilla_modes:
-        raise ValueError(
-            f"outcome {outcome} does not cover {scheme.ancilla_modes} ancilla modes"
-        )
+    outcome = _counts(outcome, "outcomes", length=scheme.ancilla_modes)
     out_basis, stack = _kraus_stack(scheme, lop, [outcome])
     # Row 0 of a fresh complex stack, (out dim, in dim) by the plan.
     return _adopt(

@@ -79,6 +79,23 @@ def _count(value, what: str = "photon numbers", low=0, high=math.inf) -> int:
     raise ValueError(f"{what} must be {span}, got {n}")
 
 
+def _sequence(value, what: str, of: str) -> tuple:
+    # A sequence argument as a tuple, else one ValueError naming it.
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be sequences of {of}, got {value!r}") from None
+
+
+def _counts(value, what, of="photon numbers", low=0, high=math.inf, length=None):
+    # The one rule for sequences of counts: a tuple of ints, each in low..high
+    # by _count's rule and words, of the given length where one is known.
+    counts = tuple([_count(v, of, low, high) for v in _sequence(value, what, of)])
+    if length is not None and len(counts) != length:
+        raise ValueError(f"{what} must have length {length}, got {counts}")
+    return counts
+
+
 def _tolerance(value) -> float:
     # The one rule for tolerances: a real number, finite and positive.
     if isinstance(value, numbers.Real) and 0 < value < math.inf:
@@ -111,12 +128,7 @@ def _entries(value, what: str, shape: tuple) -> np.ndarray:
 
 def as_occupation(counts: Iterable[int]) -> Occupation:
     """Normalize a sequence of photon counts to a validated tuple."""
-    try:
-        return tuple(map(_count, counts))
-    except TypeError:
-        raise ValueError(
-            f"occupations must be sequences of photon numbers, got {counts!r}"
-        ) from None
+    return _counts(counts, "occupations")
 
 
 def _rank(occ: np.ndarray) -> np.ndarray:
@@ -169,7 +181,8 @@ class SystemBasis:
 
     def __init__(self, modes: int, photon_sectors: Iterable[int]):
         self.modes = modes = _count(modes, "mode counts", 1)
-        self.sectors = sectors = tuple(sorted(set(map(_count, photon_sectors))))
+        sectors = _counts(photon_sectors, "photon sectors")
+        self.sectors = sectors = tuple(sorted(set(sectors)))
         self.states, self._offsets, self._occupations = _basis_table(modes, sectors)
 
     @property
@@ -322,17 +335,15 @@ def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
     Equals the permanent of the submatrix of the mode unitary with column j
     repeated in_occ[j] times and row i repeated out_occ[i] times, divided by
     sqrt of the product of factorials of all occupations.  Exactly 0 when the
-    photon totals differ; CapacityError above PHOTON_CAP photons.
+    photon totals differ; CapacityError above PHOTON_CAP photons, before any work.
     """
-    in_occ = as_occupation(in_occ)
-    out_occ = as_occupation(out_occ)
-    if len(in_occ) != lop.dim or len(out_occ) != lop.dim:
-        raise ValueError(
-            f"occupations must have {lop.dim} modes, "
-            f"got {len(in_occ)} and {len(out_occ)}"
-        )
-    if sum(in_occ) != sum(out_occ):
+    in_occ = _counts(in_occ, "occupations", length=lop.dim)
+    out_occ = _counts(out_occ, "occupations", length=lop.dim)
+    photons = sum(in_occ)
+    if photons != sum(out_occ):
         return 0j
+    if photons > PHOTON_CAP:
+        raise CapacityError(f"{photons} photons exceed the cap of {PHOTON_CAP}")
     cols = np.repeat(np.arange(lop.dim), in_occ)
     rows = np.repeat(np.arange(lop.dim), out_occ)
     norm = math.prod(math.factorial(c) for c in in_occ + out_occ)

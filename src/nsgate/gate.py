@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Complex
 from typing import Sequence
 
 import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
-from .fock import LopCircuit, Occupation, _adopt, _count, _entries
+from .fock import LopCircuit, Occupation, _adopt, _count, _counts, _entries, _sequence
 from .fock import _isometry_residual, _polar_completion, _unitary
 
 SQRT2 = math.sqrt(2.0)
@@ -130,7 +131,7 @@ def _gate_figures(u: np.ndarray, accept: Sequence[int]) -> tuple[float, float]:
 def _accepted(modes, total_modes: int) -> tuple[int, ...]:
     # Distinct modes in 1..total_modes - 1: a mode listed twice would count
     # its photon's probability twice.
-    accept = tuple(_count(j, "accepted modes", 1, total_modes - 1) for j in modes)
+    accept = _counts(modes, "accept_modes", "accepted modes", 1, total_modes - 1)
     if not accept or len(set(accept)) < len(accept):
         raise ValueError(f"accepted modes must be distinct and non-empty, got {accept}")
     return accept
@@ -308,9 +309,10 @@ def generalized_design(
     placements are mode permutations of this one.  The predicted success
     probability is (|x|^2 / 2) * sum(|y_j|^2).
     """
+    y_list = _sequence(y_list, "y_list", "couplings")
     s = len(y_list)
     n = _count(total_modes, "mode counts", s + 1)
-    if not abs(x) <= 1 or any(not abs(y) <= 1 for y in y_list):
+    if not all(isinstance(z, Complex) and abs(z) <= 1 for z in (x, *y_list)):
         raise ValueError("coupling moduli must lie in [0, 1]")
 
     values = np.zeros((n, n), dtype=complex)
@@ -363,7 +365,7 @@ def verify_ns(lop: LopCircuit, scheme: ConditionalScheme) -> NsReport:
     """
     if scheme.system_modes != 1:
         raise ValueError("sign-shift verification needs a single system mode")
-    if set(scheme.system_photons) != {0, 1, 2}:
+    if scheme.system_photons != (0, 1, 2):
         raise ValueError("sign-shift verification needs photon sectors {0, 1, 2}")
     n_in = sum(scheme.ancilla_input)
     for mu in scheme.outcomes:

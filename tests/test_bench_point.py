@@ -17,10 +17,15 @@ STUB = """import json, os, sys
 with open({log!r}, "a") as fh:
     fh.write(json.dumps({{"cwd": os.getcwd(), "argv": sys.argv}}) + "\\n")
 print("passes: 3")
+print("wall_s: {wall} s")
+print("check_p90_ms: {p90} ms")
+print("curve_s: {curve} s")
+print("failed: curve(3): no result 2")
 print(json.dumps({{"env": {{"commit": "unknown", "seed": 1}}}}))
 metrics = {{"wall_s": {{"value": {wall}, "unit": "s"}},
             "check_p90_ms": {{"value": {p90}, "unit": "ms"}}}}
-print(json.dumps({{"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}}))
+print(json.dumps({{"correct": True, "attempted": 9, "failed": {failed},
+                  "metrics": metrics}}))
 """
 
 SPEC = {
@@ -38,11 +43,11 @@ def _load_tool():
     return module
 
 
-def _tree(root: Path, log: Path, wall: float, p90: float) -> Path:
+def _tree(root: Path, log: Path, wall: float, p90: float, failed: int = 0) -> Path:
     (root / "src" / "nsgate").mkdir(parents=True)
     (root / "src" / "nsgate" / "__init__.py").write_text(f"# {wall} {p90}\n")
     (root / "perfbench").mkdir()
-    stub = STUB.format(log=str(log), wall=wall, p90=p90)
+    stub = STUB.format(log=str(log), wall=wall, p90=p90, curve=wall / 3, failed=failed)
     (root / "perfbench" / "run.py").write_text(stub)
     (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
     return root
@@ -52,7 +57,7 @@ def _tree(root: Path, log: Path, wall: float, p90: float) -> Path:
 def recorded(tmp_path):
     log = tmp_path / "calls.jsonl"
     parent = _tree(tmp_path / "parent", log, wall=0.03, p90=0.2)
-    change = _tree(tmp_path / "change", log, wall=0.03, p90=0.1)
+    change = _tree(tmp_path / "change", log, wall=0.03, p90=0.1, failed=2)
     out = tmp_path / "BENCH.json"
     tool = _load_tool()
     argv = ["compare", str(parent), str(change), "--output", str(out)]
@@ -104,8 +109,34 @@ def test_summary_gives_quartiles_and_wins_per_metric(recorded):
     # Equal values are ties, which count for neither side.
     wall = rows["wall_s"]
     assert (wall["wins"], wall["gap_exceeds_parent_iqr"]) == (0, False)
+    assert p90["gated"] and wall["gated"]
     for run in data["runs"]:
-        assert run["env"]["seed"] == 1 and run["correct"] and run["failed"] == 0
+        assert run["env"]["seed"] == 1 and run["correct"]
+        assert run["failed"] == (2 if run["side"] == "change" else 0)
+
+
+def test_phase_metrics_are_kept_and_marked_not_gated(recorded):
+    # A phase metric run.py prints only as a text line is parsed into each
+    # run and summarized like the end-to-end ones; the end-to-end lines and
+    # a failure detail are not phases.
+    data, _, _, _ = recorded
+    for run in data["runs"]:
+        assert run["phases"] == {"curve_s": {"value": 0.01, "unit": "s"}}
+    curve = data["summary"]["verify seed 7"]["curve_s"]
+    assert curve["gated"] is False and curve["unit"] == "s"
+    assert curve["parent"]["median"] == curve["change"]["median"] == 0.01
+
+
+def test_failed_ops_are_summarized_and_printed_per_side(recorded, tmp_path):
+    data, _, _, _ = recorded
+    ops = data["summary"]["verify seed 7"]["ops"]
+    assert ops == {
+        "parent": {"failed": 0, "attempted": 36, "correct": True},
+        "change": {"failed": 8, "attempted": 36, "correct": True},
+    }
+    lines = _load_tool().rows(data["summary"])
+    assert lines[-1] == "verify seed 7 ops: parent 0/36 failed; change 8/36 failed"
+    assert "verify seed 7 curve_s: 0.01 -> 0.01 s, 0/4 wins (not gated)" in lines
 
 
 def test_rows_print_the_comparison_format():
@@ -113,6 +144,7 @@ def test_rows_print_the_comparison_format():
     summary = tool.summarize(
         [
             {"workload": "lift", "seed": 1, "pair": i, "side": side,
+             "correct": side == "parent", "attempted": 5, "failed": 0,
              "metrics": {"lift_s": {"value": v, "unit": "s"}}}
             for i, (a, b) in enumerate([(2.0, 1.0), (3.0, 3.0), (4.0, 5.0)])
             for side, v in (("parent", a), ("change", b))
@@ -122,7 +154,10 @@ def test_rows_print_the_comparison_format():
     row = summary["lift seed 1"]["lift_s"]
     assert row["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
     assert row["wins"] == 1
-    assert tool.rows(summary) == ["lift seed 1 lift_s: 3 -> 3 s, 1/3 wins"]
+    assert tool.rows(summary) == [
+        "lift seed 1 lift_s: 3 -> 3 s, 1/3 wins",
+        "lift seed 1 ops: parent 0/15 failed; change 0/15 failed, not correct",
+    ]
 
 
 def test_a_failing_run_stops_the_comparison(tmp_path):

@@ -483,10 +483,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["optimize", "--modes", "2"], "mode counts must be at least 3, got 2"),
+            (["optimize", "--modes", "2"], "argument --modes: mode counts must be at "
+             "least 3, got 2"),
             (["optimize", "--rank", "0"], "ranks must be in 1..2, got 0"),
-            (["optimize", "--restarts", "-1"], "restart counts must be non-negative, "
-             "got -1"),
+            (["optimize", "--restarts", "-1"], "argument --restarts: restart counts "
+             "must be non-negative, got -1"),
             (["optimize", "--seed", "1.5"], "argument --seed: seeds must be integers, "
              "got '1.5'"),
             (["kraus-check", "--modes", "1"], "argument --modes: mode counts must be "
@@ -495,12 +496,13 @@ class TestUsageErrors:
              "integers, got 'x'"),
             (["region", "--grid-n", "1.5"], "argument --grid-n: grid sizes must be "
              "integers, got '1.5'"),
-            (["scan-curve", "--grid-n", "1"], "grid sizes must be at least 2, got 1"),
+            (["scan-curve", "--grid-n", "1"], "argument --grid-n: grid sizes must be "
+             "at least 2, got 1"),
         ],
     )
     def test_every_integer_flag_speaks_the_rule(self, capsys, argv, message):
         # One wording, fock._count's: while parsing, after the flag's name,
-        # or, for a range the library holds, as the library refuses it.
+        # or, for --rank, whose range the library holds, as it refuses it.
         try:
             code = main(argv)
         except SystemExit as exit_:
@@ -510,9 +512,30 @@ class TestUsageErrors:
         assert err.endswith(f"error: {message}\n")
 
     def test_semantic_value_errors_map_to_usage(self, capsys):
-        assert main(["optimize", "--modes", "2", "--restarts", "0"]) == 64
-        assert main(["scan-curve", "--grid-n", "1"]) == 64
+        for argv in (
+            ["optimize", "--modes", "2", "--restarts", "0"],
+            ["scan-curve", "--grid-n", "1"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 64
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--grid-n", "0", "--grid-n", "18"],
+            ["optimize", "--seed", "-1", "--seed", "3", "--restarts", "0"],
+        ],
+    )
+    def test_every_value_of_a_repeated_flag_holds_its_range(self, capsys, argv):
+        # A value out of range is refused while parsing, even when a later
+        # value of the same flag is in range.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: argument {argv[1]}: " in err
 
     @pytest.mark.parametrize(
         "argv",

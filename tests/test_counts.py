@@ -254,20 +254,20 @@ assert "scipy" not in sys.modules, "scipy was imported before the refusals"
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, what",
     [
-        lambda: as_occupation(5),
-        lambda: kraus_operator(_SCHEME, _haar(3), 5),
-        lambda: SystemBasis(2, [0, 1]).index(3),
-        lambda: ConditionalScheme(1, 1, (1,), outcomes=(1,)),
-        lambda: ConditionalScheme(1, 1, 1, outcomes=((1,),)),
+        (lambda: as_occupation(5), "occupations"),
+        (lambda: kraus_operator(_SCHEME, _haar(3), 5), "outcomes"),
+        (lambda: SystemBasis(2, [0, 1]).index(3), "occupations"),
+        (lambda: ConditionalScheme(1, 1, (1,), outcomes=(1,)), "outcomes"),
+        (lambda: ConditionalScheme(1, 1, 1, outcomes=((1,),)), "ancilla inputs"),
     ],
     ids=["as_occupation", "kraus_operator", "index", "outcomes", "ancilla_input"],
 )
-def test_occupation_that_is_not_a_sequence_is_a_value_error(call):
+def test_occupation_that_is_not_a_sequence_is_a_value_error(call, what):
     # Not a TypeError from iterating an int: an occupation is refused in
-    # the rule's words.
+    # the sequence rule's words, naming the argument.
     with pytest.raises(ValueError) as err:
         call()
-    expected = r"occupations must be sequences of photon numbers, got \d"
+    expected = rf"{what} must be sequences of photon numbers, got \d"
     assert re.fullmatch(expected, str(err.value))

@@ -373,18 +373,6 @@ class TestGeneralizedDesign:
                 design.predicted_probability, abs=1e-10
             )
 
-    @pytest.mark.parametrize("extra", [-1, -5])
-    def test_negative_extra_modes_rejected(self, extra):
-        design = generalized_design(0.5, [0.5], total_modes=3)
-        with pytest.raises(ValueError, match="max_extra_modes"):
-            complete_design(design, max_extra_modes=extra)
-
-    @pytest.mark.parametrize("extra", [1.5, 2.0])
-    def test_non_integral_extra_modes_rejected(self, extra):
-        design = generalized_design(0.5, [0.5], total_modes=3)
-        with pytest.raises(ValueError, match=f"integers, got {extra}"):
-            complete_design(design, max_extra_modes=extra)
-
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             generalized_design(0.5, [1.4], total_modes=3)

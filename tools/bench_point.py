@@ -13,11 +13,16 @@ two copies of a pair sit at paths of different lengths, each side taking
 four lengths in turn: the checkout path alone moves ``lift_s`` by up to 20 %
 (ROADMAP F6), so no side keeps one path.  The file is rewritten after every
 pair.  It holds each side's ``git rev-parse HEAD`` (null without a ``.git``)
-and a SHA-256 over its ``src/nsgate/*.py``, every run's metrics, and for
-each workload and seed, each end-to-end metric's median and quartiles on
-both sides and the pairs the change wins, ties counting for neither.  A
-row per metric is printed in the form "parent median -> change median,
-wins/pairs".
+and a SHA-256 over its ``src/nsgate/*.py``, and every run's result line:
+its ``correct``, ``attempted`` and ``failed`` ops and its end-to-end
+metrics, plus the phase metrics run.py prints only as ``name: value unit``
+lines (``curve_s``, ``cli_s``, ...) under ``phases``.  For each workload and
+seed the summary gives each metric's median and quartiles on both sides and
+the pairs the change wins, ties counting for neither, with ``gated`` false
+for a phase metric, and under ``ops`` each side's failed and attempted ops
+over its runs and whether every run was correct.  A row per metric is
+printed in the form "parent median -> change median, wins/pairs", then one
+row of ops per workload and seed.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -33,6 +39,9 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# A metric line of run.py's text output: "curve_s: 0.00123 s".
+METRIC_LINE = re.compile(r"(\w+): (\S+) (\w+)")
 
 
 def tree_identity(tree: Path) -> dict:
@@ -70,7 +79,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"run.py in {root} exited {proc.returncode}: {proc.stderr}")
     env = next(json.loads(x)["env"] for x in lines if x.startswith('{"env"'))
-    return {"env": env, **json.loads(lines[-1])}
+    result = json.loads(lines[-1])
+    phases = {}
+    for match in filter(None, map(METRIC_LINE.fullmatch, lines)):
+        name, value, unit = match.groups()
+        if name not in result["metrics"]:
+            try:
+                phases[name] = {"value": float(value), "unit": unit}
+            except ValueError:  # an op's failure detail, not a metric
+                continue
+    return {"env": env, **result, "phases": phases}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -83,7 +101,12 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and seed, each metric's quartiles per side and wins."""
+    """Per workload and seed, each metric's quartiles per side and wins.
+
+    End-to-end metrics are the ones a run's result line holds; phase metrics
+    (under a run's ``phases``) are summarized the same way, marked not
+    gated.  The ``ops`` entry counts each side's failed and attempted ops.
+    """
     groups: dict[tuple, dict[int, dict]] = {}
     for run in runs:
         key = (run["workload"], run["seed"])
@@ -92,25 +115,36 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     for (workload, seed), pairs in groups.items():
         complete = [p for p in pairs.values() if set(p) == set(SIDES)]
         table = {}
-        for name in complete[0]["parent"]["metrics"] if complete else ():
-            values = {
-                side: [p[side]["metrics"][name]["value"] for p in complete]
-                for side in SIDES
+        for field in ("metrics", "phases") if complete else ():
+            for name, first in complete[0]["parent"].get(field, {}).items():
+                values = {
+                    side: [p[side][field][name]["value"] for p in complete]
+                    for side in SIDES
+                }
+                direction = better.get(name, "lower")
+                sign = -1 if direction == "lower" else 1
+                wins = sum(sign * (c - p) > 0 for p, c in zip(*values.values()))
+                parent, change = (_quartiles(values[side]) for side in SIDES)
+                table[name] = {
+                    "unit": first["unit"],
+                    "better": direction,
+                    "gated": field == "metrics",
+                    "parent": parent,
+                    "change": change,
+                    "wins": wins,
+                    "pairs": len(complete),
+                    "gap_exceeds_parent_iqr": abs(change["median"] - parent["median"])
+                    > parent["q3"] - parent["q1"],
+                }
+        sides = {side: [p[side] for p in pairs.values() if side in p] for side in SIDES}
+        table["ops"] = {
+            side: {
+                "failed": sum(run["failed"] for run in side_runs),
+                "attempted": sum(run["attempted"] for run in side_runs),
+                "correct": all(run["correct"] for run in side_runs),
             }
-            direction = better.get(name, "lower")
-            sign = -1 if direction == "lower" else 1
-            wins = sum(sign * (c - p) > 0 for p, c in zip(*values.values()))
-            parent, change = (_quartiles(values[side]) for side in SIDES)
-            table[name] = {
-                "unit": complete[0]["parent"]["metrics"][name]["unit"],
-                "better": direction,
-                "parent": parent,
-                "change": change,
-                "wins": wins,
-                "pairs": len(complete),
-                "gap_exceeds_parent_iqr": abs(change["median"] - parent["median"])
-                > parent["q3"] - parent["q1"],
-            }
+            for side, side_runs in sides.items()
+        }
         summary[f"{workload} seed {seed}"] = table
     return summary
 
@@ -150,13 +184,28 @@ def compare(args) -> dict:
 
 
 def rows(summary: dict) -> list[str]:
-    """One line per metric: parent median -> change median, wins/pairs."""
-    return [
-        f"{group} {name}: {r['parent']['median']:.4g} -> {r['change']['median']:.4g} "
-        f"{r['unit']}, {r['wins']}/{r['pairs']} wins"
-        for group, metrics in summary.items()
-        for name, r in metrics.items()
-    ]
+    """One line per metric: parent median -> change median, wins/pairs.
+
+    A phase metric's line ends in "(not gated)"; each workload and seed
+    ends in a line of each side's failed/attempted ops and correctness.
+    """
+    lines = []
+    for group, metrics in summary.items():
+        for name, r in metrics.items():
+            if name == "ops":
+                continue
+            lines.append(
+                f"{group} {name}: {r['parent']['median']:.4g} -> "
+                f"{r['change']['median']:.4g} {r['unit']}, {r['wins']}/{r['pairs']} "
+                f"wins{'' if r['gated'] else ' (not gated)'}"
+            )
+        ops = [
+            f"{side} {o['failed']}/{o['attempted']} failed"
+            f"{'' if o['correct'] else ', not correct'}"
+            for side, o in metrics["ops"].items()
+        ]
+        lines.append(f"{group} ops: {'; '.join(ops)}")
+    return lines
 
 
 def main(argv=None) -> int:
