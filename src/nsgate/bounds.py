@@ -158,8 +158,9 @@ def feasible(x2: float, y2: float) -> bool:
     X2_MAX, where k = 4 - 2 sqrt(2); every inequality has slack _REGION_TOL.
     """
     if not all(isinstance(v, Real) and 0 <= v < math.inf for v in (x2, y2)):
+        shown = ", ".join(str(v) if isinstance(v, Real) else repr(v) for v in (x2, y2))
         raise ValueError(
-            f"squared couplings must be finite and non-negative, got {x2}, {y2}"
+            f"squared couplings must be finite and non-negative, got {shown}"
         )
     return bool(_feasible(x2, y2))
 
@@ -175,7 +176,8 @@ def _curve_figures(s):
 def _clamp(x2: float) -> float:
     # x^2 held to [0, X2_MAX], once it lies within _REGION_TOL of it.
     if not (isinstance(x2, Real) and -_REGION_TOL <= x2 <= X2_MAX + _REGION_TOL):
-        raise ValueError(f"x2 must lie in [0, {X2_MAX}], got {x2}")
+        shown = x2 if isinstance(x2, Real) else repr(x2)  # "1" is not the number 1
+        raise ValueError(f"x2 must lie in [0, {X2_MAX}], got {shown}")
     return min(max(x2, 0.0), X2_MAX)
 
 

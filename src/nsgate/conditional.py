@@ -32,6 +32,7 @@ from .fock import (
     _lift_plan,
     _rank,
     _sequence,
+    _typed,
 )
 
 #: Probabilities below this are treated as zero when normalizing states.
@@ -130,7 +131,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        d = self.basis.dim
+        d = _typed(self.basis, SystemBasis, "basis").dim
         e = _entries(self.entries, "density matrices", (d, d))
         if not np.abs(e - e.conj().T).max(initial=0.0) <= _HERM_TOL:
             raise ValueError("density matrix must be Hermitian")
@@ -148,7 +149,8 @@ class DensityMatrix:
     @classmethod
     def pure(cls, basis: SystemBasis, amplitudes) -> "DensityMatrix":
         """Rank-1 state from a (normalized) amplitude vector."""
-        v = _entries(amplitudes, "amplitude vectors", (basis.dim,))
+        dim = _typed(basis, SystemBasis, "basis").dim
+        v = _entries(amplitudes, "amplitude vectors", (dim,))
         with np.errstate(over="ignore"):  # an overflow is the inf refused below
             norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:
@@ -174,7 +176,9 @@ class MeasurementOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        shape = (self.out_basis.dim, self.in_basis.dim)
+        _typed(self.scheme, ConditionalScheme, "scheme")
+        out = _typed(self.out_basis, SystemBasis, "out_basis")
+        shape = (out.dim, self.in_basis.dim)
         e = _entries(self.entries, "measurement operators", shape)
         object.__setattr__(self, "entries", e)
 
@@ -318,6 +322,8 @@ def kraus_operator(
     of the mode unitary lifted to that total-photon sector; entries that
     would break photon conservation are exact zeros.
     """
+    isinstance(scheme, ConditionalScheme) or _typed(scheme, ConditionalScheme, "scheme")
+    isinstance(lop, LopCircuit) or _typed(lop, LopCircuit, "lop")
     outcome = _counts(outcome, "outcomes", length=scheme.ancilla_modes)
     out_basis, stack = _kraus_stack(scheme, lop, [outcome])
     # Row 0 of a fresh complex stack, (out dim, in dim) by the plan.
@@ -334,6 +340,9 @@ def apply_conditional(
     scheme: ConditionalScheme, lop: LopCircuit, rho: DensityMatrix
 ) -> ConditionalResult:
     """Conditional output state and success probability for an input state."""
+    _typed(scheme, ConditionalScheme, "scheme")
+    _typed(lop, LopCircuit, "lop")
+    _typed(rho, DensityMatrix, "rho")
     if rho.basis != scheme.system_basis:
         raise ValueError("input state is not defined on the scheme's system basis")
     if rho.trace <= NORM_EPS:
@@ -364,11 +373,13 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
     operators; an input sector that no accepted outcome reaches keeps zero
     columns and a defect of 1.
     """
+    isinstance(scheme, ConditionalScheme) or _typed(scheme, ConditionalScheme, "scheme")
+    isinstance(lop, LopCircuit) or _typed(lop, LopCircuit, "lop")
     return float(_isometry_defect(_kraus_matrix(scheme, lop, scheme.outcomes)[1]))
 
 
 def decompose_by_ancilla_count(
-    state, sector: FockSector, system_modes: int
+    state, sector: SystemBasis, system_modes: int
 ) -> dict[int, np.ndarray]:
     """Split a global fixed-total state vector by ancilla photon count.
 
@@ -376,7 +387,7 @@ def decompose_by_ancilla_count(
     the sector total; the components sum back to the state and their squared
     norms add up to the state's squared norm.
     """
-    vec = _entries(state, "state vectors", (sector.dim,))
+    vec = _entries(state, "state vectors", (_typed(sector, SystemBasis, "sector").dim,))
     system_modes = _count(system_modes, "system mode counts", 1, sector.modes - 1)
     return dict(enumerate(np.where(_ancilla_masks(sector, system_modes), vec, 0)))
 

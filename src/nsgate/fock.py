@@ -103,6 +103,14 @@ def _tolerance(value) -> float:
     raise ValueError(f"tolerance must be finite and positive, got {value!r}")
 
 
+def _typed(value, cls: type, what: str):
+    # The one rule for record arguments: value itself if it is a cls.  Pure
+    # reads (lift, amplitude, Kraus) test isinstance inline, calling it to raise.
+    if isinstance(value, cls):
+        return value
+    raise ValueError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
+
+
 def _entries(value, what: str, shape: tuple) -> np.ndarray:
     # The one rule for array arguments: a frozen complex copy of value, finite
     # numbers of the given shape, where a None is a free length of at least 1,
@@ -291,11 +299,11 @@ class LopCircuit:
 class SectorMatrix:
     """A mode unitary lifted to one photon-number sector, unitary to LIFT_TOL."""
 
-    sector: FockSector
+    sector: SystemBasis
     entries: np.ndarray
 
     def __post_init__(self):
-        d = self.sector.dim
+        d = _typed(self.sector, SystemBasis, "sector").dim
         e = _entries(self.entries, "sector matrices", (d, d))
         defect = _isometry_defect(e)
         if not defect <= LIFT_TOL:
@@ -337,6 +345,7 @@ def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
     sqrt of the product of factorials of all occupations.  Exactly 0 when the
     photon totals differ; CapacityError above PHOTON_CAP photons, before any work.
     """
+    isinstance(lop, LopCircuit) or _typed(lop, LopCircuit, "lop")
     in_occ = _counts(in_occ, "occupations", length=lop.dim)
     out_occ = _counts(out_occ, "occupations", length=lop.dim)
     photons = sum(in_occ)
@@ -494,6 +503,7 @@ def lift_to_sector(lop: LopCircuit, photons: int) -> SectorMatrix:
     too: 356 KB against the top level's 254 KB at 5 modes and 5 photons.
     Raises CapacityError above PHOTON_CAP photons or SECTOR_CAP states.
     """
+    isinstance(lop, LopCircuit) or _typed(lop, LopCircuit, "lop")
     # Counted first, as the plan cache would take 2.0 as the key 2, and the
     # plan's cap checks come before any state of the sector is enumerated.
     photons = _count(photons)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .conditional import ConditionalScheme, _kraus_stack
 from .fock import LopCircuit, Occupation, _adopt, _count, _counts, _entries, _sequence
-from .fock import _isometry_residual, _polar_completion, _unitary
+from .fock import _isometry_residual, _polar_completion, _typed, _unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,7 +145,8 @@ class GeneralizedDesign:
     accept_modes: tuple[int, ...]
 
     def __post_init__(self):
-        accept = _accepted(self.accept_modes, self.partial.dim)
+        dim = _typed(self.partial, PartialMatrix, "partial").dim
+        accept = _accepted(self.accept_modes, dim)
         object.__setattr__(self, "accept_modes", accept)
 
     @property
@@ -167,6 +168,7 @@ class NsDesign:
     accept_modes: tuple[int, ...]
 
     def __post_init__(self):
+        _typed(self.matrix, LopCircuit, "matrix")
         accept = _accepted(self.accept_modes, self.total_modes)
         object.__setattr__(self, "accept_modes", accept)
         defects = _sign_shift_defects(self.matrix.matrix, accept)
@@ -295,6 +297,7 @@ def complete_to_unitary(partial: PartialMatrix) -> LopCircuit:
     exists iff G = I - F†F is positive semidefinite and its rank fits in the
     free rows; the error names the violated condition.
     """
+    _typed(partial, PartialMatrix, "partial")
     return _complete_block(*_fixed_block(partial), partial.dim, partial.dim)
 
 
@@ -337,7 +340,7 @@ def complete_design(design: GeneralizedDesign, max_extra_modes: int = 2) -> NsDe
     G is the fixed columns' Gram; at most max_extra_modes vacuum modes are added.
     """
     max_extra_modes = _count(max_extra_modes, "max_extra_modes")
-    base = design.partial.dim
+    base = _typed(design, GeneralizedDesign, "design").partial.dim
     circuit = _complete_block(
         *_fixed_block(design.partial), base, base + max_extra_modes
     )
@@ -363,6 +366,8 @@ def verify_ns(lop: LopCircuit, scheme: ConditionalScheme) -> NsReport:
     together with per-outcome and total success probabilities.  A failing
     gate yields a large residual, not an error.
     """
+    _typed(lop, LopCircuit, "lop")
+    _typed(scheme, ConditionalScheme, "scheme")
     if scheme.system_modes != 1:
         raise ValueError("sign-shift verification needs a single system mode")
     if scheme.system_photons != (0, 1, 2):
@@ -422,11 +427,7 @@ def ancilla_block(system_modes: int, ancilla_unitary: LopCircuit) -> LopCircuit:
     0 ⊕ (VV† − I) entry for entry, so B's defects are V's (computed, they
     differ only in the order a matmul sums V's entries).
     """
-    if not isinstance(ancilla_unitary, LopCircuit):
-        raise ValueError(
-            "ancilla unitary must be a LopCircuit, "
-            f"got {type(ancilla_unitary).__name__}"
-        )
+    _typed(ancilla_unitary, LopCircuit, "ancilla_unitary")
     s = _count(system_modes, "system mode counts")
     out = np.eye(s + ancilla_unitary.dim, dtype=complex)
     out[s:, s:] = ancilla_unitary.matrix

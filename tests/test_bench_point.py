@@ -1,12 +1,15 @@
 """The paired-run recorder's file, with perfbench/run.py stubbed out.
 
 No test here runs the benchmark: each tree's run.py is a stub that logs how
-it was called and prints a fixed result in run.py's output format.
+it was called and prints a fixed result in run.py's output format, and each
+cold whole run is a stubbed subprocess that starts nothing.
 """
 
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,12 +57,28 @@ def _tree(root: Path, log: Path, wall: float, p90: float, failed: int = 0) -> Pa
 
 
 @pytest.fixture
-def recorded(tmp_path):
+def cold_log():
+    return []
+
+
+@pytest.fixture
+def recorded(tmp_path, monkeypatch, cold_log):
     log = tmp_path / "calls.jsonl"
     parent = _tree(tmp_path / "parent", log, wall=0.03, p90=0.2)
     change = _tree(tmp_path / "change", log, wall=0.03, p90=0.1, failed=2)
     out = tmp_path / "BENCH.json"
     tool = _load_tool()
+    real_run = subprocess.run
+
+    def run(cmd, **kwargs):
+        # The run.py stub runs; a cold run is logged and exits as nsgate
+        # does: 1 for the search on a shape with no free mode, else 0.
+        if cmd[1] == "perfbench/run.py":
+            return real_run(cmd, **kwargs)
+        cold_log.append((cmd, kwargs))
+        return subprocess.CompletedProcess(cmd, int("--restarts" in cmd))
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
     argv = ["compare", str(parent), str(change), "--output", str(out)]
     assert tool.main(argv + ["--pairs", "4", "--seconds", "0.5", "--seed", "7"]) == 0
     calls = [json.loads(line) for line in log.read_text().splitlines()]
@@ -168,3 +187,27 @@ def test_a_failing_run_stops_the_comparison(tmp_path):
     argv = ["compare", str(parent), str(change), "--output", str(tmp_path / "o.json")]
     with pytest.raises(RuntimeError, match="exited 2"):
         _load_tool().main(argv + ["--pairs", "1", "--seconds", "0"])
+
+
+def test_cold_runs_are_fresh_interpreters_kept_apart_from_the_gate(recorded, cold_log):
+    data, _, parent, change = recorded
+    tool = _load_tool()
+    cold = data["cold"]
+    assert (cold["gated"], cold["repeats"]) == (False, 3)
+    for side in ("parent", "change"):
+        assert list(cold[side]) == list(tool.COLD_COMMANDS)
+        for command, run in cold[side].items():
+            assert run["exits"] == [int("--restarts" in command)] * 3
+            assert run["best_s"] >= 0
+    assert len(cold_log) == 2 * 3 * len(tool.COLD_COMMANDS)
+    assert cold_log[0][0] == [sys.executable, "-c", "import nsgate.cli"]
+    assert cold_log[-1][0][1:] == ["-m", "nsgate", "scan-curve", "--grid-n", "1001"]
+    for _, kwargs in cold_log:
+        # Each side runs its own fresh copy, never the checkout.
+        assert kwargs["env"]["PYTHONPATH"] == str(Path(kwargs["cwd"]) / "src")
+        assert Path(kwargs["cwd"]) not in (parent, change)
+    assert len({str(kwargs["cwd"]) for _, kwargs in cold_log}) == 2
+    line = "cold verify-klm: 0 -> 0 s, exit [0, 0, 0] -> [0, 0, 0] (not gated)"
+    rows = tool.cold_rows({side: {"verify-klm": {"best_s": 0, "exits": [0] * 3}}
+                           for side in ("parent", "change")})
+    assert rows == [line]

@@ -130,14 +130,6 @@ class TestEnumerateSector:
         assert basis[0] == (3, 0, 0, 0)
         assert list(basis) == sorted(basis, reverse=True)
 
-    def test_zero_modes_rejected(self):
-        with pytest.raises(ValueError):
-            FockSector(0, 1)
-
-    def test_negative_photons_rejected(self):
-        with pytest.raises(ValueError):
-            FockSector(2, -1)
-
     def test_sector_at_cap_accepted(self):
         assert FockSector(7, 7).dim == SECTOR_CAP
 
@@ -309,10 +301,6 @@ class TestPermanent:
         expected = naive_permanent(m)
         assert abs(permanent(m) - expected) / abs(expected) <= 1e-12
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            permanent(np.ones((2, 3)))
-
     def test_size_above_cap_rejected(self):
         with pytest.raises(CapacityError):
             permanent(np.eye(PHOTON_CAP + 1))
@@ -322,10 +310,6 @@ class TestLopCircuit:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             LopCircuit(np.array([[1.0, 0.0], [0.0, 1.1]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            LopCircuit(np.ones((2, 3)))
 
     def test_rejects_zero_modes(self):
         # A circuit has at least one mode; the empty permanent stays 1.
@@ -465,11 +449,6 @@ class TestFockAmplitude:
         # permanent [[u00,u01],[u00,u01]] / sqrt(2) = 2*u00*u01/sqrt(2)
         assert amp == pytest.approx(2 * 0.5 / math.sqrt(2))
 
-    def test_length_mismatch_rejected(self, rng):
-        lop = haar_unitary(3, rng)
-        with pytest.raises(ValueError):
-            fock_amplitude(lop, (1, 0), (1, 0, 0))
-
     def test_capacity_cap(self, rng):
         lop = haar_unitary(2, rng)
         over = PHOTON_CAP + 1
@@ -588,10 +567,6 @@ class TestLiftToSector:
             lift_to_sector(haar_unitary(2, rng), PHOTON_CAP + 1)
         with pytest.raises(CapacityError):
             lift_to_sector(LopCircuit(np.eye(1)), 10**9)
-
-    def test_negative_photons_rejected(self, rng):
-        with pytest.raises(ValueError, match="must be non-negative, got -1"):
-            lift_to_sector(haar_unitary(2, rng), -1)
 
     def test_sector_above_cap_rejected_before_lifting(self, rng):
         # 8 photons pass the photon cap, but the (8, 8) sector has 6435 states.

@@ -691,11 +691,6 @@ class TestAncillaBlock:
         assert np.allclose(g.matrix[2:, 2:], v.matrix)
         assert np.abs(g.matrix[:2, 2:]).max() == 0
 
-    def test_ancilla_unitary_must_be_a_circuit(self):
-        # A raw array carries no unitarity proof for the block to rest on.
-        with pytest.raises(ValueError, match="must be a LopCircuit, got ndarray"):
-            ancilla_block(1, np.eye(2))
-
     @pytest.mark.parametrize("system_modes", [1.5, 2.0, "1", None, -1])
     def test_system_modes_must_be_a_non_negative_integer(self, rng, system_modes):
         with pytest.raises(ValueError, match="mode count"):

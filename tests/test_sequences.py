@@ -185,11 +185,18 @@ def test_accepted_value_passes_as_any_sequence(call, valid, what, of, low, high,
         (lambda: NsDesign(_KLM, 1), "accept_modes must be sequences of accepted "
          "modes, got 1"),
         # Real and complex arguments that are not numbers, in each function's
-        # words for a number out of range.
+        # words for a number out of range, the value shown as a non-number.
         (lambda: feasible("a", 0.1), "squared couplings must be finite and "
-         "non-negative, got a, 0.1"),
-        (lambda: boundary_y2("a"), f"x2 must lie in [0, {X2_MAX}], got a"),
-        (lambda: probability_on_boundary("a"), f"x2 must lie in [0, {X2_MAX}], got a"),
+         "non-negative, got 'a', 0.1"),
+        (lambda: boundary_y2("a"), f"x2 must lie in [0, {X2_MAX}], got 'a'"),
+        (lambda: boundary_y2("1"), f"x2 must lie in [0, {X2_MAX}], got '1'"),
+        (lambda: probability_on_boundary("a"), f"x2 must lie in [0, {X2_MAX}], "
+         "got 'a'"),
+        # A number keeps its plain form, a numpy scalar included.
+        (lambda: feasible(np.float64(-1), 0.1), "squared couplings must be finite "
+         "and non-negative, got -1.0, 0.1"),
+        (lambda: boundary_y2(np.float64(0.9)), f"x2 must lie in [0, {X2_MAX}], "
+         "got 0.9"),
         (lambda: maximize_boundary(1e-10, "a", 0.5), "interval must satisfy "
          f"0 <= lo < hi <= {X2_MAX}"),
         (lambda: generalized_design("a", [0.5], 3), "coupling moduli must lie in "
@@ -207,7 +214,10 @@ def test_accepted_value_passes_as_any_sequence(call, valid, what, of, low, high,
         "NsDesign",
         "feasible",
         "boundary_y2",
+        "boundary_y2.numeral",
         "probability_on_boundary",
+        "feasible.number",
+        "boundary_y2.number",
         "maximize_boundary",
         "generalized_design.x",
         "generalized_design.y",

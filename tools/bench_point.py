@@ -20,9 +20,14 @@ lines (``curve_s``, ``cli_s``, ...) under ``phases``.  For each workload and
 seed the summary gives each metric's median and quartiles on both sides and
 the pairs the change wins, ties counting for neither, with ``gated`` false
 for a phase metric, and under ``ops`` each side's failed and attempted ops
-over its runs and whether every run was correct.  A row per metric is
-printed in the form "parent median -> change median, wins/pairs", then one
-row of ops per workload and seed.
+over its runs and whether every run was correct.  After the pairs, the
+``cold`` section, not gated, times each command of ``COLD_COMMANDS`` (the
+cold whole runs of the ROADMAP's Baseline table) in ``COLD_REPEATS`` fresh
+interpreters per side, the sides alternating run by run in fresh copies,
+and keeps each command's best wall time and every run's exit code.  A row
+per metric is printed in the form "parent median -> change median,
+wins/pairs", then one row of ops per workload and seed, then one row per
+cold command.
 """
 
 from __future__ import annotations
@@ -30,18 +35,38 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 # A metric line of run.py's text output: "curve_s: 0.00123 s".
 METRIC_LINE = re.compile(r"(\w+): (\S+) (\w+)")
+
+#: Whole runs timed cold, each in a fresh interpreter: an import, or the
+#: arguments of ``python -m nsgate``.
+COLD_COMMANDS = (
+    "import nsgate.cli",
+    "verify-klm",
+    "kraus-check --modes 4",
+    "kraus-check --modes 20",
+    "reduce-demo --modes 20",
+    "optimize",
+    "optimize --modes 4 --rank 2",
+    "optimize --modes 3 --rank 2 --restarts 10",
+    "region --grid-n 1001",
+    "scan-curve --grid-n 1001",
+)
+
+#: Fresh interpreters per cold command and side; the best time is kept.
+COLD_REPEATS = 3
 
 
 def tree_identity(tree: Path) -> dict:
@@ -89,6 +114,34 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             except ValueError:  # an op's failure detail, not a metric
                 continue
     return {"env": env, **result, "phases": phases}
+
+
+def cold_runs(roots: dict[str, Path]) -> dict:
+    """Each side's best wall time and exit codes for every cold command.
+
+    Every run is a fresh interpreter in the side's root, with only its
+    ``src`` on PYTHONPATH and output discarded; the side that runs first
+    alternates from run to run.
+    """
+    cold = {"gated": False, "repeats": COLD_REPEATS, **{side: {} for side in SIDES}}
+    for command in COLD_COMMANDS:
+        args = command.split()
+        argv = ["-c", command] if args[0] == "import" else ["-m", "nsgate", *args]
+        times = {side: [] for side in SIDES}
+        exits = {side: [] for side in SIDES}
+        for repeat in range(COLD_REPEATS):
+            for side in SIDES if repeat % 2 == 0 else SIDES[::-1]:
+                env = {**os.environ, "PYTHONPATH": str(roots[side] / "src")}
+                start = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, *argv], cwd=roots[side], env=env,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False,
+                )
+                times[side].append(time.perf_counter() - start)
+                exits[side].append(proc.returncode)
+        for side in SIDES:
+            cold[side][command] = {"best_s": min(times[side]), "exits": exits[side]}
+    return cold
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -180,6 +233,9 @@ def compare(args) -> dict:
                         })
                     result["summary"] = summarize(result["runs"], better)
                     output.write_text(json.dumps(result, indent=1) + "\n")
+        roots = {side: _copy_tree(trees[side], Path(work) / side) for side in SIDES}
+        result["cold"] = cold_runs(roots)
+        output.write_text(json.dumps(result, indent=1) + "\n")
     return result
 
 
@@ -208,6 +264,15 @@ def rows(summary: dict) -> list[str]:
     return lines
 
 
+def cold_rows(cold: dict) -> list[str]:
+    """One line per cold command: parent best -> change best, exit codes."""
+    return [
+        f"cold {command}: {p['best_s']:.3g} -> {c['best_s']:.3g} s, exit "
+        f"{p['exits']} -> {c['exits']} (not gated)"
+        for (command, p), c in zip(cold["parent"].items(), cold["change"].values())
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,7 +288,7 @@ def main(argv=None) -> int:
     args.workload = args.workload or ["verify"]
     args.seed = args.seed or [1]
     result = compare(args)
-    print("\n".join(rows(result["summary"])))
+    print("\n".join(rows(result["summary"]) + cold_rows(result["cold"])))
     return 0
 
 
