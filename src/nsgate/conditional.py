@@ -147,7 +147,7 @@ class DensityMatrix:
         return float(self.entries.trace().real)
 
     @classmethod
-    def pure(cls, basis: SystemBasis, amplitudes) -> "DensityMatrix":
+    def pure(cls, basis: SystemBasis, amplitudes: np.ndarray) -> "DensityMatrix":
         """Rank-1 state from a (normalized) amplitude vector."""
         dim = _typed(basis, SystemBasis, "basis").dim
         v = _entries(amplitudes, "amplitude vectors", (dim,))
@@ -176,11 +176,18 @@ class MeasurementOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        _typed(self.scheme, ConditionalScheme, "scheme")
+        scheme = _typed(self.scheme, ConditionalScheme, "scheme")
+        outcome = _counts(self.outcome, "outcomes", length=scheme.ancilla_modes)
         out = _typed(self.out_basis, SystemBasis, "out_basis")
+        # The output basis is the one the outcome's read plan gives.
+        want = _stack_plan(scheme.system_basis, scheme.ancilla_input, (outcome,))[0]
+        if out != want:
+            raise ValueError(
+                f"out_basis must be {want} for outcome {outcome}, got {out}"
+            )
         shape = (out.dim, self.in_basis.dim)
         e = _entries(self.entries, "measurement operators", shape)
-        object.__setattr__(self, "entries", e)
+        self.__dict__.update(outcome=outcome, entries=e)
 
     @property
     def in_basis(self) -> SystemBasis:
@@ -313,7 +320,7 @@ def _kraus_stack(
 
 
 def kraus_operator(
-    scheme: ConditionalScheme, lop: LopCircuit, outcome
+    scheme: ConditionalScheme, lop: LopCircuit, outcome: Iterable[int]
 ) -> MeasurementOperator:
     """Extract the measurement operator for one ancilla outcome.
 
@@ -379,7 +386,7 @@ def completeness_defect(scheme: ConditionalScheme, lop: LopCircuit) -> float:
 
 
 def decompose_by_ancilla_count(
-    state, sector: SystemBasis, system_modes: int
+    state: np.ndarray, sector: SystemBasis, system_modes: int
 ) -> dict[int, np.ndarray]:
     """Split a global fixed-total state vector by ancilla photon count.
 

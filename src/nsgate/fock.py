@@ -303,8 +303,10 @@ class SectorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        d = _typed(self.sector, SystemBasis, "sector").dim
-        e = _entries(self.entries, "sector matrices", (d, d))
+        sector = _typed(self.sector, SystemBasis, "sector")
+        if len(sectors := sector.sectors) != 1:
+            raise ValueError(f"sector must hold one photon number, got {sectors}")
+        e = _entries(self.entries, "sector matrices", (sector.dim, sector.dim))
         defect = _isometry_defect(e)
         if not defect <= LIFT_TOL:
             raise ValueError(f"sector matrix is not unitary (defect {defect:.3e})")
@@ -319,7 +321,7 @@ def _ryser_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(subsets.astype(float), signs)
 
 
-def permanent(m) -> complex:
+def permanent(m: np.ndarray) -> complex:
     """Permanent of a square complex matrix.
 
     The empty 0 x 0 matrix has permanent 1.  Every other size is one Ryser
@@ -337,7 +339,9 @@ def permanent(m) -> complex:
     return complex(signs @ np.prod(subsets @ a.T, axis=1))
 
 
-def fock_amplitude(lop: LopCircuit, in_occ, out_occ) -> complex:
+def fock_amplitude(
+    lop: LopCircuit, in_occ: Iterable[int], out_occ: Iterable[int]
+) -> complex:
     """Transition amplitude <out|U|in> between Fock states.
 
     Equals the permanent of the submatrix of the mode unitary with column j
@@ -536,5 +540,6 @@ def _polar_completion(z: np.ndarray) -> np.ndarray:
 def haar_unitary(dim: int, rng: np.random.Generator) -> LopCircuit:
     """Haar-distributed random mode unitary: the polar factor of a Gaussian."""
     dim = _count(dim, "dimensions", 1)
+    rng = _typed(rng, np.random.Generator, "rng")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return LopCircuit(_polar_completion(z))

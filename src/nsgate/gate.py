@@ -20,6 +20,7 @@ from numbers import Complex
 from typing import Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .conditional import ConditionalScheme, _kraus_stack
 from .fock import LopCircuit, Occupation, _adopt, _count, _counts, _entries, _sequence
@@ -61,13 +62,19 @@ class PartialMatrix:
     """Square matrix with a boolean mask flagging the fixed entries."""
 
     values: np.ndarray
-    fixed: np.ndarray
+    fixed: npt.NDArray[np.bool_]
 
     def __post_init__(self):
         v = _entries(self.values, "partial matrices", (None, None))
-        f = np.array(self.fixed, dtype=bool)
-        if f.shape != v.shape:
-            raise ValueError("fixed-entry mask must match the matrix shape")
+        try:
+            f = np.array(self.fixed)
+            got = f"{f.dtype} of shape {f.shape}"
+        except ValueError:  # a ragged nesting, which has no shape
+            f, got = None, "a ragged nesting"
+        if f is None or f.dtype != bool or f.shape != v.shape:
+            raise ValueError(
+                f"fixed-entry masks must be bool arrays of shape {v.shape}, got {got}"
+            )
         f.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "fixed", f)
@@ -401,7 +408,7 @@ def verify_ns(lop: LopCircuit, scheme: ConditionalScheme) -> NsReport:
     )
 
 
-def reduce_general_ancilla(chi) -> LopCircuit:
+def reduce_general_ancilla(chi: np.ndarray) -> LopCircuit:
     """Ancilla-only unitary turning the one-photon basis input into |chi>.
 
     Returns the k x k unitary whose first column is the amplitude vector chi,

@@ -24,7 +24,7 @@ print("wall_s: {wall} s")
 print("check_p90_ms: {p90} ms")
 print("curve_s: {curve} s")
 print("failed: curve(3): no result 2")
-print(json.dumps({{"env": {{"commit": "unknown", "seed": 1}}}}))
+print(json.dumps({{"env": {{"commit": "unknown", "seed": 1, "passes": 3}}}}))
 metrics = {{"wall_s": {{"value": {wall}, "unit": "s"}},
             "check_p90_ms": {{"value": {p90}, "unit": "ms"}}}}
 print(json.dumps({{"correct": True, "attempted": 9, "failed": {failed},
@@ -144,6 +144,18 @@ def test_phase_metrics_are_kept_and_marked_not_gated(recorded):
     curve = data["summary"]["verify seed 7"]["curve_s"]
     assert curve["gated"] is False and curve["unit"] == "s"
     assert curve["parent"]["median"] == curve["change"]["median"] == 0.01
+
+
+def test_child_rusage_is_kept_per_run_and_summarized_not_gated(recorded):
+    # os.wait4 on the run.py child: its own minor faults and max RSS.
+    data, _, _, _ = recorded
+    for run in data["runs"]:
+        usage = {name: m["value"] for name, m in run["rusage"].items()}
+        assert usage["minflt"] > 0 and usage["maxrss"] > 1000  # kB of a python
+        assert usage["minflt_per_pass"] == usage["minflt"] / 3
+    rows = data["summary"]["verify seed 7"]
+    for name in ("minflt", "minflt_per_pass", "maxrss"):
+        assert rows[name]["gated"] is False and rows[name]["pairs"] == 4
 
 
 def test_failed_ops_are_summarized_and_printed_per_side(recorded, tmp_path):

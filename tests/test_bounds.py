@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -159,21 +158,6 @@ class TestMaximizeBoundary:
         assert x2_star == pytest.approx(0.2, abs=1e-6)
         assert p_star == pytest.approx(grid_max, abs=1e-9)
         assert p_star < 0.25
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            maximize_boundary(0.0)
-
-    def test_nan_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            maximize_boundary(math.nan)
-
-    @pytest.mark.parametrize("tol", [math.inf, -math.inf, -1.0, "1e-10", None])
-    def test_tolerance_follows_the_cli_rule(self, tol):
-        # fock._tolerance, which --tol parses through: a finite, positive real.
-        message = f"tolerance must be finite and positive, got {tol!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            maximize_boundary(tol)
 
 
 class TestExactCertificate:

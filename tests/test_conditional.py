@@ -751,12 +751,6 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(basis, np.diag([0.8, -0.3]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, bad):
-        basis = SystemBasis(1, (0, 1))
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(basis, np.array([[0.5, 0.0], [0.0, bad]]))
-
     def test_pure_normalizes(self):
         basis = SystemBasis(1, (0, 1, 2))
         rho = DensityMatrix.pure(basis, np.array([2.0, 0, 0]))

@@ -177,15 +177,6 @@ class TestCompleteToUnitary:
         circuit = complete_to_unitary(PartialMatrix(values, mask))
         assert np.allclose(circuit.matrix[0], row)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_partial_matrix_rejected(self, bad):
-        values = np.zeros((3, 3), dtype=complex)
-        values[0, :2] = (1 - math.sqrt(2.0), bad)
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[0, :2] = True
-        with pytest.raises(ValueError, match="non-finite"):
-            PartialMatrix(values, mask)
-
     def test_fully_fixed_unitary_accepted(self, rng):
         u = haar_unitary(3, rng)
         mask = np.ones((3, 3), dtype=bool)
@@ -566,11 +557,6 @@ class TestReduceGeneralAncilla:
         reduce_general_ancilla(chi / np.linalg.norm(chi))
         assert calls == [(4, 4), (4, 4)]
 
-    @pytest.mark.parametrize("chi", [[np.nan, 0.0], [1.0, np.inf], [complex("nan+1j")]])
-    def test_non_finite_rejected(self, chi):
-        with pytest.raises(ValueError, match="non-finite"):
-            reduce_general_ancilla(chi)
-
     def test_pipeline_equivalence(self, rng):
         # preparing |chi> inside the circuit must reproduce the physics of
         # feeding |chi> directly, outcome by outcome
@@ -690,11 +676,6 @@ class TestAncillaBlock:
         assert np.allclose(g.matrix[:2, :2], np.eye(2))
         assert np.allclose(g.matrix[2:, 2:], v.matrix)
         assert np.abs(g.matrix[:2, 2:]).max() == 0
-
-    @pytest.mark.parametrize("system_modes", [1.5, 2.0, "1", None, -1])
-    def test_system_modes_must_be_a_non_negative_integer(self, rng, system_modes):
-        with pytest.raises(ValueError, match="mode count"):
-            ancilla_block(system_modes, haar_unitary(2, rng))
 
     def test_block_makes_no_gram(self, rng, monkeypatch):
         calls = []

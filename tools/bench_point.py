@@ -16,11 +16,14 @@ pair.  It holds each side's ``git rev-parse HEAD`` (null without a ``.git``)
 and a SHA-256 over its ``src/nsgate/*.py``, and every run's result line:
 its ``correct``, ``attempted`` and ``failed`` ops and its end-to-end
 metrics, plus the phase metrics run.py prints only as ``name: value unit``
-lines (``curve_s``, ``cli_s``, ...) under ``phases``.  For each workload and
-seed the summary gives each metric's median and quartiles on both sides and
-the pairs the change wins, ties counting for neither, with ``gated`` false
-for a phase metric, and under ``ops`` each side's failed and attempted ops
-over its runs and whether every run was correct.  After the pairs, the
+lines (``curve_s``, ``cli_s``, ...) under ``phases``, and under ``rusage``
+the child's minor page faults (whole and per pass) and max RSS, which
+``os.wait4`` returns when it reaps run.py: a fault count shows which heap
+mode a run was in (ROADMAP F6).  For each workload and seed the summary
+gives each metric's median and quartiles on both sides and the pairs the
+change wins, ties counting for neither, with ``gated`` false for a phase or
+rusage metric, and under ``ops`` each side's failed and attempted ops over
+its runs and whether every run was correct.  After the pairs, the
 ``cold`` section, not gated, times each command of ``COLD_COMMANDS`` (the
 cold whole runs of the ROADMAP's Baseline table) in ``COLD_REPEATS`` fresh
 interpreters per side, the sides alternating run by run in fresh copies,
@@ -94,15 +97,21 @@ def _copy_tree(tree: Path, dest: Path) -> Path:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run of perfbench/run.py in root: its env and result lines."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=False,
-    )
-    lines = proc.stdout.strip().splitlines()
+    """One untraced run of perfbench/run.py in root: env, results and rusage."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=root, stdout=out, stderr=err,
+        )
+        # Reaped here, not by Popen, so that the child's own rusage is read.
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        lines, stderr = out.read().strip().splitlines(), err.read()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"run.py in {root} exited {proc.returncode}: {proc.stderr}")
+        raise RuntimeError(f"run.py in {root} exited {proc.returncode}: {stderr}")
     env = next(json.loads(x)["env"] for x in lines if x.startswith('{"env"'))
     result = json.loads(lines[-1])
     phases = {}
@@ -113,7 +122,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
                 phases[name] = {"value": float(value), "unit": unit}
             except ValueError:  # an op's failure detail, not a metric
                 continue
-    return {"env": env, **result, "phases": phases}
+    rusage = {
+        "minflt": {"value": usage.ru_minflt, "unit": "count"},
+        "minflt_per_pass": {"value": usage.ru_minflt / env["passes"], "unit": "count"},
+        "maxrss": {"value": usage.ru_maxrss, "unit": "kB"},  # kilobytes on Linux
+    }
+    return {"env": env, **result, "phases": phases, "rusage": rusage}
 
 
 def cold_runs(roots: dict[str, Path]) -> dict:
@@ -156,9 +170,10 @@ def _quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and seed, each metric's quartiles per side and wins.
 
-    End-to-end metrics are the ones a run's result line holds; phase metrics
-    (under a run's ``phases``) are summarized the same way, marked not
-    gated.  The ``ops`` entry counts each side's failed and attempted ops.
+    End-to-end metrics are the ones a run's result line holds; phase and
+    rusage metrics (under a run's ``phases`` and ``rusage``) are summarized
+    the same way, marked not gated.  The ``ops`` entry counts each side's
+    failed and attempted ops.
     """
     groups: dict[tuple, dict[int, dict]] = {}
     for run in runs:
@@ -168,7 +183,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     for (workload, seed), pairs in groups.items():
         complete = [p for p in pairs.values() if set(p) == set(SIDES)]
         table = {}
-        for field in ("metrics", "phases") if complete else ():
+        for field in ("metrics", "phases", "rusage") if complete else ():
             for name, first in complete[0]["parent"].get(field, {}).items():
                 values = {
                     side: [p[side][field][name]["value"] for p in complete]
