@@ -178,7 +178,7 @@ def _clamp(x2: float) -> float:
     if not (isinstance(x2, Real) and -_REGION_TOL <= x2 <= X2_MAX + _REGION_TOL):
         shown = x2 if isinstance(x2, Real) else repr(x2)  # "1" is not the number 1
         raise ValueError(f"x2 must lie in [0, {X2_MAX}], got {shown}")
-    return min(max(x2, 0.0), X2_MAX)
+    return float(min(max(x2, 0.0), X2_MAX))
 
 
 def boundary_y2(x2: float) -> float:
@@ -209,7 +209,7 @@ def maximize_boundary(
     real = isinstance(lo, Real) and isinstance(hi, Real)
     if not (real and 0 <= lo < hi <= X2_MAX + _REGION_TOL):
         raise ValueError(f"interval must satisfy 0 <= lo < hi <= {X2_MAX}")
-    x_star = min(max(1 / SQRT2, lo), hi)
+    x_star = float(min(max(1 / SQRT2, lo), hi))
     return x_star, probability_on_boundary(x_star)
 
 

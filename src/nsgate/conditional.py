@@ -356,8 +356,13 @@ def apply_conditional(
         raise ValueError("input state must have positive trace")
     out_basis, stack = _kraus_stack(scheme, lop, scheme.outcomes)
     acc = (stack @ rho.entries @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
-    probability = float(acc.trace().real)
-    probability = min(max(probability, 0.0), 1.0)
+    trace = float(acc.trace().real)
+    if trace > 1 + _HERM_TOL:
+        # A circuit within UNITARITY_TOL may pass a unit input's trace by n
+        # times it (term (a) of lift_to_sector's proof): scaled back to 1.
+        acc /= trace
+        trace = float(acc.trace().real)
+    probability = min(max(trace, 0.0), 1.0)
     rho_bar = DensityMatrix(out_basis, acc)
     normalized = None
     if probability > NORM_EPS:

@@ -2,7 +2,7 @@
 
 No test here runs the benchmark: each tree's run.py is a stub that logs how
 it was called and prints a fixed result in run.py's output format, and each
-cold whole run is a stubbed subprocess that starts nothing.
+cold whole run and tier-1 run is a stubbed subprocess that starts nothing.
 """
 
 import hashlib
@@ -76,6 +76,8 @@ def recorded(tmp_path, monkeypatch, cold_log):
         if cmd[1] == "perfbench/run.py":
             return real_run(cmd, **kwargs)
         cold_log.append((cmd, kwargs))
+        if "pytest" in cmd:  # tier-1, with pytest's last line
+            return subprocess.CompletedProcess(cmd, 0, stdout="3 passed in 0.1s\n")
         return subprocess.CompletedProcess(cmd, int("--restarts" in cmd))
 
     monkeypatch.setattr(tool.subprocess, "run", run)
@@ -204,6 +206,12 @@ def test_a_failing_run_stops_the_comparison(tmp_path):
 def test_cold_runs_are_fresh_interpreters_kept_apart_from_the_gate(recorded, cold_log):
     data, _, parent, change = recorded
     tool = _load_tool()
+    # Tier-1 runs last, once per side, on a fresh copy of the whole tree.
+    cold_log[:], tier1 = cold_log[:-2], cold_log[-2:]
+    assert [(cmd[1:], Path(kw["cwd"]).name) for cmd, kw in tier1] == [
+        (list(tool.TIER1), f"tier1_{side}") for side in ("parent", "change")]
+    assert data["tier1"]["gated"] is False
+    assert "3 -> 3 passed, exit 0 -> 0 (not gated)" in tool.tier1_row(data["tier1"])
     cold = data["cold"]
     assert (cold["gated"], cold["repeats"]) == (False, 3)
     for side in ("parent", "change"):

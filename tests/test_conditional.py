@@ -547,6 +547,18 @@ class TestApplyConditional:
             assert eigs.min() >= -1e-10
             assert result.rho_bar.trace == pytest.approx(result.probability)
 
+    @pytest.mark.parametrize("excess", [2e-12, 0.999e-10])
+    def test_every_outcome_of_a_circuit_just_within_tolerance(self, excess):
+        # cW with c^2 - 1 = excess: every outcome of a unit 3-photon input has
+        # trace c^6, past DensityMatrix's slack, so it is scaled back to 1.
+        w = haar_unitary(3, np.random.default_rng(1)).matrix
+        scheme = ConditionalScheme(1, 2, (1, 0), ((1, 0),)).all_outcomes()
+        rho = DensityMatrix.pure(scheme.system_basis, [0, 0, 1])
+        exact = apply_conditional(scheme, LopCircuit(w), rho).rho_bar.entries
+        result = apply_conditional(scheme, LopCircuit(np.sqrt(1 + excess) * w), rho)
+        assert result.probability == result.rho_bar.trace == pytest.approx(1, abs=1e-15)
+        assert np.abs(result.rho_bar.entries - exact).max() <= 1e-15
+
     def test_normalized_state_exposed(self, klm_optimum, rng):
         design, scheme = klm_optimum
         psi = rng.standard_normal(3)

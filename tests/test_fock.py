@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
+from sympy import ZZ_I
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import strategies as st
 
 import nsgate.conditional
@@ -27,6 +29,7 @@ from nsgate import (
     SECTOR_CAP,
     SectorMatrix,
     SystemBasis,
+    UNITARITY_TOL,
     fock_amplitude,
     haar_unitary,
     klm_design,
@@ -489,26 +492,6 @@ class TestLiftToSector:
         lifted = lift_to_sector(u, 1)
         assert np.allclose(lifted.entries, u.matrix, atol=1e-14)
 
-    def test_two_photon_sector_unitary(self, rng):
-        lifted = lift_to_sector(haar_unitary(3, rng), 2)
-        assert lifted.entries.shape == (6, 6)
-        defect = np.abs(
-            lifted.entries.conj().T @ lifted.entries - np.eye(6)
-        ).max()
-        assert defect <= 1e-9
-
-    def test_sector_unitarity_sweep(self, rng):
-        # 100 random circuits across dims <= 4 and photon numbers <= 4.
-        cases = [(d, p) for d in (1, 2, 3, 4) for p in (0, 1, 2, 3, 4)] * 5
-        assert len(cases) == 100
-        for dim, photons in cases:
-            lifted = lift_to_sector(haar_unitary(dim, rng), photons)
-            d = lifted.sector.dim
-            defect = np.abs(
-                lifted.entries.conj().T @ lifted.entries - np.eye(d)
-            ).max()
-            assert defect <= 1e-9
-
     def test_composition_homomorphism(self, rng):
         for photons in (2, 3):
             a = haar_unitary(3, rng)
@@ -539,19 +522,13 @@ class TestLiftToSector:
         )
         assert np.abs(lifted.entries - expected).max() <= 1e-12
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(
-        modes=st.integers(1, 5),
-        photons=st.integers(0, 4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_lift_is_unitary_within_lift_tol(self, modes, photons, seed):
-        # Both Grams, taken literally rather than through _isometry_defect.
-        lop = haar_unitary(modes, np.random.default_rng(seed))
-        lifted = lift_to_sector(lop, photons)
-        u, eye = lifted.entries, np.eye(lifted.sector.dim)
-        assert np.abs(u.conj().T @ u - eye).max() <= LIFT_TOL
-        assert np.abs(u @ u.conj().T - eye).max() <= LIFT_TOL
+    def test_lift_is_unitary_within_lift_tol(self, rng):
+        # Both Grams, taken literally, of five Haar circuits of every shape.
+        for modes, photons, _ in itertools.product(range(1, 6), range(5), range(5)):
+            u = lift_to_sector(haar_unitary(modes, rng), photons).entries
+            eye = np.eye(len(u))
+            assert np.abs(u.conj().T @ u - eye).max() <= LIFT_TOL
+            assert np.abs(u @ u.conj().T - eye).max() <= LIFT_TOL
 
     def test_photons_above_cap_rejected(self, rng):
         with pytest.raises(CapacityError):
@@ -1093,6 +1070,128 @@ class TestExactLift:
         phase = numeric[2, 0] / exact[2, 0]
         assert abs(abs(phase) - 1) <= 1e-15
         assert np.abs(numeric - np.diag([1, 1, phase]) @ exact).max() <= 1e-15
+
+
+def gamma(k):
+    """Higham's γ_k = ku / (1 - ku), u = 2^-53."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def proved_terms(modes, photons, e=UNITARITY_TOL):
+    """Terms (a), (b) and (c) of lift_to_sector's proof, for a circuit whose
+    computed max|U†U - I| is at most e."""
+    e += gamma(modes + 2) * (1 + e)
+    first = photons * e
+    rest = sum(math.comb(photons, j) * (modes * e) ** j for j in range(2, photons + 1))
+    k = sum(7 + min(modes, m) for m in range(2, photons + 1))  # |fl(S) - S| <= γ_k B
+    g, norm = gamma(k), (modes * (1 + e)) ** (photons / 2)
+    return first, rest, g * norm * (2 * math.sqrt(1 + first + rest) + g * norm)
+
+
+def cayley(modes, seed):
+    """U = (I - A)(I + A)^-1 = N / d for a skew-Hermitian Gaussian-integer A:
+    N = (I - A) adj(I + A) as int arrays, real and imaginary, and d in ZZ_I."""
+    re, im = np.random.default_rng(seed).integers(-2, 3, (2, modes, modes)).tolist()
+    a = [[ZZ_I(re[i][j] - re[j][i], im[i][j] + im[j][i]) for j in range(modes)]
+         for i in range(modes)]
+    a, eye = DomainMatrix(a, (modes, modes), ZZ_I), DomainMatrix.eye(modes, ZZ_I)
+    adj, d = (eye + a).adj_det()
+    n = [[(int(z.x), int(z.y)) for z in row] for row in ((eye - a) * adj).to_list()]
+    return (*np.array(n, dtype=object).transpose(2, 0, 1), d)
+
+
+def monomial_lift(nr, ni, photons):
+    """N = nr + i ni lifted exactly in the basis Π a†^occ |0>, where scale = root
+    = 1: column b is Σ_i N[i, first[b]] a_i† of column prev[b], on _ladder's."""
+    mr, mi = nr, ni
+    for n in range(2, photons + 1):
+        first, prev, _, up, _ = _ladder(len(nr), n)
+        br, bi = mr[:, prev], mi[:, prev]
+        mr, mi = (np.zeros((len(first),) * 2, dtype=object) for _ in "ri")
+        for i, (cr, ci) in enumerate(zip(nr[:, first], ni[:, first])):
+            mr[up[i]] += br * cr - bi * ci
+            mi[up[i]] += br * ci + bi * cr
+    return mr, mi
+
+
+def assert_weighted_gram(mr, mi, w, scale):
+    """M†WM == scale W, M = mr + i mi, W = diag(w), modulo primes < 2^22 that
+    pass twice any entry, in float64 products of <= 2^8 terms < 2^44: exact."""
+    assert len(w) <= 2**8
+    most = int(w.max()) * (len(w) * int((mr * mr + mi * mi).max()) + scale)
+    prime, modulus = 2**22, 1
+    while modulus <= 2 * most:
+        prime = sympy.prevprime(prime)
+        modulus *= prime
+        r, i = ((x % prime).astype(float) for x in (mr, mi))
+        wr, wi = w[:, None] * r % prime, w[:, None] * i % prime
+        diagonal = np.diag(w * (scale % prime) % prime)
+        assert ((r.T @ wr + i.T @ wi) % prime == diagonal).all()
+        assert not ((r.T @ wi - i.T @ wr) % prime).any()
+
+
+def times_over(mr, mi, c, den):
+    """(mr + i mi) c / den for c in ZZ_I, each part rounded once."""
+    x, y = int(c.x), int(c.y)  # int / int is correctly rounded
+    re, im = ((part / den).astype(float) for part in (mr * x - mi * y, mr * y + mi * x))
+    return re + 1j * im
+
+
+class TestLiftProof:
+    """lift_to_sector's proof: its figures, an exact oracle and the edge."""
+
+    def test_proved_bound_is_below_lift_tol_at_every_shape(self):
+        shapes = itertools.product(range(1, SECTOR_CAP + 1), range(1, PHOTON_CAP + 1))
+        cap = [(m, n) for m, n in shapes if math.comb(n + m - 1, n) <= SECTOR_CAP]
+        terms = {shape: proved_terms(*shape) for shape in cap}
+        worst = max(terms, key=lambda shape: sum(terms[shape]))
+        assert worst == (6, 8) and sum(terms[worst]) < LIFT_TOL
+        # The docstring's figures, each at its worst shape.
+        assert max(terms, key=lambda s: terms[s][1]) == (58, 2)  # (b)
+        assert max(terms, key=lambda s: terms[s][2]) == worst  # (c)
+        got = (*terms[worst], sum(terms[worst]))
+        assert got == pytest.approx((8.0001e-10, 1e-17, 2.33e-11, 8.23e-10), 0.01)
+
+    @pytest.mark.parametrize(
+        "modes, photons", [(3, 4), (3, 5), (4, 4), (4, 5), (5, 4), (5, 5), (4, 8)]
+    )
+    def test_float_lift_is_the_exact_lift(self, modes, photons):
+        # The lift workload's grid and (4, 8).  The monomial lift M of N
+        # gives S = W^1/2 M W^-1/2 / d^n, with W = diag(Π occ!).
+        nr, ni, d = cayley(modes, seed=10 * modes + photons)
+        mr, mi = monomial_lift(nr, ni, photons)
+        states = FockSector(modes, photons).basis
+        w = np.array([math.prod(map(math.factorial, occ)) for occ in states])
+        norm, conj = int(d.x) ** 2 + int(d.y) ** 2, ZZ_I(d.x, -d.y)  # 1/d = conj/norm
+        assert_weighted_gram(mr, mi, w, norm**photons)  # unitary, with no radical
+        exact = times_over(mr, mi, conj**photons, norm**photons)
+        exact *= np.sqrt(w[:, None] / w)
+        u = times_over(nr, ni, conj, norm)
+        lifted = lift_to_sector(LopCircuit(u), photons).entries
+        start, _ = plan = _full_plan(modes, photons)
+        modulus = types.SimpleNamespace(dim=modes, matrix=np.abs(u))
+        b = _lift_levels(modulus, plan)[start[-2] : start[-1]].reshape(lifted.shape)
+        # γ_k of term (c); γ_n for U's rounding in S and again in B; γ_4 for
+        # the exact entries' rounding; and b is within γ_k of B.
+        k = sum(7 + min(modes, m) for m in range(2, photons + 1))
+        tol = gamma(k + 2 * photons + 4) / (1 - gamma(k)) * b
+        assert (np.abs(lifted - exact) <= tol).all()
+
+    @pytest.mark.parametrize("photons", [1, 4, PHOTON_CAP])
+    def test_defect_at_the_cap_is_the_proved_one(self, rng, photons):
+        # cW, whose term (a) is attained, and W(I + tJ), J all ones, each with
+        # a defect just under UNITARITY_TOL, linear in t to first order.
+        w, ones = haar_unitary(4, rng).matrix, np.ones((4, 4))
+        excess, tilted = 0.999 * UNITARITY_TOL, w @ (np.eye(4) + 1e-11 * ones)
+        t = 1e-11 * excess / max(map(_isometry_defect, (tilted, tilted.conj().T)))
+        defects = []
+        for m in (np.sqrt(1 + excess) * w, w @ (np.eye(4) + t * ones)):
+            s = lift_to_sector(LopCircuit(m), photons).entries
+            defects.append(np.abs(s.conj().T @ s - np.eye(len(s))).max())
+            # The proof's bound at the circuit's max|U†U - I|, and this Gram's.
+            bound = sum(proved_terms(4, photons, _isometry_defect(m)))
+            assert defects[-1] <= bound + 2 * gamma(len(s) + 2)
+        assert defects[0] == pytest.approx(photons * excess, rel=0.02)  # n (c^2 - 1)
 
 
 class TestSectorMatrix:

@@ -27,10 +27,12 @@ its runs and whether every run was correct.  After the pairs, the
 ``cold`` section, not gated, times each command of ``COLD_COMMANDS`` (the
 cold whole runs of the ROADMAP's Baseline table) in ``COLD_REPEATS`` fresh
 interpreters per side, the sides alternating run by run in fresh copies,
-and keeps each command's best wall time and every run's exit code.  A row
-per metric is printed in the form "parent median -> change median,
-wins/pairs", then one row of ops per workload and seed, then one row per
-cold command.
+and keeps each command's best wall time and every run's exit code.  Last,
+the ``tier1`` section, not gated either, runs ``TIER1`` once per side in a
+fresh interpreter on a fresh copy of the side's whole tree and keeps its
+wall time, pass count and exit code.  A row per metric is printed in the
+form "parent median -> change median, wins/pairs", then one row of ops per
+workload and seed, one row per cold command and one row for tier-1.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ COLD_COMMANDS = (
 
 #: Fresh interpreters per cold command and side; the best time is kept.
 COLD_REPEATS = 3
+
+#: The tier-1 test run, the arguments of ``python``.
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def tree_identity(tree: Path) -> dict:
@@ -156,6 +161,22 @@ def cold_runs(roots: dict[str, Path]) -> dict:
         for side in SIDES:
             cold[side][command] = {"best_s": min(times[side]), "exits": exits[side]}
     return cold
+
+
+def tier1_run(tree: Path, dest: Path) -> dict:
+    """Wall time, pass count and exit code of one tier-1 run on a copy of tree."""
+    skip = (".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+    shutil.copytree(tree, dest, ignore=shutil.ignore_patterns(*skip))
+    env = {**os.environ, "PYTHONPATH": str(dest / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=dest, env=env,
+        capture_output=True, text=True, check=False,
+    )
+    wall = time.perf_counter() - start
+    passed = re.search(r"(\d+) passed", proc.stdout)
+    return {"wall_s": wall, "passed": int(passed[1]) if passed else 0,
+            "exit": proc.returncode}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -251,6 +272,10 @@ def compare(args) -> dict:
         roots = {side: _copy_tree(trees[side], Path(work) / side) for side in SIDES}
         result["cold"] = cold_runs(roots)
         output.write_text(json.dumps(result, indent=1) + "\n")
+        result["tier1"] = {"gated": False, "command": list(TIER1), **{
+            side: tier1_run(trees[side], Path(work) / f"tier1_{side}") for side in SIDES
+        }}
+        output.write_text(json.dumps(result, indent=1) + "\n")
     return result
 
 
@@ -288,6 +313,13 @@ def cold_rows(cold: dict) -> list[str]:
     ]
 
 
+def tier1_row(tier1: dict) -> str:
+    """Parent -> change tier-1 wall time, pass count and exit code."""
+    p, c = (tier1[side] for side in SIDES)
+    return (f"tier-1: {p['wall_s']:.3g} -> {c['wall_s']:.3g} s, {p['passed']} -> "
+            f"{c['passed']} passed, exit {p['exit']} -> {c['exit']} (not gated)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -303,7 +335,8 @@ def main(argv=None) -> int:
     args.workload = args.workload or ["verify"]
     args.seed = args.seed or [1]
     result = compare(args)
-    print("\n".join(rows(result["summary"]) + cold_rows(result["cold"])))
+    lines = rows(result["summary"]) + cold_rows(result["cold"])
+    print("\n".join([*lines, tier1_row(result["tier1"])]))
     return 0
 
 
